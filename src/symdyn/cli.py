@@ -346,7 +346,10 @@ def _cmd_disjoint(args):
 def _cmd_cylinder_point(args):
     ctx = parse_group(args.group)
     u = parse_pattern(ctx, args.u)
-    cp = minimal_point_in_cylinder(ctx, u, parse_letter(args.default))
+    try:
+        cp = minimal_point_in_cylinder(ctx, u, parse_letter(args.default))
+    except TypeError as exc:  # a group without a periodic backbone (free groups)
+        raise ValueError(str(exc)) from exc
     window = Pattern.of(
         ctx, {g: cp.config.value(g) for g in ctx.ball(args.radius)}
     )

@@ -15,7 +15,8 @@ serializations in this package iterate in that order, which is what
 makes re-runs byte-identical.
 
 Word-length balls are cached per context and guarded by the
-``SYMDYN_MAX_BALL`` environment variable (default 200000 elements).
+``SYMDYN_MAX_BALL`` environment variable (default 200000 elements; any
+value that is not a positive integer is rejected with ``ValueError``).
 """
 
 from __future__ import annotations
@@ -39,11 +40,17 @@ class BallCapExceeded(RuntimeError):
 
 
 def ball_cap() -> int:
+    """The ball size cap: ``SYMDYN_MAX_BALL`` if set, else the default."""
     raw = os.environ.get("SYMDYN_MAX_BALL", "")
-    try:
-        return int(raw) if raw else DEFAULT_BALL_CAP
-    except ValueError:
+    if not raw:
         return DEFAULT_BALL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"SYMDYN_MAX_BALL must be a positive integer, got {raw!r}")
+    return cap
 
 
 class GroupContext:

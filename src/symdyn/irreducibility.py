@@ -41,9 +41,9 @@ from .subshifts import (
     Semantics,
     SftSpec,
     SubshiftError,
+    _LocalRegion,
     _bitrow_mul,
     _require_exact_ctx,
-    fill_completions,
     hull_interval,
     parse_semantics,
     pattern_set,
@@ -333,52 +333,72 @@ def _check_irreducible_local(
     base = {rho: level_pattern_list(ctx, spec, ctx.ball(rho), level, sem) for rho in radii}
     centers = ctx.ball(scale).elements
     domains = [(rho, c) for rho in radii for c in centers]
+    margin = ctx.ball(sem.margin)
+    narrow = {v: tuple(sorted(s)) for v, s in pre.items()}
+
+    def placed(rho: int, c) -> list[Pattern]:
+        cinv = ctx.inv(c)
+        return [p.translate(ctx, cinv) for p in base[rho]]
+
+    def report(pairs: int, counterexample) -> IrreducibilityReport:
+        return IrreducibilityReport(
+            holds=counterexample is None,
+            level=level,
+            scale=scale,
+            semantics=sem.describe(),
+            method="ball-local",
+            pairs_checked=pairs,
+            min_gap=None,
+            mixing_gap=None,
+            unconditional=False,
+            counterexample=counterexample,
+        )
+
+    # The SFT and apartness are invariant under right translation, so a
+    # pair's verdict depends only on (r1, r2, c2 * c1^-1).  An apart class
+    # met again has glued: the first failure ends the scan.
+    apart_class: dict = {}
     pairs = 0
     for i, (r1, c1) in enumerate(domains):
         e1 = translate_set(ctx, ctx.ball(r1), c1)
+        c1_inv = ctx.inv(c1)
         for r2, c2 in domains[i:]:
-            e2 = translate_set(ctx, ctx.ball(r2), c2)
-            if not are_apart(ctx, d, e1, e2):
-                continue
-            pairs += 1
-            region = set_mul(
-                ctx,
-                ctx.ball(sem.margin),
-                FiniteSubset.of(ctx, e1.elements + e2.elements),
-            )
-            for p1 in base[r1]:
-                q1 = p1.translate(ctx, ctx.inv(c1))
-                half = {g: pre[v] for g, v in q1.items()}
-                for p2 in base[r2]:
-                    q2 = p2.translate(ctx, ctx.inv(c2))
-                    allowed = dict(half)
-                    allowed.update({g: pre[v] for g, v in q2.items()})
-                    fills = fill_completions(ctx, spec, region, {}, allowed)
-                    if next(fills, None) is None:
-                        return IrreducibilityReport(
-                            holds=False,
-                            level=level,
-                            scale=scale,
-                            semantics=sem.describe(),
-                            method="ball-local",
-                            pairs_checked=pairs,
-                            min_gap=None,
-                            mixing_gap=None,
-                            unconditional=False,
-                            counterexample=GluingCounterexample(q1, q2, None),
-                        )
-    return IrreducibilityReport(
-        holds=True,
-        level=level,
-        scale=scale,
-        semantics=sem.describe(),
-        method="ball-local",
-        pairs_checked=pairs,
-        min_gap=None,
-        mixing_gap=None,
-        unconditional=False,
-        counterexample=None,
-    )
+            key = (r1, r2, ctx.mul(c2, c1_inv))
+            apart = apart_class.get(key)
+            if apart is None:
+                e2 = translate_set(ctx, ctx.ball(r2), c2)
+                apart = apart_class[key] = are_apart(ctx, d, e1, e2)
+                if apart:
+                    both = FiniteSubset.of(ctx, e1.elements + e2.elements)
+                    region = _LocalRegion(ctx, spec, set_mul(ctx, margin, both))
+                    bad = _first_unglued(region, narrow, placed(r1, c1), placed(r2, c2))
+                    if bad is not None:
+                        return report(pairs + 1, GluingCounterexample(*bad, None))
+            if apart:
+                pairs += 1
+    return report(pairs, None)
+
+
+def _first_unglued(
+    region: _LocalRegion, narrow: dict, firsts: list, seconds: list
+) -> Optional[tuple[Pattern, Pattern]]:
+    """First pattern pair, in scan order, with no joint fill of the region.
+
+    ``narrow`` maps each level letter to the full letters above it.
+    """
+    free = region.choices()
+    vals = [None] * len(region.cells)
+    for q1 in firsts:
+        half = list(free)
+        for g, v in q1.items():
+            half[region.index[g]] = narrow[v]
+        for q2 in seconds:
+            choices = list(half)
+            for g, v in q2.items():
+                choices[region.index[g]] = narrow[v]
+            if not region.extends(vals, choices):
+                return q1, q2
+    return None
 
 
 def check_irreducible(
@@ -526,14 +546,16 @@ def conf(
                 raise RuntimeError("feasible window lost during gluing")
         return Pattern.of(ctx, values)
 
-    region = set_mul(ctx, ctx.ball(sem.margin), f)
-    allowed = {g: pre[v] for g, v in merged.items()}
-    if next(fill_completions(ctx, spec, region, {}, allowed), None) is None:
+    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
+    choices = region.choices({g: pre[v] for g, v in merged.items()})
+    vals = [None] * len(region.cells)
+    if not region.extends(vals, choices):
         raise GluingError("the two patterns admit no joint extension")
     for cell in free:
+        i = region.index[cell]
         for v in level_letters:
-            allowed[cell] = pre[v]
-            if next(fill_completions(ctx, spec, region, {}, allowed), None) is not None:
+            choices[i] = region.among(pre[v])
+            if region.extends(vals, choices):
                 values[cell] = v
                 break
         else:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .groups import (
@@ -658,30 +659,109 @@ def transfer_graph(spec: SftSpec) -> TransferGraph:
 # local fills (any context)
 # ---------------------------------------------------------------------------
 
-def _occurrence_conflict(
-    ctx: GroupContext, spec: SftSpec, assigned: dict, cell
-) -> bool:
-    """Did assigning ``cell`` complete a forbidden occurrence?"""
-    for p in spec.forbidden:
-        for h in p.domain:
-            t = ctx.mul(ctx.inv(h), cell)
-            ok = True
-            for h2, v2 in p.items():
-                got = assigned.get(ctx.mul(h2, t))
-                if got is None or got != v2:
-                    ok = False
+def _no_cells(vals: list) -> tuple:
+    """Getter of a one-cell occurrence: nothing else to match."""
+    return ()
+
+
+class _LocalRegion:
+    """A finite region compiled once against an SFT's forbidden patterns.
+
+    Cells are numbered in fill order.  Every forbidden occurrence lying
+    inside the region is watched by its last cell in that order:
+    ``watch[i][a]`` lists, for letter ``a`` at cell ``i``, the occurrences
+    that assigning ``a`` there completes, each as an item getter over the
+    earlier cells and the letters it must find.  Backtracking then compares
+    values by index instead of multiplying group elements at every node.
+    """
+
+    def __init__(self, ctx: GroupContext, spec: SftSpec, cells: Iterable):
+        self.cells = tuple(cells)
+        self.index = {g: i for i, g in enumerate(self.cells)}
+        self.letters = tuple(sorted(spec.letters()))
+        watch: list[dict] = [{} for _ in self.cells]
+        for p in spec.forbidden:
+            items = tuple(p.items())
+            anchor = ctx.inv(items[0][0])
+            for c in self.cells:
+                t = ctx.mul(anchor, c)
+                occ = []
+                for h, v in items:
+                    j = self.index.get(ctx.mul(h, t))
+                    if j is None:
+                        break
+                    occ.append((j, v))
+                else:
+                    occ.sort()  # cells are distinct: sorts by index
+                    last, a = occ.pop()
+                    if not occ:
+                        check = (_no_cells, ())
+                    elif len(occ) == 1:
+                        check = (itemgetter(occ[0][0]), occ[0][1])
+                    else:
+                        check = (
+                            itemgetter(*(j for j, _ in occ)),
+                            tuple(v for _, v in occ),
+                        )
+                    watch[last].setdefault(a, []).append(check)
+        self.watch = watch
+
+    def among(self, lset) -> tuple:
+        """The letters that lie in ``lset``, ascending."""
+        return tuple(a for a in self.letters if a in lset)
+
+    def choices(self, allowed: Optional[dict] = None) -> list:
+        """Letters open to each cell: all of them, or those in ``allowed``."""
+        allowed = allowed or {}
+        return [
+            self.letters if (lset := allowed.get(g)) is None else self.among(lset)
+            for g in self.cells
+        ]
+
+    def search(self, vals: list, choices: list, start: int, stop: int) -> Iterator[list]:
+        """Assign ``vals[start:stop]`` in cell order, least letters first.
+
+        Cells before ``start`` must already hold values.  Yields ``vals``
+        (updated in place) after each assignment of the range that
+        completes no forbidden occurrence.
+        """
+        if start >= stop:
+            yield vals
+            return
+        watch = self.watch
+        pending: list = [None] * stop
+        pos = start
+        pending[pos] = iter(choices[pos])
+        while True:
+            opts = watch[pos]
+            for a in pending[pos]:
+                for get, want in opts.get(a, ()):
+                    if get(vals) == want:
+                        break
+                else:
+                    vals[pos] = a
                     break
-            if ok:
-                return True
-    return False
+            else:
+                if pos == start:
+                    return
+                pos -= 1
+                continue
+            if pos + 1 == stop:
+                yield vals
+            else:
+                pos += 1
+                pending[pos] = iter(choices[pos])
+
+    def extends(self, vals: list, choices: list, start: int = 0) -> bool:
+        """Do ``vals[:start]`` extend to an admissible fill of the region?"""
+        return next(self.search(vals, choices, start, len(self.cells)), None) is not None
 
 
 def locally_admissible(ctx: GroupContext, spec: SftSpec, pattern: Pattern) -> bool:
     """No forbidden occurrence lies fully inside the pattern's domain."""
-    assigned = pattern.mapping()
-    return not any(
-        _occurrence_conflict(ctx, spec, assigned, cell) for cell in pattern.domain
-    )
+    region = _LocalRegion(ctx, spec, pattern.domain)
+    vals = list(pattern.values)
+    return region.extends(vals, [(v,) for v in vals])
 
 
 def fill_completions(
@@ -693,34 +773,19 @@ def fill_completions(
 ) -> Iterator[dict]:
     """Backtracking enumeration of admissible assignments on ``domain``.
 
-    Clamped cells are fixed; free cells are filled in deterministic
-    position order, least letters first, pruning as soon as a forbidden
-    occurrence becomes fully visible.  ``allowed`` optionally restricts
-    cells to letter subsets (applied to free cells only).  Yields
-    complete assignments.
+    Clamped cells are fixed (they may lie outside ``domain``); free cells
+    are filled in deterministic position order, least letters first,
+    pruning as soon as a forbidden occurrence becomes fully visible.
+    ``allowed`` optionally restricts cells to letter subsets (applied to
+    free cells only).  Yields complete assignments, clamps first.
     """
-    letters = tuple(sorted(spec.letters()))
-    assigned = dict(clamps)
-    for cell in clamps:
-        if _occurrence_conflict(ctx, spec, assigned, cell):
-            return
     free = [g for g in domain if g not in clamps]
-
-    def rec(i: int) -> Iterator[dict]:
-        if i == len(free):
-            yield dict(assigned)
-            return
-        cell = free[i]
-        lset = None if allowed is None else allowed.get(cell)
-        for a in letters:
-            if lset is not None and a not in lset:
-                continue
-            assigned[cell] = a
-            if not _occurrence_conflict(ctx, spec, assigned, cell):
-                yield from rec(i + 1)
-            del assigned[cell]
-
-    yield from rec(0)
+    region = _LocalRegion(ctx, spec, [*clamps, *free])
+    choices = [(v,) for v in clamps.values()]
+    choices += region.choices(allowed)[len(clamps):]
+    cells = region.cells
+    for vals in region.search([None] * len(cells), choices, 0, len(cells)):
+        yield dict(zip(cells, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -776,20 +841,28 @@ def window_patterns(
                 seen.add(p)
                 yield p
         return
-    thick = set_mul(ctx, ctx.ball(sem.margin), f)
+    # Every fill below the node that assigns the last cell of ``f`` has
+    # the same ``f``-projection, so the search stops there and probes the
+    # margin once per new projection; yields keep the order of a scan of
+    # all fills.
+    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
+    choices = region.choices()
+    fpos = [region.index[g] for g in f]
+    cut = max(fpos) + 1
+    project = itemgetter(*fpos)
     seen = set()
-    for fill in fill_completions(ctx, spec, thick, {}):
-        p = Pattern.of(ctx, {g: fill[g] for g in f})
-        if p not in seen:
-            seen.add(p)
-            yield p
+    for vals in region.search([None] * len(region.cells), choices, 0, cut):
+        key = project(vals)
+        if key not in seen and region.extends(vals, choices, cut):
+            seen.add(key)
+            yield Pattern.of(ctx, {g: vals[i] for g, i in zip(f.elements, fpos)})
 
 
 def pattern_set(
     ctx: GroupContext, spec: SpecLike, f: FiniteSubset, sem: Semantics
 ) -> frozenset:
     """The set of admissible patterns on ``f`` under the given semantics."""
-    key = (id(ctx), spec, f, sem)
+    key = (ctx.describe(), spec, f, sem)
     if key not in _PATTERN_SET_CACHE:
         _PATTERN_SET_CACHE[key] = frozenset(window_patterns(ctx, spec, f, sem))
     return _PATTERN_SET_CACHE[key]

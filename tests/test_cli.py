@@ -185,6 +185,20 @@ def test_cylinder_point_command(capsys):
     assert "=" in out
 
 
+def test_cylinder_point_on_free_group_is_usage_error(capsys):
+    assert main(["cylinder-point", "F2", "--u", "=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lattice or finite group" in err
+
+
+@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3"])
+def test_malformed_ball_cap_is_usage_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("SYMDYN_MAX_BALL", raw)
+    # Z^7 is used nowhere else, so its balls are not cached yet
+    assert main(["ball", "Z^7", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: SYMDYN_MAX_BALL")
+
+
 # --- certificates on disk ---------------------------------------------------------
 
 

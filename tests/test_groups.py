@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdyn.groups import (
+    DEFAULT_BALL_CAP,
     FINITE_TABLES,
+    BallCapExceeded,
     FiniteSubset,
     GroupParseError,
+    LatticeContext,
+    ball_cap,
     interior,
     is_separated,
     is_small,
@@ -251,3 +255,23 @@ def test_smallness_avoidance_counts_match_brute_force():
             if not any(squares((n + x,)) for x in range(-r, r + 1))
         )
         assert v.avoidance_count == brute
+
+
+def test_ball_cap_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("SYMDYN_MAX_BALL", raising=False)
+    assert ball_cap() == DEFAULT_BALL_CAP
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "")
+    assert ball_cap() == DEFAULT_BALL_CAP
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "12")
+    assert ball_cap() == 12
+    with pytest.raises(BallCapExceeded):
+        LatticeContext(2).ball(2)  # 13 elements
+
+
+@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3"])
+def test_malformed_ball_cap_is_rejected(raw, monkeypatch):
+    monkeypatch.setenv("SYMDYN_MAX_BALL", raw)
+    with pytest.raises(ValueError, match="SYMDYN_MAX_BALL"):
+        ball_cap()
+    with pytest.raises(ValueError):
+        LatticeContext(2).ball(1)

@@ -1,0 +1,344 @@
+"""The compiled local engine against the slow path it replaced.
+
+The oracles below are the original local engine, kept here and nowhere
+else: ``_occurrence_conflict`` recomputes every forbidden occurrence
+through the group operations at each backtracking node, the window
+enumeration lists every fill of the thickened domain and then projects,
+and the gluing scan probes every domain pair afresh.  The library must
+agree with them exactly: same fills, same patterns in the same order,
+same reports.
+"""
+
+import gc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdyn.groups import (
+    FiniteSubset,
+    LatticeContext,
+    are_apart,
+    parse_group,
+    set_mul,
+    translate_set,
+)
+from symdyn.irreducibility import (
+    GluingCounterexample,
+    GluingError,
+    IrreducibilityReport,
+    _check_irreducible_local,
+    check_irreducible,
+    conf,
+    level_preimages,
+)
+from symdyn.subshifts import (
+    _PATTERN_SET_CACHE,
+    Pattern,
+    SftSpec,
+    fill_completions,
+    is_admissible,
+    local,
+    locally_admissible,
+    pattern_set,
+    project_pattern,
+    sorted_patterns,
+    window_patterns,
+)
+
+Z2 = parse_group("Z^2")
+F2 = parse_group("F2")
+GROUPS = {"Z^2": Z2, "F2": F2}
+
+
+# --- oracles ---------------------------------------------------------------------
+
+
+def _occurrence_conflict(ctx, spec, assigned, cell):
+    """Did assigning ``cell`` complete a forbidden occurrence?"""
+    for p in spec.forbidden:
+        for h in p.domain:
+            t = ctx.mul(ctx.inv(h), cell)
+            ok = True
+            for h2, v2 in p.items():
+                got = assigned.get(ctx.mul(h2, t))
+                if got is None or got != v2:
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False
+
+
+def oracle_fill_completions(ctx, spec, domain, clamps, allowed=None):
+    letters = tuple(sorted(spec.letters()))
+    assigned = dict(clamps)
+    for cell in clamps:
+        if _occurrence_conflict(ctx, spec, assigned, cell):
+            return
+    free = [g for g in domain if g not in clamps]
+
+    def rec(i):
+        if i == len(free):
+            yield dict(assigned)
+            return
+        cell = free[i]
+        lset = None if allowed is None else allowed.get(cell)
+        for a in letters:
+            if lset is not None and a not in lset:
+                continue
+            assigned[cell] = a
+            if not _occurrence_conflict(ctx, spec, assigned, cell):
+                yield from rec(i + 1)
+            del assigned[cell]
+
+    yield from rec(0)
+
+
+def oracle_window_patterns(ctx, spec, f, sem):
+    """Enumerate every fill of the thickened domain, then project."""
+    thick = set_mul(ctx, ctx.ball(sem.margin), f)
+    seen = set()
+    for fill in oracle_fill_completions(ctx, spec, thick, {}):
+        p = Pattern.of(ctx, {g: fill[g] for g in f})
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
+def oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, domain_radii):
+    """Probe every apart domain pair with every pattern pair, no memo."""
+    pre = level_preimages(spec, level)
+    radii = tuple(sorted(set(domain_radii)))
+    base = {}
+    for rho in radii:
+        pats = oracle_window_patterns(ctx, spec, ctx.ball(rho), sem)
+        base[rho] = sorted_patterns(
+            {project_pattern(ctx, p, level, spec.stack) for p in pats}
+        )
+    domains = [(rho, c) for rho in radii for c in ctx.ball(scale)]
+    pairs = 0
+    for i, (r1, c1) in enumerate(domains):
+        e1 = translate_set(ctx, ctx.ball(r1), c1)
+        for r2, c2 in domains[i:]:
+            e2 = translate_set(ctx, ctx.ball(r2), c2)
+            if not are_apart(ctx, d, e1, e2):
+                continue
+            pairs += 1
+            region = set_mul(
+                ctx, ctx.ball(sem.margin), FiniteSubset.of(ctx, e1.elements + e2.elements)
+            )
+            for p1 in base[r1]:
+                q1 = p1.translate(ctx, ctx.inv(c1))
+                for p2 in base[r2]:
+                    q2 = p2.translate(ctx, ctx.inv(c2))
+                    allowed = {g: pre[v] for g, v in q1.items()}
+                    allowed.update({g: pre[v] for g, v in q2.items()})
+                    if next(oracle_fill_completions(ctx, spec, region, {}, allowed), None) is None:
+                        return _report(sem, level, scale, pairs, GluingCounterexample(q1, q2, None))
+    return _report(sem, level, scale, pairs, None)
+
+
+def oracle_conf_local(ctx, spec, level, f, alpha1, alpha2, sem):
+    """Least joint extension, one fresh fill search per probe; None if none."""
+    pre = level_preimages(spec, level)
+    merged = {**alpha1.mapping(), **alpha2.mapping()}
+    region = set_mul(ctx, ctx.ball(sem.margin), f)
+    allowed = {g: pre[v] for g, v in merged.items()}
+    if next(oracle_fill_completions(ctx, spec, region, {}, allowed), None) is None:
+        return None
+    values = dict(merged)
+    for cell in f:
+        if cell in merged:
+            continue
+        for v in sorted(pre):
+            allowed[cell] = pre[v]
+            if next(oracle_fill_completions(ctx, spec, region, {}, allowed), None) is not None:
+                values[cell] = v
+                break
+    return Pattern.of(ctx, values)
+
+
+def _report(sem, level, scale, pairs, counterexample):
+    return IrreducibilityReport(
+        holds=counterexample is None,
+        level=level,
+        scale=scale,
+        semantics=sem.describe(),
+        method="ball-local",
+        pairs_checked=pairs,
+        min_gap=None,
+        mixing_gap=None,
+        unconditional=False,
+        counterexample=counterexample,
+    )
+
+
+# --- random presentations ----------------------------------------------------------
+
+# alphabet sizes per level, at most four letters in all
+SIZES = st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (1, 3), (3, 1), (2, 1), (1, 1, 2)])
+
+
+@st.composite
+def sft_specs(draw, max_letters=4):
+    group = draw(st.sampled_from(sorted(GROUPS)))
+    ctx = GROUPS[group]
+    sizes = draw(SIZES.filter(lambda s: _count(s) <= max_letters))
+    letters = SftSpec(group, sizes, ()).letters()
+    cells = ctx.ball(1).elements
+    forbidden = []
+    for _ in range(draw(st.integers(0, 3))):
+        dom = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+        forbidden.append(
+            Pattern.of(ctx, {g: draw(st.sampled_from(letters)) for g in dom})
+        )
+    return ctx, SftSpec(group, sizes, tuple(forbidden), "random")
+
+
+def _count(sizes):
+    n = 1
+    for s in sizes:
+        n *= s
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fill_completions_matches_oracle(data):
+    ctx, spec = data.draw(sft_specs())
+    letters = spec.letters()
+    ball2 = ctx.ball(2).elements
+    domain = FiniteSubset.of(
+        ctx, data.draw(st.lists(st.sampled_from(ctx.ball(1).elements), max_size=5, unique=True))
+    )
+    # clamps may sit inside the domain or outside it
+    clamp_cells = data.draw(st.lists(st.sampled_from(ball2), max_size=3, unique=True))
+    clamps = {g: data.draw(st.sampled_from(letters)) for g in clamp_cells}
+    allowed = None
+    if data.draw(st.booleans()):
+        allowed = {
+            g: frozenset(data.draw(st.lists(st.sampled_from(letters), unique=True)))
+            for g in data.draw(st.lists(st.sampled_from(ball2), max_size=4, unique=True))
+        }
+    got = list(fill_completions(ctx, spec, domain, clamps, allowed))
+    want = list(oracle_fill_completions(ctx, spec, domain, clamps, allowed))
+    assert got == want
+    assert [list(x) for x in got] == [list(x) for x in want]  # same key order
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_window_patterns_match_oracle_in_order(data):
+    margin = data.draw(st.integers(0, 1))
+    ctx, spec = data.draw(sft_specs(max_letters=2 if margin else 4))
+    cells = ctx.ball(1).elements
+    f = FiniteSubset.of(
+        ctx,
+        data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2 if margin else 5,
+                           unique=True)),
+    )
+    sem = local(margin)
+    assert list(window_patterns(ctx, spec, f, sem)) == list(
+        oracle_window_patterns(ctx, spec, f, sem)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_locally_admissible_matches_oracle(data):
+    ctx, spec = data.draw(sft_specs())
+    letters = spec.letters()
+    cells = data.draw(st.lists(st.sampled_from(ctx.ball(2).elements), min_size=1,
+                               max_size=6, unique=True))
+    p = Pattern.of(ctx, {g: data.draw(st.sampled_from(letters)) for g in cells})
+    assigned = p.mapping()
+    want = not any(_occurrence_conflict(ctx, spec, assigned, g) for g in p.domain)
+    assert locally_admissible(ctx, spec, p) == want
+    thick = set_mul(ctx, ctx.ball(1), p.domain)
+    if _count(spec.alphabet_sizes) ** (len(thick) - len(p.domain)) <= 4096:
+        exists = next(oracle_fill_completions(ctx, spec, thick, assigned), None) is not None
+        assert is_admissible(ctx, spec, p, local(1)) == exists
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_local_gluing_scan_matches_unmemoised_scan(data):
+    radii = data.draw(st.sampled_from([(0,), (0, 1)]))
+    ctx, spec = data.draw(sft_specs(max_letters=2 if 1 in radii else 3))
+    level = data.draw(st.integers(1, spec.stack))
+    d = ctx.ball(data.draw(st.integers(0, 1)))
+    sem = local(data.draw(st.integers(0, 1)))
+    got = _check_irreducible_local(ctx, spec, level, d, 1, sem, radii)
+    assert got == oracle_check_irreducible_local(ctx, spec, level, d, 1, sem, radii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_local_conf_matches_oracle(data):
+    margin = data.draw(st.integers(0, 1))
+    ctx, spec = data.draw(sft_specs(max_letters=2 if margin else 4))
+    level = data.draw(st.integers(1, spec.stack))
+    level_letters = sorted(level_preimages(spec, level))
+    f = FiniteSubset.of(
+        ctx,
+        data.draw(st.lists(st.sampled_from(ctx.ball(1).elements), min_size=2,
+                           max_size=2 if margin else 5, unique=True)),
+    )
+    clamped = data.draw(st.lists(st.sampled_from(f.elements), min_size=2, unique=True))
+    split = data.draw(st.integers(1, len(clamped) - 1))
+    values = {g: data.draw(st.sampled_from(level_letters)) for g in clamped}
+    alpha1 = Pattern.of(ctx, {g: values[g] for g in clamped[:split]})
+    alpha2 = Pattern.of(ctx, {g: values[g] for g in clamped[split:]})
+    sem = local(margin)
+    want = oracle_conf_local(ctx, spec, level, f, alpha1, alpha2, sem)
+    if want is None:
+        with pytest.raises(GluingError):
+            conf(ctx, spec, level, f, alpha1, alpha2, sem)
+    else:
+        assert conf(ctx, spec, level, f, alpha1, alpha2, sem) == want
+
+
+def _domino_spec(group, pairs, name):
+    ctx = GROUPS[group]
+    return ctx, SftSpec(
+        group, (2,), tuple(Pattern.of(ctx, {ctx.identity: v, g: w}) for g, v, w in pairs), name
+    )
+
+
+@pytest.mark.parametrize(
+    "group,pairs,holds",
+    [
+        ("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], True),  # hard square
+        ("Z^2", [(s, v, v) for s in ((1, 0), (0, 1)) for v in (0, 1)], False),  # checkerboard
+        ("F2", [("a", 1, 1), ("b", 1, 1)], True),
+        ("F2", [("a", 0, 0), ("a", 1, 1)], False),
+    ],
+)
+def test_local_gluing_scan_holding_and_failing_specs(group, pairs, holds):
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    got = check_irreducible(ctx, spec, 1, ctx.ball(1), 2, local(1))
+    want = oracle_check_irreducible_local(ctx, spec, 1, ctx.ball(1), 2, local(1), (0, 1))
+    assert got == want
+    assert got.holds is holds
+
+
+def test_window_patterns_yield_in_scan_order_on_a_ball():
+    ctx, spec = _domino_spec("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], "hard_square")
+    want = list(oracle_window_patterns(ctx, spec, ctx.ball(1), local(1)))
+    gen = window_patterns(ctx, spec, ctx.ball(1), local(1))
+    assert [next(gen) for _ in range(3)] == want[:3]  # consumers may stop early
+    assert [*want[:3], *gen] == want
+
+
+def test_pattern_set_cache_outlives_a_rebuilt_context():
+    _, spec = _domino_spec("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], "hard_square")
+    ctx = LatticeContext(2)
+    first = pattern_set(ctx, spec, ctx.ball(1), local(1))
+    size = len(_PATTERN_SET_CACHE)
+    del ctx
+    gc.collect()
+    ctx = LatticeContext(2)
+    # keyed by the group descriptor, not by the identity of a dropped object
+    assert pattern_set(ctx, spec, ctx.ball(1), local(1)) is first
+    assert len(_PATTERN_SET_CACHE) == size
