@@ -44,6 +44,7 @@ from .corpus import (
 )
 from .groups import (
     FINITE_TABLES,
+    BallCapExceeded,
     FiniteSubset,
     GroupContext,
     is_small,
@@ -627,7 +628,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BallCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "manifest", None):

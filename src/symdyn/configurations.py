@@ -15,10 +15,12 @@ from math import isqrt
 from typing import Callable, Iterator
 
 from .groups import (
+    BallCapExceeded,
     FiniteSubset,
     FiniteGroupContext,
     GroupContext,
     LatticeContext,
+    ball_cap,
     maximal_separated,
 )
 from .subshifts import Pattern
@@ -50,14 +52,6 @@ class Configuration:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Configuration {self.label or hex(id(self))}>"
-
-
-def shift(config: Configuration, g) -> Configuration:
-    return config.shift_by(g)
-
-
-def restrict(config: Configuration, f: FiniteSubset) -> Pattern:
-    return config.window(f)
 
 
 def constant_configuration(ctx: GroupContext, letter) -> Configuration:
@@ -93,16 +87,32 @@ def periodic_lattice_configuration(
 
 
 def elements_in_order(ctx: GroupContext) -> Iterator:
-    """All group elements in deterministic order (radius by radius)."""
-    seen: set = set()
-    r = 0
-    while True:
-        fresh = [g for g in ctx.ball(r) if g not in seen]
-        if r > 0 and not fresh and isinstance(ctx, FiniteGroupContext):
-            return
-        yield from fresh
-        seen.update(fresh)
+    """All group elements in deterministic order (radius by radius).
+
+    Each sphere is grown from the one before by right multiplication with
+    the generators, so no ball is built.  Raises ``BallCapExceeded`` before
+    yielding any of the first sphere that takes the running count past
+    ``ball_cap()``; finite groups stop at their first empty sphere.
+    """
+    cap = ball_cap()
+    gens = ctx.generators()
+    sphere = [ctx.identity]
+    count, r = 1, 0
+    while sphere:
+        yield from sphere
         r += 1
+        grown = set()
+        for s in sphere:
+            for x in gens:
+                g = ctx.mul(s, x)
+                if ctx.word_length(g) == r:
+                    grown.add(g)
+        sphere = sorted(grown, key=ctx.sort_key)
+        count += len(sphere)
+        if count > cap:
+            raise BallCapExceeded(
+                f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +231,39 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
         raise ValueError("depth must be >= 1")
     assigned: dict = {}
     used: set = set()
+    targets = list(itertools.islice(elements_in_order(ctx), 1, depth + 1))
     order = elements_in_order(ctx)
-    targets = []
-    for g in order:
-        if g != ctx.identity:
-            targets.append(g)
-        if len(targets) == depth:
-            break
+    elems: list = []
 
-    def fresh_site(cells_of: Callable) -> object:
-        for g in elements_in_order(ctx):
-            cells = cells_of(g)
-            if all(c not in used for c in cells):
-                return g
-        raise RuntimeError("unreachable: group exhausted")  # pragma: no cover
+    def fresh_site(cells_of: Callable, k: int) -> int:
+        """Index of the first element from the ``k``-th on whose cells are
+        all unused.  ``used`` only grows, so a caller may resume from the
+        last index returned for the same ``cells_of``."""
+        while True:
+            if k == len(elems):
+                g = next(order, None)
+                if g is None:
+                    raise RuntimeError("group exhausted: no free site left")
+                elems.append(g)
+            if all(c not in used for c in cells_of(elems[k])):
+                return k
+            k += 1
 
     stages = []
     for i in range(1, depth + 1):
         window = ctx.ball(i - 1)
         placements = []
+        cursor = 0
         for values in itertools.product((0, 1), repeat=len(window)):
-            site = fresh_site(lambda g: [ctx.mul(x, g) for x in window])
+            cursor = fresh_site(lambda g: [ctx.mul(x, g) for x in window], cursor)
+            site = elems[cursor]
             for x, v in zip(window.elements, values):
                 cell = ctx.mul(x, site)
                 assigned[cell] = v
                 used.add(cell)
             placements.append((values, site))
         gi = targets[i - 1]
-        probe = fresh_site(lambda h: [h, ctx.mul(h, gi)])
+        probe = elems[fresh_site(lambda h: [h, ctx.mul(h, gi)], 0)]
         assigned[probe] = 0
         assigned[ctx.mul(probe, gi)] = 1
         used.add(probe)

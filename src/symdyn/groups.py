@@ -625,21 +625,38 @@ def is_small(
     (avoidance fails syndeticity at the cap, witness element attached) or
     ``inconclusive`` (region too small to certify either way).
     """
+    if syndetic_cap < 0 and max_f_radius >= 0:
+        raise ValueError("ball radius must be >= 0")
+    # interiors[rho] = interior(region, ball(rho)) in region order: the
+    # elements of interiors[rho-1] whose rings[rho] translate stays in the
+    # region, where rings[rho] = ball(rho) minus ball(rho-1).  Each is
+    # built once, by the first r that reaches it.
+    rset = region.as_set()
+    interiors = [list(region)]
+    rings: list = [None]
+
     verdicts = []
     for r in range(max_f_radius + 1):
         f = ctx.ball(r)
         avoid = [
             g for g in region if not any(member(ctx.mul(x, g)) for x in f)
         ]
-        aset = set(avoid)
         verdict: Optional[RadiusVerdict] = None
-        covered: set = set(aset)
+        covered: set = set(avoid)
         for rho in range(syndetic_cap + 1):
+            if rho == len(interiors):
+                inner = ctx.ball(rho - 1)
+                ring = [x for x in ctx.ball(rho) if x not in inner]
+                rings.append(ring)
+                interiors.append([
+                    g for g in interiors[-1]
+                    if all(ctx.mul(x, g) in rset for x in ring)
+                ])
             if rho > 0:
-                for x in ctx.ball(rho):
+                for x in rings[rho]:
                     covered.update(ctx.mul(x, g) for g in avoid)
-            target = interior(ctx, region, ctx.ball(rho))
-            if len(target) == 0:
+            target = interiors[rho]
+            if not target:
                 verdict = RadiusVerdict(r, "inconclusive", None, None, len(avoid))
                 break
             missing = [g for g in target if g not in covered]
@@ -647,10 +664,7 @@ def is_small(
                 verdict = RadiusVerdict(r, "small", rho, None, len(avoid))
                 break
         if verdict is None:
-            target = interior(ctx, region, ctx.ball(syndetic_cap))
-            missing = [g for g in target if g not in covered]
-            witness = missing[0] if missing else None
-            verdict = RadiusVerdict(r, "not-small", None, witness, len(avoid))
+            verdict = RadiusVerdict(r, "not-small", None, missing[0], len(avoid))
         verdicts.append(verdict)
     if any(v.verdict == "not-small" for v in verdicts):
         overall = "not-small"

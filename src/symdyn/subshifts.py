@@ -230,11 +230,14 @@ class SftSpec:
 
 @dataclass(frozen=True)
 class SubstitutionSpec:
-    """Substitution system on Z, presented by its expansion rules.
+    """Primitive substitution system on Z, presented by its expansion rules.
 
     The window language is the factor set of the one-sided fixed point of
     the substitution (rule for letter 0 must start with 0 and expand), so
     only exact semantics applies and only on the rank-1 lattice.
+    Primitivity (some power of the incidence matrix is positive) makes
+    every letter recur in that fixed point, and lets ``factors`` read the
+    language off the legal two-letter words.
     """
 
     group: str
@@ -250,8 +253,24 @@ class SubstitutionSpec:
         k = self.alphabet_sizes[0]
         if len(self.rules) != k or any(not r for r in self.rules):
             raise SubshiftError("need a non-empty rule per letter")
+        if any(a not in range(k) for r in self.rules for a in r):
+            raise SubshiftError(f"rules may only use the letters 0..{k - 1}")
         if self.rules[0][0] != 0 or len(self.rules[0]) < 2:
             raise SubshiftError("rule for 0 must start with 0 and expand")
+        # rows[a] has bit b set when b occurs in sigma^n(a); by Wielandt's
+        # bound a primitive matrix is positive by the power (k-1)^2 + 1
+        full = (1 << k) - 1
+        base = [sum(1 << a for a in set(r)) for r in self.rules]
+        rows = list(base)
+        for _ in range((k - 1) ** 2):
+            if all(row == full for row in rows):
+                break
+            rows = [_bitrow_mul(row, base, k) for row in rows]
+        if any(row != full for row in rows):
+            raise SubshiftError(
+                "substitution is not primitive: no power of its incidence "
+                "matrix is positive"
+            )
 
     @property
     def stack(self) -> int:
@@ -260,22 +279,34 @@ class SubstitutionSpec:
     def letters(self) -> tuple:
         return _letters_for(self.alphabet_sizes)
 
-    def fixed_point_prefix(self, length: int) -> tuple:
-        word: tuple = (0,)
-        while len(word) < length:
-            word = tuple(x for a in word for x in self.rules[a])
-        return word[:length]
-
     def factors(self, length: int) -> list[tuple]:
-        """All length-``length`` factors of the fixed point, sorted."""
+        """All length-``length`` factors of the fixed point, sorted.
+
+        The legal two-letter words are those inside some ``sigma(a)``,
+        closed under ``ab -> sigma(a) sigma(b)``.  Once every
+        ``sigma^n(a)`` has at least ``length - 1`` letters, each factor of
+        the fixed point lies inside ``sigma^n(ab)`` for a legal ``ab``.
+        """
         if length == 0:
             return [()]
-        # margin chosen generously past the uniform-recurrence bound at
-        # desk scale; tests pin the factor counts independently.
-        prefix = self.fixed_point_prefix(20 * length + 200)
-        found = {
-            prefix[i : i + length] for i in range(len(prefix) - length + 1)
-        }
+        rules = self.rules
+        legal = {r[i : i + 2] for r in rules for i in range(len(r) - 1)}
+        todo = list(legal)
+        while todo:
+            a, b = todo.pop()
+            image = rules[a] + rules[b]
+            for i in range(len(image) - 1):
+                w = image[i : i + 2]
+                if w not in legal:
+                    legal.add(w)
+                    todo.append(w)
+        power = [(a,) for a in range(len(rules))]
+        while min(map(len, power)) < length - 1:
+            power = [tuple(x for y in w for x in rules[y]) for w in power]
+        found = set()
+        for a, b in legal:
+            w = power[a] + power[b]
+            found.update(w[i : i + length] for i in range(len(w) - length + 1))
         return sorted(found)
 
     def to_json(self, ctx: GroupContext) -> dict:
@@ -397,6 +428,11 @@ def _normalized_forbidden(spec: SftSpec) -> list[tuple[tuple, tuple]]:
     return out
 
 
+def _no_cells(vals: list) -> tuple:
+    """Getter of a one-cell occurrence: nothing else to match."""
+    return ()
+
+
 class TransferGraph:
     """Sliding-window automaton for a depth-anything SFT on Z.
 
@@ -408,8 +444,21 @@ class TransferGraph:
 
     def __init__(self, spec: SftSpec):
         self.letters = tuple(sorted(spec.letters()))
-        self.norm = _normalized_forbidden(spec)
-        self.m = max((offs[-1] for offs, _ in self.norm), default=0)
+        norm = _normalized_forbidden(spec)
+        self.m = max((offs[-1] for offs, _ in norm), default=0)
+        # Each forbidden pattern, bucketed by its last letter, as the word
+        # length it needs, an item getter over its other cells counted from
+        # the end of the word, and the letters it must find there.
+        self._tails: dict = {}
+        for offs, vals in norm:
+            back = [o - offs[-1] - 1 for o in offs[:-1]]
+            if not back:
+                check = (1, _no_cells, ())
+            elif len(back) == 1:
+                check = (offs[-1] + 1, itemgetter(back[0]), vals[0])
+            else:
+                check = (offs[-1] + 1, itemgetter(*back), vals[:-1])
+            self._tails.setdefault(vals[-1], []).append(check)
         states = self._enumerate_states()
         edges = {
             s: tuple(
@@ -426,12 +475,9 @@ class TransferGraph:
 
     def _tail_ok(self, word: tuple) -> bool:
         # check forbidden occurrences that end at the last cell of `word`
-        last = len(word) - 1
-        for offs, vals in self.norm:
-            start = last - offs[-1]
-            if start < 0:
-                continue
-            if all(word[start + o] == v for o, v in zip(offs, vals)):
+        n = len(word)
+        for need, get, want in self._tails.get(word[-1], ()):
+            if n >= need and get(word) == want:
                 return False
         return True
 
@@ -658,11 +704,6 @@ def transfer_graph(spec: SftSpec) -> TransferGraph:
 # ---------------------------------------------------------------------------
 # local fills (any context)
 # ---------------------------------------------------------------------------
-
-def _no_cells(vals: list) -> tuple:
-    """Getter of a one-cell occurrence: nothing else to match."""
-    return ()
-
 
 class _LocalRegion:
     """A finite region compiled once against an SFT's forbidden patterns.

@@ -199,6 +199,25 @@ def test_malformed_ball_cap_is_usage_error(raw, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: SYMDYN_MAX_BALL")
 
 
+def test_ball_over_the_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "5")
+    # Z^6 is used nowhere else, so its balls are not cached yet
+    assert main(["ball", "Z^6", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: |ball(3)| exceeds SYMDYN_MAX_BALL=5 on Z^6")
+
+
+CHAIN10 = json.dumps({
+    "group": "Z", "alphabet": 10, "stack": 1, "name": "chain10",
+    "substitution": {str(i): [i, i + 1] if i < 9 else [9] for i in range(10)},
+})
+
+
+def test_non_primitive_substitution_is_usage_error(capsys):
+    assert main(["patterns", CHAIN10, "--window", "0..0"]) == 2
+    assert capsys.readouterr().err.startswith("error: substitution is not primitive")
+
+
 # --- certificates on disk ---------------------------------------------------------
 
 

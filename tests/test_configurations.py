@@ -13,8 +13,6 @@ from symdyn.configurations import (
     mapping_configuration,
     minimal_point_in_cylinder,
     periodic_lattice_configuration,
-    restrict,
-    shift,
     verify_free_dense_point,
 )
 from symdyn.corpus import builtin_spec
@@ -39,7 +37,7 @@ def test_indicator_and_mapping_configurations():
 def test_shift_follows_right_action():
     cfg = periodic_lattice_configuration(Z, (4,), {(i,): i for i in range(4)})
     g = (1,)
-    moved = shift(cfg, g)
+    moved = cfg.shift_by(g)
     # (g.z)(h) = z(h g)
     for n in range(-4, 5):
         assert moved.value((n,)) == cfg.value((n + 1,))
@@ -47,7 +45,7 @@ def test_shift_follows_right_action():
 
 def test_restrict_gives_pattern():
     cfg = periodic_lattice_configuration(Z, (2,), {(0,): 0, (1,): 1})
-    p = restrict(cfg, FiniteSubset.of(Z, [(0,), (1,), (2,)]))
+    p = cfg.window(FiniteSubset.of(Z, [(0,), (1,), (2,)]))
     assert p.values == (0, 1, 0)
 
 

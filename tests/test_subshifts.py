@@ -277,6 +277,44 @@ def test_substitution_factors_close_under_subword():
     assert {w[:5] for w in longer} | {w[1:] for w in longer} <= shorter
 
 
+def _prefix_factors(spec, length, prefix_len):
+    """Factors read off a long prefix of the fixed point (the old scan)."""
+    word = (0,)
+    while len(word) < prefix_len:
+        word = tuple(x for a in word for x in spec.rules[a])
+    return sorted({word[i : i + length] for i in range(prefix_len - length + 1)})
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        ((0, 1), (0,)),  # fibonacci
+        ((0, 1), (1, 0)),  # Thue-Morse
+        ((0, 1), (2,), (0,)),  # tribonacci
+        ((0, 2, 1), (1, 1, 0), (2, 0)),
+        ((0, 0),),
+    ],
+)
+def test_substitution_factors_match_a_long_prefix_scan(rules):
+    spec = SubstitutionSpec("Z", (len(rules),), rules)
+    for length in range(0, 10):
+        assert spec.factors(length) == _prefix_factors(spec, length, 20000)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        tuple((i, i + 1) if i < 9 else (9,) for i in range(10)),  # chain10
+        ((0, 1), (1,)),  # 1 never produces 0
+        ((0, 0), (1, 1)),  # 1 never occurs
+        ((0, 1), (0, 3)),  # letter 3 outside the alphabet
+    ],
+)
+def test_non_primitive_substitutions_are_rejected(rules):
+    with pytest.raises(SubshiftError):
+        SubstitutionSpec("Z", (len(rules),), rules)
+
+
 def test_minimality_check_positive_and_negative():
     p2 = builtin_spec("period2")
     probe = FiniteSubset.of(Z, [(0,)])
