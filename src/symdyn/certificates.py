@@ -7,12 +7,18 @@ evidence the checker produced.  Envelopes are serialized canonically
 (sorted keys, fixed separators, no timestamps), so a re-run from the same
 inputs yields byte-identical artifacts.
 
-Verification never trusts the stored verdict or evidence.  Each claim kind
-registers a *rebuilder* that reconstructs the whole envelope from the raw
-inputs alone; :func:`verify_envelope` re-runs it and byte-compares.  Any
-edit to the verdict or to the evidence therefore fails re-verification,
-and an edit to the inputs turns the envelope into a different claim that
-is re-checked on its own terms.
+Each claim kind is declared once, as a :class:`Claim` record: its name,
+its module, its input fields as ordered ``(input key, kind)`` pairs and a
+run function that turns the decoded inputs back into the envelope.  The
+builder writes ``inputs`` through the record, and one codec per kind
+encodes each value to JSON and decodes it back, so the input format of a
+claim is written in exactly one place.
+
+Verification never trusts the stored verdict or evidence:
+:func:`verify_envelope` decodes the raw inputs through the claim's record,
+re-runs it and byte-compares.  Any edit to the verdict or to the evidence
+therefore fails re-verification, and an edit to the inputs turns the
+envelope into a different claim that is re-checked on its own terms.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ import importlib
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from .corpus import builtin_factor
+from .groups import FiniteSubset, parse_group
+from .subshifts import Pattern, SftSpec, SubstitutionSpec, parse_semantics
 
 ENVELOPE_VERSION = 1
 
@@ -100,7 +110,90 @@ def load_certificate(path: str) -> dict:
 
 # -- claim registry ---------------------------------------------------------
 
-_REBUILDERS: dict[str, Callable[[dict], dict]] = {}
+def _to_json(ctx, value):
+    return value.to_json(ctx)
+
+
+def _same(ctx, value):
+    return value
+
+
+# kind -> (encode(ctx, value), decode(ctx, obj)), where ``ctx`` is the
+# claim's group context.  Only ``scp-cover`` declares ``spec``, which also
+# admits a substitution; every other claim reads finite-type ``sft`` specs.
+_CODECS: dict[str, tuple[Callable, Callable]] = {
+    "group": (lambda ctx, g: g.describe(), lambda ctx, obj: parse_group(obj)),
+    "sft": (_to_json, SftSpec.from_json),
+    "spec": (
+        _to_json,
+        lambda ctx, obj: (
+            SubstitutionSpec if "substitution" in obj else SftSpec
+        ).from_json(ctx, obj),
+    ),
+    "subset": (_to_json, FiniteSubset.from_json),
+    "pattern": (_to_json, Pattern.from_json),
+    "element": (
+        lambda ctx, g: ctx.element_to_json(g),
+        lambda ctx, obj: ctx.element_from_json(obj),
+    ),
+    "semantics": (
+        lambda ctx, sem: sem.describe(),
+        lambda ctx, obj: parse_semantics(obj),
+    ),
+    "int": (_same, lambda ctx, obj: int(obj)),
+    "float": (lambda ctx, x: float(x), lambda ctx, obj: float(obj)),
+    "bool": (_same, lambda ctx, obj: bool(obj)),
+    "str": (_same, _same),
+    "ints": (lambda ctx, xs: list(xs), lambda ctx, obj: tuple(obj)),
+    "factor": (lambda ctx, f: f.name, lambda ctx, obj: builtin_factor(obj)),
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One certificate claim, declared once.
+
+    ``fields`` lists ``(input key, kind)`` pairs in argument order; the
+    first is always the ``group`` field, whose context the other fields
+    are encoded and decoded in.  ``run`` takes the decoded values in that
+    order and returns the envelope, so ``run(*values)`` rebuilds the
+    envelope that :meth:`envelope` wrote for ``values``.  Claims pass a
+    ``run`` lambda that names their builder, so the builder is looked up
+    when the claim runs and a rebound module-level name (a profiler's
+    wrapper, say) is honoured.
+    """
+
+    name: str
+    module: str
+    fields: tuple[tuple[str, str], ...]
+    run: Callable[..., dict]
+
+    def __post_init__(self):
+        if self.fields[:1] != (("group", "group"),):
+            raise CertificateError(f"claim {self.name!r} must start with its group")
+        unknown = [kind for _, kind in self.fields if kind not in _CODECS]
+        if unknown:
+            raise CertificateError(f"claim {self.name!r} has unknown kinds {unknown}")
+
+    def envelope(self, values: tuple, scale: int, verdict: bool, evidence: dict):
+        """Envelope whose inputs encode ``values``, given in field order."""
+        ctx = values[0]
+        inputs = {
+            key: _CODECS[kind][0](ctx, value)
+            for (key, kind), value in zip(self.fields, values, strict=True)
+        }
+        return make_envelope(self.name, self.module, inputs, scale, verdict, evidence)
+
+    def rebuild(self, inputs: dict) -> dict:
+        """Decode ``inputs`` field by field and re-run the claim."""
+        ctx = parse_group(inputs["group"])
+        return self.run(
+            ctx,
+            *(_CODECS[kind][1](ctx, inputs[key]) for key, kind in self.fields[1:]),
+        )
+
+
+_CLAIMS: dict[str, Claim] = {}
 
 _CLAIM_MODULES = (
     "symdyn.irreducibility",
@@ -109,16 +202,12 @@ _CLAIM_MODULES = (
 )
 
 
-def register_rebuilder(claim: str):
-    """Register ``fn(inputs) -> envelope`` as the rebuilder for ``claim``."""
-
-    def wrap(fn: Callable[[dict], dict]):
-        if claim in _REBUILDERS:
-            raise CertificateError(f"duplicate rebuilder for claim {claim!r}")
-        _REBUILDERS[claim] = fn
-        return fn
-
-    return wrap
+def register_claim(name: str, module: str, fields: tuple, run: Callable) -> Claim:
+    """Declare a claim for :func:`known_claims` and :func:`verify_envelope`."""
+    if name in _CLAIMS:
+        raise CertificateError(f"duplicate claim {name!r}")
+    _CLAIMS[name] = Claim(name, module, fields, run)
+    return _CLAIMS[name]
 
 
 def _load_claim_modules() -> None:
@@ -128,7 +217,7 @@ def _load_claim_modules() -> None:
 
 def known_claims() -> tuple[str, ...]:
     _load_claim_modules()
-    return tuple(sorted(_REBUILDERS))
+    return tuple(sorted(_CLAIMS))
 
 
 @dataclass(frozen=True)
@@ -157,11 +246,11 @@ def verify_envelope(env: dict) -> VerificationResult:
     except CertificateError as exc:
         return VerificationResult(False, f"malformed envelope: {exc}")
     _load_claim_modules()
-    fn = _REBUILDERS.get(env["claim"])
-    if fn is None:
+    claim = _CLAIMS.get(env["claim"])
+    if claim is None:
         return VerificationResult(False, f"unknown claim {env['claim']!r}")
     try:
-        rebuilt = fn(env["inputs"])
+        rebuilt = claim.rebuild(env["inputs"])
     except Exception as exc:  # noqa: BLE001 - report, never crash the verifier
         return VerificationResult(False, f"rebuild failed: {exc}")
     if canonical_json(rebuilt) == canonical_json(env):

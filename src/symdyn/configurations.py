@@ -243,7 +243,10 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
             if k == len(elems):
                 g = next(order, None)
                 if g is None:
-                    raise RuntimeError("group exhausted: no free site left")
+                    raise ValueError(
+                        f"group {ctx.describe()} has no free site left for a "
+                        f"free dense point of depth {depth}"
+                    )
                 elems.append(g)
             if all(c not in used for c in cells_of(elems[k])):
                 return k

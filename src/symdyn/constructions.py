@@ -10,8 +10,8 @@ finite-group equivariant variant are all instances of this rewrite with
 different marker sets.
 
 Builders construct, verifiers re-check: every certificate emitted here is
-recomputed from its raw inputs by a registered rebuilder, so stored
-verdicts and evidence are never trusted.
+recomputed from its raw inputs through its declared claim record, so
+stored verdicts and evidence are never trusted.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Optional
 
-from .certificates import make_envelope, register_rebuilder
+from .certificates import register_claim
 from .configurations import (
     Configuration,
     indicator_configuration,
@@ -60,7 +60,6 @@ from .subshifts import (
     is_admissible,
     letter_coords,
     make_letter,
-    parse_semantics,
     project_letter,
     sorted_patterns,
     transfer_graph,
@@ -168,13 +167,6 @@ def freeness_envelope(
         raise SubshiftError("freeness certificates need a finite-type presentation")
     probes = [Pattern.of(ctx, {ctx.identity: a}) for a in spec.letters()]
     report = essential_freeness_check(ctx, spec, g, probes, sem, radius_cap)
-    inputs = {
-        "group": ctx.describe(),
-        "spec": spec.to_json(ctx),
-        "g": ctx.element_to_json(g),
-        "semantics": sem.describe(),
-        "radius_cap": radius_cap,
-    }
     evidence = {
         "witnesses": [
             {
@@ -191,49 +183,45 @@ def freeness_envelope(
             else report.failed_probe.to_json(ctx)
         ),
     }
-    return make_envelope(
-        "essential-freeness",
-        "constructions",
-        inputs,
-        radius_cap,
-        report.holds,
-        evidence,
+    return _FREENESS_CLAIM.envelope(
+        (ctx, spec, g, sem, radius_cap), radius_cap, report.holds, evidence
     )
 
 
-@register_rebuilder("essential-freeness")
-def _rebuild_freeness(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    return freeness_envelope(
-        ctx,
-        SftSpec.from_json(ctx, inputs["spec"]),
-        ctx.element_from_json(inputs["g"]),
-        parse_semantics(inputs["semantics"]),
-        int(inputs["radius_cap"]),
-    )
+_FREENESS_CLAIM = register_claim(
+    "essential-freeness", "constructions",
+    (("group", "group"), ("spec", "sft"), ("g", "element"), ("semantics", "semantics"),
+     ("radius_cap", "int")),
+    lambda *inputs: freeness_envelope(*inputs),
+)
 
 
 # ---------------------------------------------------------------------------
 # displaying stamps and marker densification
 # ---------------------------------------------------------------------------
 
-def _display_witness(
+def _stamp_core(
     ctx: GroupContext,
     spec: SftSpec,
     level: int,
     f: FiniteSubset,
-    pats: list,
     witness_scale: int,
     sem: Semantics,
     max_v_radius: int,
-) -> tuple:
+) -> dict:
     """Least ball V with a stamp showing every window pattern in a slot.
 
     A slot is a position ``k`` with ``F k`` inside V; the stamp is the
     canonically least admissible V-pattern whose slots jointly show every
     admissible F-pattern.  V must additionally pass the gluing check at
     the requested scale, so collars around stamps can always be re-glued.
+    Returns the fields :class:`PhiSystem` and :class:`GammaSystem` share.
     """
+    pats = level_pattern_list(ctx, spec, f, level, sem)
+    if len(pats) < 2:
+        raise ConstructionError(
+            "densification needs at least two window patterns to show"
+        )
     for r in range(max_v_radius + 1):
         v = ctx.ball(r)
         if not all(g in v for g in f):
@@ -257,7 +245,17 @@ def _display_witness(
             continue
         report = check_irreducible(ctx, spec, level, v, witness_scale, sem)
         if report.holds:
-            return r, v, stamp, report
+            v3 = set_pow(ctx, v, 3)
+            v5 = set_pow(ctx, v, 5)
+            return {
+                "v_radius": r,
+                "v": v,
+                "v3": v3,
+                "v5": v5,
+                "ring": FiniteSubset.of(ctx, [g for g in v5 if g not in v3]),
+                "u": stamp,
+                "witness_report": report,
+            }
     raise ConstructionError(
         f"no displaying ball up to radius {max_v_radius} shows all "
         f"{len(pats)} window patterns and verifies gluing"
@@ -309,18 +307,9 @@ def build_phi(
         raise SubshiftError("densification needs a finite-type presentation")
     if len(f) == 0:
         raise ValueError("the window must be non-empty")
-    pats = level_pattern_list(ctx, spec, f, level, sem)
-    if len(pats) < 2:
-        raise ConstructionError(
-            "densification needs at least two window patterns to show"
-        )
-    r, v, stamp, report = _display_witness(
-        ctx, spec, level, f, pats, witness_scale, sem, max_v_radius
-    )
-    v3 = set_pow(ctx, v, 3)
-    v5 = set_pow(ctx, v, 5)
-    ring = FiniteSubset.of(ctx, [g for g in v5 if g not in v3])
-    marker_spec, marker_witness = max_separated_subshift(ctx, v5)
+    core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
+    r = core["v_radius"]
+    marker_spec, marker_witness = max_separated_subshift(ctx, core["v5"])
     if isinstance(ctx, LatticeContext) and ctx.rank == 1:
         # Maximal separation forbids all-zero stretches on ball(10r), so
         # markers are at most 20r+1 apart and every stretch of length
@@ -336,19 +325,13 @@ def build_phi(
         level=level,
         window=f,
         sem=sem,
-        v_radius=r,
-        v=v,
-        v3=v3,
-        v5=v5,
-        ring=ring,
-        u=stamp,
-        witness_report=report,
         marker_spec=marker_spec,
         marker_witness=marker_witness,
         marker_spacing=spacing,
         syndetic_bound=bound,
         build_scale=witness_scale,
         max_v_radius=max_v_radius,
+        **core,
     )
 
 
@@ -511,18 +494,6 @@ def verify_phi(
                 }
             )
     verdict = marker_window_ok and not violations
-    inputs = {
-        "group": ctx.describe(),
-        "spec": sys.base.to_json(ctx),
-        "level": sys.level,
-        "window": f.to_json(ctx),
-        "semantics": sys.sem.describe(),
-        "witness_scale": sys.build_scale,
-        "max_v_radius": sys.max_v_radius,
-        "scale": scale,
-        "samples": samples,
-        "seed": seed,
-    }
     evidence = {
         "v_radius": sys.v_radius,
         "stamp": sys.u.to_json(ctx),
@@ -535,26 +506,19 @@ def verify_phi(
         "stretches_checked": stretches,
         "violations": violations,
     }
-    return make_envelope(
-        "phi-densification", "constructions", inputs, scale, verdict, evidence
-    )
+    build = (ctx, sys.base, sys.level, f, sys.sem, sys.build_scale, sys.max_v_radius)
+    return _PHI_CLAIM.envelope((*build, scale, samples, seed), scale, verdict, evidence)
 
 
-@register_rebuilder("phi-densification")
-def _rebuild_phi(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    sys = build_phi(
-        ctx,
-        SftSpec.from_json(ctx, inputs["spec"]),
-        int(inputs["level"]),
-        FiniteSubset.from_json(ctx, inputs["window"]),
-        witness_scale=int(inputs["witness_scale"]),
-        sem=parse_semantics(inputs["semantics"]),
-        max_v_radius=int(inputs["max_v_radius"]),
-    )
-    return verify_phi(
-        sys, int(inputs["scale"]), int(inputs["samples"]), int(inputs["seed"])
-    )
+_PHI_CLAIM = register_claim(
+    "phi-densification", "constructions",
+    (("group", "group"), ("spec", "sft"), ("level", "int"), ("window", "subset"),
+     ("semantics", "semantics"), ("witness_scale", "int"), ("max_v_radius", "int"),
+     ("scale", "int"), ("samples", "int"), ("seed", "int")),
+    lambda ctx, spec, level, f, sem, witness_scale, max_v_radius, *scan: verify_phi(
+        build_phi(ctx, spec, level, f, witness_scale, sem, max_v_radius), *scan
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -755,16 +719,6 @@ def shatter_small(
         not mismatches and sep_ok and blocks_ok and clearance_ok and stamps_ok
     )
     used = [abs(disp_memo[gx]) for gx in sorted(disp_memo)]
-    inputs = {
-        "group": ctx.describe(),
-        "spec": spec.to_json(ctx),
-        "member": member_name,
-        "choice": c_sub.to_json(ctx),
-        "region": region.to_json(ctx),
-        "witness_scale": witness_scale,
-        "avoid_cap": avoid_cap,
-        "smallness_cap": smallness_cap,
-    }
     evidence = {
         "smallness": smallness.to_json(ctx),
         "d_radius": d_radius,
@@ -779,10 +733,9 @@ def shatter_small(
         "set_clear_of_collars": clearance_ok,
         "stamps_in_place": stamps_ok,
     }
-    certificate = make_envelope(
-        "small-set-shattering",
-        "constructions",
-        inputs,
+    certificate = _SHATTER_CLAIM.envelope(
+        (ctx, spec, member_name, c_sub, region, witness_scale, avoid_cap,
+         smallness_cap),
         max(abs(lo), abs(hi)),
         verdict,
         evidence,
@@ -799,20 +752,15 @@ def shatter_small(
     )
 
 
-@register_rebuilder("small-set-shattering")
-def _rebuild_shatter(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    result = shatter_small(
-        ctx,
-        inputs["member"],
-        FiniteSubset.from_json(ctx, inputs["choice"]),
-        FiniteSubset.from_json(ctx, inputs["region"]),
-        spec=SftSpec.from_json(ctx, inputs["spec"]),
-        witness_scale=int(inputs["witness_scale"]),
-        avoid_cap=int(inputs["avoid_cap"]),
-        smallness_cap=int(inputs["smallness_cap"]),
-    )
-    return result.certificate
+_SHATTER_CLAIM = register_claim(
+    "small-set-shattering", "constructions",
+    (("group", "group"), ("spec", "sft"), ("member", "str"), ("choice", "subset"),
+     ("region", "subset"), ("witness_scale", "int"), ("avoid_cap", "int"),
+     ("smallness_cap", "int")),
+    lambda ctx, spec, member, choice, region, *caps: shatter_small(
+        ctx, member, choice, region, spec, *caps
+    ).certificate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -955,17 +903,8 @@ def gamma_densify(
                         f"base language is not invariant: {w!r} maps to "
                         f"inadmissible {mapped!r}"
                     )
-    pats = level_pattern_list(ctx, spec_y, f, 1, EXACT)
-    if len(pats) < 2:
-        raise ConstructionError(
-            "densification needs at least two window patterns to show"
-        )
-    r, v, stamp, report = _display_witness(
-        ctx, spec_y, 1, f, pats, witness_scale, EXACT, max_v_radius
-    )
-    v3 = set_pow(ctx, v, 3)
-    v5 = set_pow(ctx, v, 5)
-    ring = FiniteSubset.of(ctx, [g for g in v5 if g not in v3])
+    core = _stamp_core(ctx, spec_y, 1, f, witness_scale, EXACT, max_v_radius)
+    r = core["v_radius"]
     spacing = 10 * r + 1
     bound = gamma.order * spacing + 2 * r
     base_point, base_period = least_periodic_point(ctx, spec_y)
@@ -975,34 +914,18 @@ def gamma_densify(
         base=spec_y,
         window=f,
         eps=float(eps),
-        v_radius=r,
-        v=v,
-        v3=v3,
-        v5=v5,
-        ring=ring,
-        u=stamp,
-        witness_report=report,
         marker_spacing=spacing,
         syndetic_bound=bound,
         base_point=base_point,
         base_period=base_period,
+        **core,
     )
-    inputs = {
-        "group": ctx.describe(),
-        "gamma": gamma.describe(),
-        "spec": spec_y.to_json(ctx),
-        "window": f.to_json(ctx),
-        "eps": float(eps),
-        "scale": scale,
-        "witness_scale": witness_scale,
-        "max_v_radius": max_v_radius,
-        "closure_len": closure_len,
-    }
-    env = _gamma_certificate(gsys, scale, inputs)
-    return gsys, env
+    inputs = (ctx, gamma, spec_y, f, eps, scale, witness_scale, max_v_radius,
+              closure_len)
+    return gsys, _gamma_certificate(gsys, scale, inputs)
 
 
-def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: dict) -> dict:
+def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
     ctx = gsys.ctx
     gamma = gsys.gamma
     bound = gsys.syndetic_bound
@@ -1080,24 +1003,13 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: dict) -> dict:
         "of finite window-pattern sets",
         "violations": violations,
     }
-    return make_envelope(
-        "gamma-densification", "constructions", inputs, scale, verdict, evidence
-    )
+    return _GAMMA_CLAIM.envelope(inputs, scale, verdict, evidence)
 
 
-@register_rebuilder("gamma-densification")
-def _rebuild_gamma(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    gamma = parse_group(inputs["gamma"])
-    _, env = gamma_densify(
-        ctx,
-        gamma,
-        SftSpec.from_json(ctx, inputs["spec"]),
-        FiniteSubset.from_json(ctx, inputs["window"]),
-        float(inputs["eps"]),
-        scale=int(inputs["scale"]),
-        witness_scale=int(inputs["witness_scale"]),
-        max_v_radius=int(inputs["max_v_radius"]),
-        closure_len=int(inputs["closure_len"]),
-    )
-    return env
+_GAMMA_CLAIM = register_claim(
+    "gamma-densification", "constructions",
+    (("group", "group"), ("gamma", "group"), ("spec", "sft"), ("window", "subset"),
+     ("eps", "float"), ("scale", "int"), ("witness_scale", "int"),
+     ("max_v_radius", "int"), ("closure_len", "int")),
+    lambda *inputs: gamma_densify(*inputs)[1],
+)

@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .certificates import make_envelope, register_rebuilder
+from .certificates import register_claim
 from .groups import (
     FiniteSubset,
     GroupContext,
     are_apart,
-    parse_group,
     set_inv,
     set_mul,
     symmetric_closure,
@@ -45,7 +44,6 @@ from .subshifts import (
     _bitrow_mul,
     _require_exact_ctx,
     hull_interval,
-    parse_semantics,
     pattern_set,
     project_letter,
     project_pattern,
@@ -285,7 +283,14 @@ def _check_irreducible_exact(
         )
 
     holds = found is None
-    mixing = engine.tg.mixing_gap(max(2 * scale + 1, min_gap + 1))
+    # Least n at which every state reaches every state in exactly n steps;
+    # None on an empty graph, where all() over no rows would read as full.
+    mixing = None
+    if engine.k:
+        for n in range(1, max(2 * scale + 1, min_gap + 1) + 1):
+            if all(r == engine.full for r in engine.power(n)):
+                mixing = n
+                break
     unconditional = holds and all(
         r == engine.full for r in engine.power(min_gap)
     )
@@ -577,36 +582,20 @@ def irreducibility_envelope(
 ) -> dict:
     """Certificate envelope for :func:`check_irreducible` (rebuildable)."""
     report = check_irreducible(ctx, spec, level, d, scale, sem)
-    inputs = {
-        "group": ctx.describe(),
-        "spec": spec.to_json(ctx),
-        "level": level,
-        "domain": d.to_json(ctx),
-        "scale": scale,
-        "semantics": sem.describe(),
-    }
-    return make_envelope(
-        claim="irreducible-gluing",
-        module="irreducibility",
-        inputs=inputs,
-        scale=scale,
-        verdict=report.holds,
-        evidence={"report": report.to_json(ctx)},
+    return _GLUING_CLAIM.envelope(
+        (ctx, spec, level, d, scale, sem),
+        scale,
+        report.holds,
+        {"report": report.to_json(ctx)},
     )
 
 
-@register_rebuilder("irreducible-gluing")
-def _rebuild_irreducible(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    spec = SftSpec.from_json(ctx, inputs["spec"])
-    return irreducibility_envelope(
-        ctx,
-        spec,
-        int(inputs["level"]),
-        FiniteSubset.from_json(ctx, inputs["domain"]),
-        int(inputs["scale"]),
-        parse_semantics(inputs["semantics"]),
-    )
+_GLUING_CLAIM = register_claim(
+    "irreducible-gluing", "irreducibility",
+    (("group", "group"), ("spec", "sft"), ("level", "int"), ("domain", "subset"),
+     ("scale", "int"), ("semantics", "semantics")),
+    lambda *inputs: irreducibility_envelope(*inputs),
+)
 
 
 def max_separated_subshift(

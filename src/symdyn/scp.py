@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .certificates import make_envelope, register_rebuilder
+from .certificates import register_claim
 from .configurations import Configuration, elements_in_order, free_dense_point
 from .constructions import ConstructionError, least_periodic_point
-from .groups import FiniteSubset, GroupContext, is_separated, parse_group
+from .groups import FiniteSubset, GroupContext, is_separated
 from .irreducibility import conf, irreducibility_witness_search
 from .subshifts import (
     EXACT,
@@ -36,7 +36,6 @@ from .subshifts import (
     hull_interval,
     is_admissible,
     is_minimal_at,
-    parse_semantics,
     pattern_set,
     sorted_patterns,
     window_patterns,
@@ -170,50 +169,28 @@ def scp_witness(
     witness, size, uncovered, candidate_count = _search_cover(
         ctx, spec, d, u, scale, max_size, sem
     )
-    inputs = {
-        "group": ctx.describe(),
-        "spec": spec.to_json(ctx),
-        "d": d.to_json(ctx),
-        "u": u.to_json(ctx),
-        "scale": scale,
-        "max_size": max_size,
-        "semantics": sem.describe(),
-        "minimality_scale": minimality_scale,
-        "require_minimal": require_minimal,
-    }
     evidence = {
         "witness": None if witness is None else witness.s.to_json(ctx),
         "size": size,
         "candidate_count": candidate_count,
         "uncovered": None if uncovered is None else uncovered.to_json(ctx),
     }
-    env = make_envelope(
-        "scp-cover", "scp", inputs, scale, witness is not None, evidence
+    env = _COVER_CLAIM.envelope(
+        (ctx, spec, d, u, scale, max_size, sem, minimality_scale, require_minimal),
+        scale,
+        witness is not None,
+        evidence,
     )
     return witness, env
 
 
-def _spec_from_json(ctx: GroupContext, obj: dict):
-    if "substitution" in obj:
-        return SubstitutionSpec.from_json(ctx, obj)
-    return SftSpec.from_json(ctx, obj)
-
-
-@register_rebuilder("scp-cover")
-def _rebuild_scp_cover(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    _, env = scp_witness(
-        ctx,
-        _spec_from_json(ctx, inputs["spec"]),
-        FiniteSubset.from_json(ctx, inputs["d"]),
-        Pattern.from_json(ctx, inputs["u"]),
-        scale=int(inputs["scale"]),
-        max_size=int(inputs["max_size"]),
-        sem=parse_semantics(inputs["semantics"]),
-        minimality_scale=int(inputs["minimality_scale"]),
-        require_minimal=bool(inputs["require_minimal"]),
-    )
-    return env
+_COVER_CLAIM = register_claim(
+    "scp-cover", "scp",
+    (("group", "group"), ("spec", "spec"), ("d", "subset"), ("u", "pattern"),
+     ("scale", "int"), ("max_size", "int"), ("semantics", "semantics"),
+     ("minimality_scale", "int"), ("require_minimal", "bool")),
+    lambda *inputs: scp_witness(*inputs)[1],
+)
 
 
 def lift_scp_witness(
@@ -264,40 +241,26 @@ def lift_scp_witness(
                 source_gap = beta
                 break
     verdict = witness is not None and source_gap is None
-    inputs = {
-        "group": ctx.describe(),
-        "factor": factor.name,
-        "d": d.to_json(ctx),
-        "u": u.to_json(ctx),
-        "scale": scale,
-        "max_size": max_size,
-        "semantics": sem.describe(),
-        "minimality_scale": minimality_scale,
-    }
     evidence = {
         "witness": None if witness is None else witness.s.to_json(ctx),
         "source_gap": None if source_gap is None else source_gap.to_json(ctx),
     }
-    env = make_envelope("scp-lift", "scp", inputs, scale, verdict, evidence)
+    env = _LIFT_CLAIM.envelope(
+        (ctx, factor, d, u, scale, max_size, sem, minimality_scale),
+        scale,
+        verdict,
+        evidence,
+    )
     return (witness if verdict else None), env
 
 
-@register_rebuilder("scp-lift")
-def _rebuild_scp_lift(inputs: dict) -> dict:
-    from .corpus import builtin_factor
-
-    ctx = parse_group(inputs["group"])
-    _, env = lift_scp_witness(
-        ctx,
-        builtin_factor(inputs["factor"]),
-        FiniteSubset.from_json(ctx, inputs["d"]),
-        Pattern.from_json(ctx, inputs["u"]),
-        scale=int(inputs["scale"]),
-        max_size=int(inputs["max_size"]),
-        sem=parse_semantics(inputs["semantics"]),
-        minimality_scale=int(inputs["minimality_scale"]),
-    )
-    return env
+_LIFT_CLAIM = register_claim(
+    "scp-lift", "scp",
+    (("group", "group"), ("factor", "factor"), ("d", "subset"), ("u", "pattern"),
+     ("scale", "int"), ("max_size", "int"), ("semantics", "semantics"),
+     ("minimality_scale", "int")),
+    lambda *inputs: lift_scp_witness(*inputs)[1],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +348,6 @@ def joint_realize(
     cond_cylinder = all(
         x0.value(ctx.mul(c, g)) == v for c, v in u.items()
     )
-    inputs = {
-        "group": ctx.describe(),
-        "spec": spec.to_json(ctx),
-        "alpha": alpha.to_json(ctx),
-        "u": u.to_json(ctx),
-        "depth": depth,
-        "scale": scale,
-        "max_size": max_size,
-        "semantics": sem.describe(),
-    }
     evidence = {
         "witness": witness.s.to_json(ctx),
         "stamp": beta.to_json(ctx),
@@ -404,10 +357,8 @@ def joint_realize(
         "pattern_condition": cond_point,
         "cylinder_condition": cond_cylinder,
     }
-    env = make_envelope(
-        "joint-realization",
-        "scp",
-        inputs,
+    env = _JOINT_CLAIM.envelope(
+        (ctx, spec, alpha, u, depth, scale, max_size, sem),
         scale,
         cond_point and cond_cylinder,
         evidence,
@@ -415,20 +366,13 @@ def joint_realize(
     return JointRealization(g, h_found, s_found, witness, beta), env
 
 
-@register_rebuilder("joint-realization")
-def _rebuild_joint(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    _, env = joint_realize(
-        ctx,
-        SftSpec.from_json(ctx, inputs["spec"]),
-        Pattern.from_json(ctx, inputs["alpha"]),
-        Pattern.from_json(ctx, inputs["u"]),
-        depth=int(inputs["depth"]),
-        scale=int(inputs["scale"]),
-        max_size=int(inputs["max_size"]),
-        sem=parse_semantics(inputs["semantics"]),
-    )
-    return env
+_JOINT_CLAIM = register_claim(
+    "joint-realization", "scp",
+    (("group", "group"), ("spec", "sft"), ("alpha", "pattern"), ("u", "pattern"),
+     ("depth", "int"), ("scale", "int"), ("max_size", "int"),
+     ("semantics", "semantics")),
+    lambda *inputs: joint_realize(*inputs)[1],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +459,6 @@ def disjointness_window_check(
                 {"at": t, "x": p.to_json(ctx), "y": q.to_json(ctx)}
             )
     verdict = admissible and realized == len(pairs)
-    inputs = {
-        "group": ctx.describe(),
-        "spec_x": spec_x.to_json(ctx),
-        "spec_y": spec_y.to_json(ctx),
-        "window": f.to_json(ctx),
-        "scale": scale,
-        "guard_radii": list(guard_radii),
-        "guard_scale": guard_scale,
-        "semantics": sem.describe(),
-    }
     evidence = {
         "pairs": len(pairs),
         "realized": realized,
@@ -534,19 +468,18 @@ def disjointness_window_check(
         "admissible": admissible,
         "failures": failures,
     }
-    return make_envelope("disjoint-window", "scp", inputs, scale, verdict, evidence)
-
-
-@register_rebuilder("disjoint-window")
-def _rebuild_disjoint(inputs: dict) -> dict:
-    ctx = parse_group(inputs["group"])
-    return disjointness_window_check(
-        ctx,
-        SftSpec.from_json(ctx, inputs["spec_x"]),
-        SftSpec.from_json(ctx, inputs["spec_y"]),
-        FiniteSubset.from_json(ctx, inputs["window"]),
-        scale=int(inputs["scale"]),
-        guard_radii=tuple(inputs["guard_radii"]),
-        guard_scale=int(inputs["guard_scale"]),
-        sem=parse_semantics(inputs["semantics"]),
+    return _DISJOINT_CLAIM.envelope(
+        (ctx, spec_x, spec_y, f, scale, guard_radii, guard_scale, sem),
+        scale,
+        verdict,
+        evidence,
     )
+
+
+_DISJOINT_CLAIM = register_claim(
+    "disjoint-window", "scp",
+    (("group", "group"), ("spec_x", "sft"), ("spec_y", "sft"), ("window", "subset"),
+     ("scale", "int"), ("guard_radii", "ints"), ("guard_scale", "int"),
+     ("semantics", "semantics")),
+    lambda *inputs: disjointness_window_check(*inputs),
+)

@@ -82,25 +82,12 @@ class Pattern:
     def mapping(self) -> dict:
         return dict(self._map)
 
-    def restrict(self, ctx: GroupContext, sub: FiniteSubset) -> "Pattern":
-        return Pattern.of(ctx, {g: self._map[g] for g in sub})
-
     def translate(self, ctx: GroupContext, g) -> "Pattern":
         """Pattern satisfied by ``g . z`` when ``z`` satisfies this one."""
         ginv = ctx.inv(g)
         return Pattern.of(
             ctx, {ctx.mul(h, ginv): v for h, v in self.items()}
         )
-
-    def agrees_with(self, other: "Pattern") -> bool:
-        small, big = (
-            (self, other) if len(self.domain) <= len(other.domain) else (other, self)
-        )
-        for g, v in small.items():
-            w = big.get(g)
-            if w is not None and w != v:
-                return False
-        return True
 
     def to_json(self, ctx: GroupContext) -> dict:
         return {
@@ -655,30 +642,6 @@ class TransferGraph:
             if not alive:
                 return False
         return bool(alive)
-
-    def mixing_gap(self, max_gap: int) -> Optional[int]:
-        """Least ``n <= max_gap`` such that every ordered state pair is
-        joined by a path of length exactly ``n``.
-
-        On the recurrent part this is monotone: once it holds for ``n``
-        it holds for every larger length, so a successful return value
-        certifies gluability across every gap ``>= n``.
-        """
-        if not self.states:
-            return None
-        idx = {s: i for i, s in enumerate(self.states)}
-        k = len(self.states)
-        rows = [0] * k
-        for s in self.states:
-            for _, t in self.edges[s]:
-                rows[idx[s]] |= 1 << idx[t]
-        full = (1 << k) - 1
-        cur = list(rows)  # reachability in exactly n steps, n = 1
-        for n in range(1, max_gap + 1):
-            if all(r == full for r in cur):
-                return n
-            cur = [_bitrow_mul(cur[i], rows, k) for i in range(k)]
-        return None
 
 
 def _bitrow_mul(row: int, rows: list[int], k: int) -> int:

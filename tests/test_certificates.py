@@ -16,7 +16,7 @@ from symdyn.certificates import (
     load_certificate,
     load_manifest,
     make_envelope,
-    register_rebuilder,
+    register_claim,
     verify_envelope,
     write_certificate,
     write_manifest,
@@ -169,12 +169,25 @@ def test_verify_envelope_rejects_malformed_input():
     assert "malformed" in res.detail
 
 
-def test_register_rebuilder_rejects_duplicates():
+def test_register_claim_rejects_duplicates():
+    known_claims()  # loads every claim module, so the name is taken
     with pytest.raises(CertificateError, match="duplicate"):
+        register_claim(
+            "irreducible-gluing", "irreducibility", (("group", "group"),), dict
+        )
 
-        @register_rebuilder("irreducible-gluing")
-        def clash(inputs):
-            return {}
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ((("spec", "sft"), ("group", "group")), "must start with its group"),
+        ((("group", "group"), ("spec", "matrix")), "unknown kinds"),
+    ],
+)
+def test_register_claim_rejects_bad_fields(fields, match):
+    with pytest.raises(CertificateError, match=match):
+        register_claim("no-such-claim", "m", fields, dict)
+    assert "no-such-claim" not in known_claims()
 
 
 # --- files -------------------------------------------------------------------

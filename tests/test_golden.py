@@ -5,8 +5,10 @@ tests/golden/NAME.cert.json`` for one row of ``GOLDEN`` below.  The test
 re-runs the command and compares the emitted bytes with the stored file,
 so any change to a verdict, a piece of evidence or the canonical JSON
 shows up as a failing row.  The rows are the README's certificate-emitting
-commands, one command for each remaining claim (``scp-lift``), the README's
-failing exact check, and two local-semantics gluing checks (F2 and Z^2).
+commands, one command for each remaining claim (``scp-lift``), a covering
+witness on a substitution system (the one input that is not finite-type),
+the README's failing exact check, and two local-semantics gluing checks (F2
+and Z^2).  Every stored certificate must also verify from its inputs alone.
 """
 
 import json
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from symdyn import known_claims
+from symdyn import known_claims, load_certificate, verify_envelope
 from symdyn.cli import main
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -37,6 +39,8 @@ GOLDEN = {
     "densify": (["densify", "full_shift", "--window", "0,1", "--level", "1",
                  "--scale", "40"], 0),
     "scp": (["scp", "period2", "--d", "ball:1", "--u", "0=0"], 0),
+    "scp-substitution": (["scp", "fibonacci_substitution", "--d", "ball:1",
+                          "--u", "0=1"], 0),
     "lift-scp": (["lift-scp", "period2_or", "--d", "ball:1", "--u", "0=1"], 0),
     "joint-realize": (["joint-realize", "period2", "--alpha", "0=1,1=1", "--u", "0=0"], 0),
     "disjoint": (["disjoint", "period2", "golden_mean", "--window", "0..1"], 0),
@@ -67,3 +71,11 @@ def test_golden_certificate_re_emits_byte_identically(name, tmp_path, capsys):
     assert main([*argv, "--emit", str(out)]) == code
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.cert.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN_DIR.glob("*.cert.json")), ids=lambda p: p.name
+)
+def test_golden_certificate_verifies_from_its_inputs(path):
+    res = verify_envelope(load_certificate(str(path)))
+    assert res.ok, res.detail

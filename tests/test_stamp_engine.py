@@ -6,7 +6,9 @@ The oracles below are the original routines, kept here and nowhere else:
 every placement, ``oracle_is_small`` recomputes ``interior(region,
 ball(rho))`` for every pair (r, rho), and ``oracle_tail_ok`` loops over the
 forbidden patterns at every transfer-graph extension.  The library must
-agree with them exactly.
+agree with them exactly.  ``oracle_mixing_gap`` is the transfer graph's old
+path-length scan, which the exact gluing check now reads off its own
+bit-matrix powers.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from symdyn.groups import (
     is_small,
     parse_group,
 )
+from symdyn.irreducibility import check_irreducible
 from symdyn.subshifts import Pattern, SftSpec, TransferGraph, _normalized_forbidden
 
 Z = parse_group("Z")
@@ -157,6 +160,26 @@ def oracle_transfer_graph(spec):
     return TransferGraph._essentialize(states, edges)
 
 
+def oracle_mixing_gap(graph, max_gap):
+    """Least n <= max_gap with every state reaching every state in exactly
+    n steps; None on an empty graph."""
+    if not graph.states:
+        return None
+    everything = set(graph.states)
+    reach = {s: {t for _, t in graph.edges[s]} for s in graph.states}
+    for n in range(1, max_gap + 1):
+        if all(r == everything for r in reach.values()):
+            return n
+        reach = {s: {u for t in r for _, u in graph.edges[t]} for s, r in reach.items()}
+    return None
+
+
+def _assert_mixing_gap_matches(spec, radius, scale):
+    report = check_irreducible(Z, spec, 1, Z.ball(radius), scale)
+    max_gap = max(2 * scale + 1, report.min_gap + 1)
+    assert report.mixing_gap == oracle_mixing_gap(TransferGraph(spec), max_gap)
+
+
 def oracle_language(states, edges, length):
     """Every word read along a path through the trimmed graph, sorted."""
     m = len(states[0]) if states else 0
@@ -243,7 +266,7 @@ def test_free_dense_point_on_finite_tables_matches_oracle(name, depth):
         want, assigned = oracle_free_dense_point(ctx, depth)
     except RuntimeError:
         # too few elements for disjoint stamps: both run out of sites
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match=f"group finite:{name} .* depth {depth}"):
             free_dense_point(ctx, depth)
         return
     _assert_same_point(ctx, free_dense_point(ctx, depth), want, assigned)
@@ -352,6 +375,12 @@ def test_transfer_graph_matches_per_pattern_tail_check(spec, length):
     assert list(graph.language(length)) == oracle_language(states, edges, length)
 
 
+@settings(max_examples=100, deadline=None)
+@given(z_sft_specs(), st.integers(0, 2), st.integers(1, 3))
+def test_exact_gluing_mixing_gap_matches_path_scan(spec, radius, scale):
+    _assert_mixing_gap_matches(spec, radius, scale)
+
+
 @pytest.mark.parametrize(
     "forbidden",
     [
@@ -370,3 +399,4 @@ def test_transfer_graph_fixed_specs_match_oracle(forbidden):
     assert (graph.states, graph.edges) == (states, edges)
     for length in range(6):
         assert list(graph.language(length)) == oracle_language(states, edges, length)
+    _assert_mixing_gap_matches(spec, 1, 2)
