@@ -35,7 +35,6 @@ from .constructions import (
     PhiSystem,
     ShatterResult,
     SmallnessRejected,
-    block_map_image,
     build_phi,
     canonical_marker_point,
     freeness_envelope,

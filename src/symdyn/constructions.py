@@ -48,11 +48,9 @@ from .irreducibility import (
 )
 from .subshifts import (
     EXACT,
-    ImageSpec,
     Pattern,
     Semantics,
     SftSpec,
-    SpecLike,
     SubshiftError,
     _require_exact_ctx,
     essential_freeness_check,
@@ -142,11 +140,6 @@ def pad_free(
     free = SftSpec(spec.group, (alphabet,) * levels, (), "free")
     default = f"{spec.name}+free" if spec.name else "padded"
     return product_spec(spec, free, name or default)
-
-
-def block_map_image(spec: SpecLike, bmap, name: str = "") -> ImageSpec:
-    """Image presentation under a sliding block map."""
-    return ImageSpec(spec, bmap, name)
 
 
 def freeness_envelope(

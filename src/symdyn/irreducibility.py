@@ -28,7 +28,6 @@ from .groups import (
     FiniteSubset,
     GroupContext,
     are_apart,
-    set_inv,
     set_mul,
     symmetric_closure,
     translate_set,
@@ -77,39 +76,22 @@ class _IntervalGluer:
     so each (length, gap, length) class needs one bit test per behavior
     pair instead of one per word pair.  Group representatives are the
     least words in each class, which keeps counterexamples canonical.
+    The level rows merge the transfer graph's per-letter rows, and gap
+    reachability reads the graph's cached powers.
     """
 
     def __init__(self, spec: SftSpec, level: int):
         self.tg = transfer_graph(spec)
         self.pre = level_preimages(spec, level)
         self.level_letters = tuple(sorted(self.pre))
-        self.index = {s: i for i, s in enumerate(self.tg.states)}
-        k = len(self.tg.states)
-        self.k = k
-        self.full = (1 << k) - 1
-        self.adj = [0] * k
-        self.fwd = {v: [0] * k for v in self.level_letters}
-        to_level = {
-            a: project_letter(a, level, spec.stack) for a in spec.letters()
-        }
-        for s in self.tg.states:
-            i = self.index[s]
-            for b, t in self.tg.edges[s]:
-                bit = 1 << self.index[t]
-                self.adj[i] |= bit
-                self.fwd[to_level[b]][i] |= bit
-        self._powers = [[1 << i for i in range(k)]]
-        self._er: dict[int, tuple] = {0: ((self.full, ()),)}
-        self._en: dict[int, tuple] = {0: ((self.full, ()),)}
+        # fwd[v]: the graph's rows of every full letter above level letter v
+        self.fwd = {v: [0] * len(self.tg.states) for v in self.level_letters}
+        for a, rows in self.tg.rows.items():
+            v = project_letter(a, level, spec.stack)
+            self.fwd[v] = [x | y for x, y in zip(self.fwd[v], rows)]
+        self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
+        self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
-
-    def power(self, gap: int) -> list[int]:
-        while len(self._powers) <= gap:
-            prev = self._powers[-1]
-            self._powers.append(
-                [_bitrow_mul(prev[i], self.adj, self.k) for i in range(self.k)]
-            )
-        return self._powers[gap]
 
     def er_groups(self, length: int) -> tuple:
         """(forward bits, least word) per behavior class, words ascending."""
@@ -118,7 +100,7 @@ class _IntervalGluer:
             new: dict[int, tuple] = {}
             for bits, rep in self._er[top]:
                 for v in self.level_letters:
-                    nb = _bitrow_mul(bits, self.fwd[v], self.k)
+                    nb = _bitrow_mul(bits, self.fwd[v])
                     if nb and nb not in new:
                         new[nb] = rep + (v,)
             top += 1
@@ -126,10 +108,9 @@ class _IntervalGluer:
         return self._er[length]
 
     def _backstep(self, bits: int, v) -> int:
-        rows = self.fwd[v]
         out = 0
-        for i in range(self.k):
-            if rows[i] & bits:
+        for i, row in enumerate(self.fwd[v]):
+            if row & bits:
                 out |= 1 << i
         return out
 
@@ -150,7 +131,7 @@ class _IntervalGluer:
     def reach_row(self, er_bits: int, gap: int) -> int:
         key = (er_bits, gap)
         if key not in self._rows:
-            self._rows[key] = _bitrow_mul(er_bits, self.power(gap), self.k)
+            self._rows[key] = _bitrow_mul(er_bits, self.tg.power(gap))
         return self._rows[key]
 
     def class_counterexample(
@@ -168,7 +149,7 @@ class _IntervalGluer:
         """Plain window feasibility recheck, bypassing the group engine."""
         allowed = {i: self.pre[a] for i, a in enumerate(w1)}
         allowed.update({l1 + gap + i: self.pre[a] for i, a in enumerate(w2)})
-        return self.tg.feasible(l1 + gap + l2, {}, allowed)
+        return self.tg.feasible(l1 + gap + l2, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +227,7 @@ def _check_irreducible_exact(
     scale: int,
 ) -> IrreducibilityReport:
     engine = _IntervalGluer(spec, level)
+    tg = engine.tg
     width = 2 * scale + 1
     min_gap = _min_apart_gap(ctx, d)
     pairs = 0
@@ -286,14 +268,12 @@ def _check_irreducible_exact(
     # Least n at which every state reaches every state in exactly n steps;
     # None on an empty graph, where all() over no rows would read as full.
     mixing = None
-    if engine.k:
+    if tg.states:
         for n in range(1, max(2 * scale + 1, min_gap + 1) + 1):
-            if all(r == engine.full for r in engine.power(n)):
+            if all(r == tg.full for r in tg.power(n)):
                 mixing = n
                 break
-    unconditional = holds and all(
-        r == engine.full for r in engine.power(min_gap)
-    )
+    unconditional = holds and all(r == tg.full for r in tg.power(min_gap))
     return IrreducibilityReport(
         holds=holds,
         level=level,
@@ -538,13 +518,13 @@ def conf(
         lo, hi = hull_interval(f)
         length = hi - lo + 1
         allowed = {g[0] - lo: pre[v] for g, v in merged.items()}
-        if not tg.feasible(length, {}, allowed):
+        if not tg.feasible(length, allowed):
             raise GluingError("the two patterns admit no joint extension")
         for cell in free:
             pos = cell[0] - lo
             for v in level_letters:
                 allowed[pos] = pre[v]
-                if tg.feasible(length, {}, allowed):
+                if tg.feasible(length, allowed):
                     values[cell] = v
                     break
             else:

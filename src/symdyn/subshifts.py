@@ -252,7 +252,7 @@ class SubstitutionSpec:
         for _ in range((k - 1) ** 2):
             if all(row == full for row in rows):
                 break
-            rows = [_bitrow_mul(row, base, k) for row in rows]
+            rows = [_bitrow_mul(row, base) for row in rows]
         if any(row != full for row in rows):
             raise SubshiftError(
                 "substitution is not primitive: no power of its incidence "
@@ -394,12 +394,8 @@ def project_pattern_set(
 # transfer graph (exact semantics on Z)
 # ---------------------------------------------------------------------------
 
-def _interval_ints(f: FiniteSubset) -> list[int]:
-    return [g[0] for g in f]
-
-
 def hull_interval(f: FiniteSubset) -> tuple[int, int]:
-    ints = _interval_ints(f)
+    ints = [g[0] for g in f]
     return (min(ints), max(ints))
 
 
@@ -427,6 +423,12 @@ class TransferGraph:
     diameter); an edge appends one letter.  After trimming to the
     recurrent part, finite paths are exactly the windows of bi-infinite
     admissible configurations, which is what exact semantics promises.
+
+    The trimmed states are numbered once, in sorted order (``index``).
+    ``rows[a][i]`` has bit ``j`` set when letter ``a`` leads from state
+    ``i`` to state ``j``, ``full`` has every state's bit, and ``power(n)``
+    gives the rows of the ``n``-step reachability matrix.  Window
+    feasibility, membership and the interval gluer all walk these rows.
     """
 
     def __init__(self, spec: SftSpec):
@@ -456,9 +458,14 @@ class TransferGraph:
             for s in states
         }
         self.states, self.edges = self._essentialize(states, edges)
-        self.state_set = frozenset(self.states)
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        self.rows = {a: [0] * len(self.states) for a in self.letters}
+        for i, s in enumerate(self.states):
+            for a, t in self.edges[s]:
+                self.rows[a][i] = 1 << self.index[t]
+        self._powers: list[list[int]] = []
         self._prefixes: dict[int, list[tuple]] = {}
-        self._counts: dict[tuple, int] = {}
 
     def _tail_ok(self, word: tuple) -> bool:
         # check forbidden occurrences that end at the last cell of `word`
@@ -501,10 +508,6 @@ class TransferGraph:
         }
         return kept, pruned
 
-    @property
-    def empty(self) -> bool:
-        return not self.states
-
     def _prefix_words(self, length: int) -> list[tuple]:
         if length not in self._prefixes:
             self._prefixes[length] = sorted({s[:length] for s in self.states})
@@ -528,38 +531,34 @@ class TransferGraph:
         for s in self.states:
             yield from rec(s, s, length - self.m)
 
-    def count(self, length: int) -> int:
-        if not self.states:
-            return 0
-        if length <= self.m:
-            return len(self._prefix_words(length))
-        key = ("count", length)
-        if key not in self._counts:
-            vec = {s: 1 for s in self.states}
-            for _ in range(length - self.m):
-                nxt = {s: 0 for s in self.states}
-                for s in self.states:
-                    for _, t in self.edges[s]:
-                        nxt[s] += vec[t]
-                vec = nxt
-            # vec[s] = number of right-completions from s, so the sum over
-            # start states counts full-length words exactly once
-            self._counts[key] = sum(vec[s] for s in self.states)
-        return self._counts[key]
+    def power(self, n: int) -> list[int]:
+        """Rows of the ``n``-step reachability matrix, cached as they grow."""
+        if not self._powers:
+            adj = [0] * len(self.states)
+            for rows in self.rows.values():
+                adj = [x | y for x, y in zip(adj, rows)]
+            self._powers = [[1 << i for i in range(len(adj))], adj]
+        while len(self._powers) <= n:
+            prev = self._powers[-1]
+            self._powers.append([_bitrow_mul(r, self._powers[1]) for r in prev])
+        return self._powers[n]
 
     def contains(self, word: tuple) -> bool:
-        if not self.states:
-            return False
-        if len(word) <= self.m:
+        """Is ``word`` an admissible window?
+
+        A word of at least ``m`` letters starts at the state of its first
+        ``m`` letters and follows one row bit per further letter.
+        """
+        if len(word) < self.m:
             return word in set(self._prefix_words(len(word)))
-        cur = word[: self.m]
-        if cur not in self.state_set:
+        cur = self.index.get(word[: self.m])
+        if cur is None:
             return False
         for a in word[self.m :]:
-            nxt = dict(self.edges[cur]).get(a)
-            if nxt is None:
+            rows = self.rows.get(a)
+            if rows is None or not rows[cur]:
                 return False
-            cur = nxt
+            cur = rows[cur].bit_length() - 1
         return True
 
     def sample(self, length: int, rng) -> tuple:
@@ -600,58 +599,44 @@ class TransferGraph:
                 pick -= wvec[t]
         return tuple(word)
 
-    def feasible(
-        self,
-        length: int,
-        clamps: dict[int, Letter],
-        allowed: Optional[dict] = None,
-    ) -> bool:
-        """Is there a window of ``length`` matching the constraints?
+    def feasible(self, length: int, allowed: dict) -> bool:
+        """Is there a window of ``length`` with its letters in ``allowed``?
 
-        ``clamps`` pins single letters at 0-based positions; ``allowed``
-        optionally restricts positions to letter sets (used for
-        level-projected constraints).
+        ``allowed`` maps 0-based positions to letter sets; other positions
+        are free.  The states matching the first ``min(length, m)``
+        positions seed a bit mask of states, which then steps through the
+        rows once per further position.
         """
-        if not self.states:
-            return False
-
-        def ok(pos: int, a: Letter) -> bool:
-            want = clamps.get(pos)
-            if want is not None and a != want:
-                return False
-            if allowed is not None:
-                lset = allowed.get(pos)
-                if lset is not None and a not in lset:
-                    return False
-            return True
-
-        if length <= self.m:
-            return any(
-                all(ok(i, w[i]) for i in range(length))
-                for w in self._prefix_words(length)
-            )
-        alive = {
-            s
-            for s in self.states
-            if all(ok(i, s[i]) for i in range(self.m))
-        }
+        head = [
+            (p, lset) for p, lset in allowed.items() if 0 <= p < min(length, self.m)
+        ]
+        mask = 0
+        for i, s in enumerate(self.states):
+            if all(s[p] in lset for p, lset in head):
+                mask |= 1 << i
         for pos in range(self.m, length):
-            alive = {
-                t for s in alive for a, t in self.edges[s] if ok(pos, a)
-            }
-            if not alive:
+            if not mask:
                 return False
-        return bool(alive)
+            lset = allowed.get(pos)
+            if lset is None:
+                mask = _bitrow_mul(mask, self.power(1))
+                continue
+            step = 0
+            for a in lset:
+                rows = self.rows.get(a)
+                if rows is not None:
+                    step |= _bitrow_mul(mask, rows)
+            mask = step
+        return bool(mask)
 
 
-def _bitrow_mul(row: int, rows: list[int], k: int) -> int:
+def _bitrow_mul(row: int, rows: list[int]) -> int:
+    """Union of ``rows[i]`` over the bits ``i`` set in ``row``."""
     out = 0
-    i = 0
     while row:
-        if row & 1:
-            out |= rows[i]
-        row >>= 1
-        i += 1
+        low = row & -row
+        out |= rows[low.bit_length() - 1]
+        row ^= low
     return out
 
 
@@ -893,8 +878,7 @@ def is_admissible(
         _require_exact_ctx(ctx)
         tg = transfer_graph(spec)
         lo, hi = hull_interval(pattern.domain)
-        clamps = {g[0] - lo: v for g, v in pattern.items()}
-        return tg.feasible(hi - lo + 1, clamps)
+        return tg.feasible(hi - lo + 1, {g[0] - lo: (v,) for g, v in pattern.items()})
     if isinstance(spec, SftSpec):
         thick = set_mul(ctx, ctx.ball(sem.margin), pattern.domain)
         for _ in fill_completions(ctx, spec, thick, pattern.mapping()):

@@ -2,6 +2,7 @@
 verification, and manifest replay."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -237,7 +238,7 @@ def test_verify_detects_tampered_certificate(tmp_path, capsys):
     cert = str(tmp_path / "irr.json")
     main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "8",
           "--emit", cert])
-    env = json.loads(open(cert).read())
+    env = json.loads(Path(cert).read_text())
     env["verdict"] = False
     with open(cert, "w") as fh:
         fh.write(json.dumps(env))
@@ -288,9 +289,9 @@ def test_replay_leaves_manifest_intact_and_is_repeatable(tmp_path, capsys):
     mani = str(tmp_path / "m.json")
     main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "8",
           "--emit", cert, "--manifest", mani])
-    before = open(mani).read()
+    before = Path(mani).read_text()
     assert main(["replay", mani]) == 0
-    assert open(mani).read() == before
+    assert Path(mani).read_text() == before
     assert main(["replay", mani]) == 0
     assert capsys.readouterr().out.count("byte-identical") == 2
 
@@ -300,7 +301,7 @@ def test_replay_detects_drifted_artifacts(tmp_path, capsys):
     mani = str(tmp_path / "m.json")
     main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "8",
           "--emit", cert, "--manifest", mani])
-    m = json.loads(open(mani).read())
+    m = json.loads(Path(mani).read_text())
     m["outputs"][0][1] = "0" * 64
     with open(mani, "w") as fh:
         fh.write(json.dumps(m))

@@ -75,7 +75,7 @@ def test_check_irreducible_fails_on_period2_with_counterexample():
     tg = transfer_graph(spec)
     lo = min(g[0] for g in merged)
     hi = max(g[0] for g in merged)
-    clamps = {g[0] - lo: v for g, v in merged.items()}
+    clamps = {g[0] - lo: (v,) for g, v in merged.items()}
     assert not tg.feasible(hi - lo + 1, clamps)
 
 

@@ -7,11 +7,17 @@ every placement, ``oracle_is_small`` recomputes ``interior(region,
 ball(rho))`` for every pair (r, rho), and ``oracle_tail_ok`` loops over the
 forbidden patterns at every transfer-graph extension.  The library must
 agree with them exactly.  ``oracle_mixing_gap`` is the transfer graph's old
-path-length scan, which the exact gluing check now reads off its own
-bit-matrix powers.
+path-length scan, which the exact gluing check now reads off the graph's
+bit-matrix powers.  The transfer graph's bit rows replaced three walks kept
+here: ``oracle_feasible`` steps sets of state words, ``oracle_contains``
+follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
+own state index, adjacency and level rows; ``oracle_reach`` gives the
+states reachable in exactly ``n`` steps as sets.
 """
 
+import functools
 import itertools
+import operator
 import time
 
 import pytest
@@ -37,8 +43,17 @@ from symdyn.groups import (
     is_small,
     parse_group,
 )
-from symdyn.irreducibility import check_irreducible
-from symdyn.subshifts import Pattern, SftSpec, TransferGraph, _normalized_forbidden
+from symdyn.irreducibility import _IntervalGluer, check_irreducible
+from symdyn.subshifts import (
+    EXACT,
+    Pattern,
+    SftSpec,
+    TransferGraph,
+    _normalized_forbidden,
+    local,
+    pattern_set,
+    project_letter,
+)
 
 Z = parse_group("Z")
 Z2 = parse_group("Z^2")
@@ -143,15 +158,23 @@ def oracle_tail_ok(norm, word):
     return True
 
 
-def oracle_transfer_graph(spec):
-    """States and trimmed edges built with the per-pattern tail check."""
+def oracle_untrimmed_states(spec):
+    """Every length-m word with no forbidden occurrence, sorted."""
     letters = tuple(sorted(spec.letters()))
     norm = _normalized_forbidden(spec)
     m = max((offs[-1] for offs, _ in norm), default=0)
     words = [()]
     for _ in range(m):
         words = [w + (a,) for w in words for a in letters if oracle_tail_ok(norm, w + (a,))]
-    states = sorted(words)
+    return sorted(words)
+
+
+def oracle_transfer_graph(spec):
+    """States and trimmed edges built with the per-pattern tail check."""
+    letters = tuple(sorted(spec.letters()))
+    norm = _normalized_forbidden(spec)
+    m = max((offs[-1] for offs, _ in norm), default=0)
+    states = oracle_untrimmed_states(spec)
     edges = {
         s: tuple((a, (s + (a,))[1:] if m else s) for a in letters
                  if oracle_tail_ok(norm, s + (a,)))
@@ -197,6 +220,74 @@ def oracle_language(states, edges, length):
     for s in states:
         rec(s, s, length - m)
     return out
+
+
+def oracle_feasible(graph, length, allowed):
+    """Window feasibility by stepping the set of live state words."""
+    if not graph.states:
+        return False
+
+    def ok(pos, a):
+        lset = allowed.get(pos)
+        return lset is None or a in lset
+
+    if length <= graph.m:
+        return any(
+            all(ok(i, w[i]) for i in range(length))
+            for w in sorted({s[:length] for s in graph.states})
+        )
+    alive = {s for s in graph.states if all(ok(i, s[i]) for i in range(graph.m))}
+    for pos in range(graph.m, length):
+        alive = {t for s in alive for a, t in graph.edges[s] if ok(pos, a)}
+        if not alive:
+            return False
+    return bool(alive)
+
+
+def oracle_contains(graph, word):
+    """Window membership by following the edge dicts from the first state."""
+    if not graph.states:
+        return False
+    if len(word) <= graph.m:
+        return word in {s[: len(word)] for s in graph.states}
+    cur = word[: graph.m]
+    if cur not in set(graph.states):
+        return False
+    for a in word[graph.m :]:
+        nxt = dict(graph.edges[cur]).get(a)
+        if nxt is None:
+            return False
+        cur = nxt
+    return True
+
+
+def oracle_gluer_rows(graph, spec, level):
+    """The interval gluer's own build: its state index, its adjacency rows
+    with their powers up to 3, and one row list per level letter."""
+    index = {s: i for i, s in enumerate(graph.states)}
+    k = len(index)
+    adj = [0] * k
+    fwd = {project_letter(a, level, spec.stack): [0] * k for a in spec.letters()}
+    for s in graph.states:
+        for b, t in graph.edges[s]:
+            bit = 1 << index[t]
+            adj[index[s]] |= bit
+            fwd[project_letter(b, level, spec.stack)][index[s]] |= bit
+    powers = [[1 << i for i in range(k)]]
+    for _ in range(3):
+        powers.append([
+            functools.reduce(operator.or_, (adj[j] for j in range(k) if row >> j & 1), 0)
+            for row in powers[-1]
+        ])
+    return powers, fwd
+
+
+def oracle_reach(graph, n):
+    """For each state, the set of states reachable in exactly ``n`` steps."""
+    reach = {s: {s} for s in graph.states}
+    for _ in range(n):
+        reach = {s: {u for t in r for _, u in graph.edges[t]} for s, r in reach.items()}
+    return reach
 
 
 # --- element order ----------------------------------------------------------------
@@ -354,13 +445,13 @@ SIZES = st.sampled_from([(1,), (2,), (3,), (2, 2), (1, 3), (2, 1), (1, 1, 2)])
 
 
 @st.composite
-def z_sft_specs(draw):
-    sizes = draw(SIZES)
+def z_sft_specs(draw, sizes=SIZES, lo=-2, hi=3):
+    sizes = draw(sizes)
     letters = SftSpec("Z", sizes, ()).letters()
     forbidden = []
     for _ in range(draw(st.integers(0, 5))):
         # sparse supports: any offsets in a short range, gaps allowed
-        offsets = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True))
+        offsets = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3, unique=True))
         forbidden.append(Pattern.of(Z, {(o,): draw(st.sampled_from(letters)) for o in offsets}))
     return SftSpec("Z", sizes, tuple(forbidden), "random")
 
@@ -400,3 +491,113 @@ def test_transfer_graph_fixed_specs_match_oracle(forbidden):
     for length in range(6):
         assert list(graph.language(length)) == oracle_language(states, edges, length)
     _assert_mixing_gap_matches(spec, 1, 2)
+
+
+def _outside(spec):
+    """A letter shaped like the spec's letters that lies outside its alphabet."""
+    return (9,) * spec.stack if spec.stack > 1 else 9
+
+
+def _assert_rows_match(spec):
+    graph = TransferGraph(spec)
+    for level in range(1, spec.stack + 1):
+        powers, fwd = oracle_gluer_rows(graph, spec, level)
+        assert _IntervalGluer(spec, level).fwd == fwd
+    for n, rows in enumerate(powers):
+        assert graph.power(n) == rows
+    assert graph.full == functools.reduce(operator.or_, powers[0], 0)
+    for n in range(6):
+        reach = oracle_reach(graph, n)
+        got = [{t for t in graph.states if row >> graph.index[t] & 1} for row in graph.power(n)]
+        assert got == [reach[s] for s in graph.states]
+
+
+@st.composite
+def allowed_maps(draw, letters, length):
+    """Letter sets at random positions, some outside the window."""
+    cells = draw(st.lists(st.integers(-1, length + 1), max_size=length + 2, unique=True))
+    pool = st.sampled_from(letters)
+    return {p: frozenset(draw(st.lists(pool, max_size=len(letters)))) for p in cells}
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_sft_specs(), st.data())
+def test_feasible_matches_set_walk(spec, data):
+    graph = TransferGraph(spec)
+    letters = graph.letters + (_outside(spec),)
+    # below, at and above the state length m
+    for length in sorted({max(graph.m - 1, 0), graph.m, graph.m + 1, graph.m + 4}):
+        allowed = data.draw(allowed_maps(letters, length))
+        assert graph.feasible(length, allowed) == oracle_feasible(graph, length, allowed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_sft_specs(), st.data())
+def test_contains_matches_edge_walk(spec, data):
+    graph = TransferGraph(spec)
+    letters = graph.letters + (_outside(spec),)
+    words = st.lists(st.sampled_from(letters), max_size=graph.m + 4).map(tuple)
+    for length in range(graph.m + 4):
+        inside = list(itertools.islice(graph.language(length), 30))
+        assert all(graph.contains(w) for w in inside)
+        assert all(oracle_contains(graph, w) for w in inside)
+    for w in data.draw(st.lists(words, max_size=12)):
+        assert graph.contains(w) == oracle_contains(graph, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_sft_specs(lo=-1, hi=2))  # up to 64 states: the set oracles are quadratic
+def test_power_rows_match_set_reachability(spec):
+    _assert_rows_match(spec)
+
+
+@pytest.mark.parametrize(
+    "forbidden",
+    [
+        [],  # the full shift: one state when m = 0
+        [{0: 0}, {0: 1}],  # every letter forbidden: empty graph
+        [{0: 1, 1: 0}, {0: 1, 1: 1}],  # transient state: nothing follows a 1
+        [{0: 1, 3: 1}, {0: 0, 1: 0}],
+    ],
+)
+def test_bit_walks_match_oracles_on_fixed_specs(forbidden):
+    spec = SftSpec(
+        "Z", (2,), tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), "f"
+    )
+    graph = TransferGraph(spec)
+    _assert_rows_match(spec)
+    for length in range(7):
+        for allowed in ({}, {0: (1,)}, {length - 1: (0,)}, {1: (0, 1), 2: (9,)}):
+            assert graph.feasible(length, allowed) == oracle_feasible(graph, length, allowed)
+        for w in itertools.product((0, 1, 9), repeat=min(length, 5)):
+            assert graph.contains(w) == oracle_contains(graph, w)
+
+
+# --- exact against local semantics --------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    z_sft_specs(sizes=st.sampled_from([(2,), (3,), (1, 2), (2, 1), (2, 2)]), lo=-1, hi=2),
+    st.integers(1, 3),
+    st.integers(-2, 2),
+)
+def test_local_with_a_long_margin_equals_exact(spec, width, lo):
+    # A fill reaching N + m cells past each side of the window meets some
+    # length-m state twice on each side (N is the untrimmed state count), and
+    # repeating those cycles extends it to a point: local(N + m) is exact.
+    margin = len(oracle_untrimmed_states(spec)) + TransferGraph(spec).m
+    f = FiniteSubset.of(Z, [(lo + i,) for i in range(width)])
+    assert pattern_set(Z, spec, f, local(margin)) == pattern_set(Z, spec, f, EXACT)
+
+
+def test_local_zero_differs_from_exact_on_a_dead_end():
+    # nothing may follow a 1: alone it shows no forbidden pattern, yet no point has it
+    spec = SftSpec(
+        "Z", (2,), (Pattern.of(Z, {(0,): 1, (1,): 0}), Pattern.of(Z, {(0,): 1, (1,): 1})), "end"
+    )
+    f = FiniteSubset.of(Z, [(0,)])
+    zero, one = Pattern.of(Z, {(0,): 0}), Pattern.of(Z, {(0,): 1})
+    assert pattern_set(Z, spec, f, EXACT) == {zero}
+    assert pattern_set(Z, spec, f, local(0)) == {zero, one}
+    assert pattern_set(Z, spec, f, local(1)) == {zero}
