@@ -5,8 +5,12 @@ level-``n`` patterns whose domains are D-apart (their D-translates do
 not meet) occur jointly in a single point.  ``check_irreducible``
 decides this exhaustively at a finite scale.  Under exact semantics on
 the rank-1 lattice the scan runs over interval domains through the
-sliding-window automaton; grouping patterns by their reachability
-behavior keeps the scan polynomial in the scale, and a uniform
+sliding-window automaton.  Apartness of two intervals is arithmetic:
+``[0, l1)`` and ``[l1+gap, l1+gap+l2)`` are D-apart exactly when no
+positive element of ``D - D`` lies in ``[gap+1, gap+l1+l2-1]``, so the
+scan reads ``D - D`` once and bounds ``l1 + l2`` per gap.  Grouping
+patterns by their reachability behavior keeps the scan polynomial in the
+scale, a class verdict is computed once per behavior key, and a uniform
 reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation.
@@ -20,6 +24,7 @@ condition, together with the ball claimed to witness irreducibility.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -78,6 +83,12 @@ class _IntervalGluer:
     least words in each class, which keeps counterexamples canonical.
     The level rows merge the transfer graph's per-letter rows, and gap
     reachability reads the graph's cached powers.
+
+    Whether a class holds depends only on the set of forward bits at
+    ``l1``, the gap and the set of entry bits at ``l2``, so holding
+    verdicts are memoised under that key and the word scan runs only on
+    a miss.  A failing class never enters the memo: its counterexample
+    is found by the scan at its own ``(l1, gap, l2)``.
     """
 
     def __init__(self, spec: SftSpec, level: int):
@@ -92,6 +103,10 @@ class _IntervalGluer:
         self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
+        # length -> the set of behavior bits at that length, per direction
+        self._er_bits: dict[int, frozenset] = {}
+        self._en_bits: dict[int, frozenset] = {}
+        self._holds: set = set()
 
     def er_groups(self, length: int) -> tuple:
         """(forward bits, least word) per behavior class, words ascending."""
@@ -134,15 +149,29 @@ class _IntervalGluer:
             self._rows[key] = _bitrow_mul(er_bits, self.tg.power(gap))
         return self._rows[key]
 
+    @staticmethod
+    def _bit_set(cache: dict, groups, length: int) -> frozenset:
+        if length not in cache:
+            cache[length] = frozenset(bits for bits, _ in groups(length))
+        return cache[length]
+
     def class_counterexample(
         self, l1: int, gap: int, l2: int
     ) -> Optional[tuple[tuple, tuple]]:
         """Least ungluable word pair for this domain class, if any."""
+        key = (
+            self._bit_set(self._er_bits, self.er_groups, l1),
+            gap,
+            self._bit_set(self._en_bits, self.en_groups, l2),
+        )
+        if key in self._holds:
+            return None
         for er_bits, rep1 in self.er_groups(l1):
             row = self.reach_row(er_bits, gap)
             for en_bits, rep2 in self.en_groups(l2):
                 if row & en_bits == 0:
                     return rep1, rep2
+        self._holds.add(key)
         return None
 
     def joint_feasible(self, l1: int, gap: int, l2: int, w1, w2) -> bool:
@@ -204,19 +233,31 @@ class IrreducibilityReport:
         }
 
 
-def _min_apart_gap(ctx: GroupContext, d: FiniteSubset) -> int:
+def _positive_differences(d: FiniteSubset) -> list[int]:
+    """The positive elements of ``D - D`` on Z, ascending."""
+    xs = {g[0] for g in d}
+    return sorted({x - y for x in xs for y in xs if x > y})
+
+
+def _apart_span(diffs: list[int], gap: int) -> Optional[int]:
+    """Largest ``l1 + l2`` at which ``[0, l1)`` and ``[l1+gap, l1+gap+l2)``
+    are D-apart, or None when every length pair is.
+
+    ``diffs`` is ``_positive_differences(d)``.  The D-translates meet
+    exactly when some difference lies in ``[gap+1, gap+l1+l2-1]``, so the
+    bound is the least difference above ``gap``, minus ``gap``.
+    """
+    i = bisect_right(diffs, gap)
+    return diffs[i] - gap if i < len(diffs) else None
+
+
+def _min_apart_gap(diffs: list[int]) -> int:
     """Least free gap at which two singleton intervals are D-apart."""
-    lo = min(g[0] for g in d)
-    hi = max(g[0] for g in d)
-    for gap in range(hi - lo + 2):
-        if are_apart(
-            ctx,
-            d,
-            FiniteSubset.of(ctx, [(0,)]),
-            FiniteSubset.of(ctx, [(gap + 1,)]),
-        ):
-            return gap
-    raise RuntimeError("translates of distant singletons must separate")
+    present = set(diffs)
+    gap = 0
+    while gap + 1 in present:
+        gap += 1
+    return gap
 
 
 def _check_irreducible_exact(
@@ -229,18 +270,16 @@ def _check_irreducible_exact(
     engine = _IntervalGluer(spec, level)
     tg = engine.tg
     width = 2 * scale + 1
-    min_gap = _min_apart_gap(ctx, d)
+    diffs = _positive_differences(d)
+    min_gap = _min_apart_gap(diffs)
     pairs = 0
     found = None
     for gap in range(width - 1):
-        for l1 in range(1, width - gap):
-            for l2 in range(1, width - gap - l1 + 1):
-                e1 = FiniteSubset.of(ctx, [(i,) for i in range(l1)])
-                e2 = FiniteSubset.of(
-                    ctx, [(l1 + gap + i,) for i in range(l2)]
-                )
-                if not are_apart(ctx, d, e1, e2):
-                    continue
+        # the apart classes at this gap are those with l1 + l2 <= span
+        span = _apart_span(diffs, gap)
+        span = width - gap if span is None else min(span, width - gap)
+        for l1 in range(1, span):
+            for l2 in range(1, span - l1 + 1):
                 pairs += 1
                 bad = engine.class_counterexample(l1, gap, l2)
                 if bad is not None:

@@ -1,4 +1,5 @@
-"""Acceptance sweep: the nine headline claims, one test line each.
+"""Acceptance sweep: the nine headline claims and one scale run, one test
+line each.
 
 Each criterion re-derives its data from scratch at the stated scale and
 checks against an oracle that does not share code with the construction
@@ -303,4 +304,22 @@ def test_criterion_9_cli_manifest_replay_is_byte_identical(tmp_path, capsys):
     print(
         "criterion 9: PASS - gluing, densification and shattering runs "
         "replay byte-identically from their manifests"
+    )
+
+
+def test_criterion_10_exact_gluing_at_scale_100():
+    start = time.monotonic()
+    rep = check_irreducible(Z, GOLDEN, 1, Z.ball(2), 100)
+    elapsed = time.monotonic() - start
+    # D - D = [-4, 4], so two intervals are ball(2)-apart exactly when at
+    # least four free cells part them: count those classes in ball(100)
+    width = 201
+    apart = sum((width - gap) * (width - gap - 1) // 2 for gap in range(4, width - 1))
+    assert rep.holds, rep.counterexample
+    assert (rep.pairs_checked, rep.min_gap, rep.mixing_gap) == (apart, 4, 2)
+    assert rep.unconditional
+    assert elapsed < 15.0, f"budget exceeded: {elapsed:.1f}s"
+    print(
+        f"criterion 10: PASS - golden mean glues over ball(2) on all {apart} "
+        f"interval classes at scale 100 in {elapsed:.1f}s"
     )

@@ -8,7 +8,10 @@ shows up as a failing row.  The rows are the README's certificate-emitting
 commands, one command for each remaining claim (``scp-lift``), a covering
 witness on a substitution system (the one input that is not finite-type),
 the README's failing exact check, and two local-semantics gluing checks (F2
-and Z^2).  Every stored certificate must also verify from its inputs alone.
+and Z^2).  Two more exact checks pin the interval scan's order and pair
+count: a holding one with an asymmetric D at scale 30, and a failing one
+on a gap shift whose first counterexample comes after 36 apart classes.
+Every stored certificate must also verify from its inputs alone.
 """
 
 import json
@@ -26,6 +29,12 @@ CHECKERBOARD = (
     '{"domain":[[0,0],[1,0]],"values":[0,0]},{"domain":[[0,0],[1,0]],"values":[1,1]},'
     '{"domain":[[0,0],[0,1]],"values":[0,0]},{"domain":[[0,0],[0,1]],"values":[1,1]}]}'
 )
+# ones separated by two to four zeros
+GAP_SHIFT = (
+    '{"group":"Z","alphabet":2,"name":"gap_shift","forbidden":['
+    '{"domain":[0,1],"values":[1,1]},{"domain":[0,1,2],"values":[1,0,1]},'
+    '{"domain":[0,1,2,3,4],"values":[0,0,0,0,0]}]}'
+)
 F2_HARD = (
     '{"group":"F2","alphabet":2,"name":"f2_hard","forbidden":['
     '{"domain":["","a"],"values":[1,1]},{"domain":["","b"],"values":[1,1]}]}'
@@ -35,6 +44,8 @@ F2_HARD = (
 GOLDEN = {
     "golden-mean": (["irreducible", "golden_mean", "--d", "ball:2", "--scale", "10"], 0),
     "period2-fails": (["irreducible", "period2", "--d", "ball:1", "--scale", "8"], 1),
+    "golden-mean-asym": (["irreducible", "golden_mean", "--d=-1,0,3", "--scale", "30"], 0),
+    "gap-shift-fails": (["irreducible", GAP_SHIFT, "--d=0,1,3", "--scale", "10"], 1),
     "max-sep-shift": (["max-sep-shift", "Z", "--d", "ball:1", "--check-scale", "12"], 0),
     "densify": (["densify", "full_shift", "--window", "0,1", "--level", "1",
                  "--scale", "40"], 0),

@@ -12,7 +12,12 @@ bit-matrix powers.  The transfer graph's bit rows replaced three walks kept
 here: ``oracle_feasible`` steps sets of state words, ``oracle_contains``
 follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
 own state index, adjacency and level rows; ``oracle_reach`` gives the
-states reachable in exactly ``n`` steps as sets.
+states reachable in exactly ``n`` steps as sets.  The exact gluing scan
+reads interval apartness off ``D - D`` and memoises class verdicts;
+``oracle_check_irreducible_exact`` is the scan it replaced, which builds
+both intervals and asks ``are_apart`` for every class and scans the words
+of every apart class, and ``oracle_min_apart_gap`` is the old
+singleton-apartness loop.
 """
 
 import functools
@@ -31,6 +36,7 @@ from symdyn.configurations import (
     free_dense_point,
     mapping_configuration,
 )
+from symdyn.corpus import builtin_spec
 from symdyn.groups import (
     BallCapExceeded,
     FiniteGroupContext,
@@ -39,16 +45,26 @@ from symdyn.groups import (
     LatticeContext,
     RadiusVerdict,
     SmallnessReport,
+    are_apart,
     interior,
     is_small,
     parse_group,
 )
-from symdyn.irreducibility import _IntervalGluer, check_irreducible
+from symdyn.irreducibility import (
+    GluingCounterexample,
+    IrreducibilityReport,
+    _apart_span,
+    _IntervalGluer,
+    _min_apart_gap,
+    _positive_differences,
+    check_irreducible,
+)
 from symdyn.subshifts import (
     EXACT,
     Pattern,
     SftSpec,
     TransferGraph,
+    _bitrow_mul,
     _normalized_forbidden,
     local,
     pattern_set,
@@ -288,6 +304,80 @@ def oracle_reach(graph, n):
     for _ in range(n):
         reach = {s: {u for t in r for _, u in graph.edges[t]} for s, r in reach.items()}
     return reach
+
+
+def oracle_min_apart_gap(ctx, d):
+    lo = min(g[0] for g in d)
+    hi = max(g[0] for g in d)
+    for gap in range(hi - lo + 2):
+        if are_apart(ctx, d, FiniteSubset.of(ctx, [(0,)]), FiniteSubset.of(ctx, [(gap + 1,)])):
+            return gap
+    raise RuntimeError("translates of distant singletons must separate")
+
+
+def oracle_check_irreducible_exact(ctx, spec, level, d, scale):
+    """The exact interval scan with ``are_apart`` per class and no verdict memo."""
+    engine = _IntervalGluer(spec, level)
+    tg = engine.tg
+
+    def class_counterexample(l1, gap, l2):
+        for er_bits, rep1 in engine.er_groups(l1):
+            row = _bitrow_mul(er_bits, tg.power(gap))
+            for en_bits, rep2 in engine.en_groups(l2):
+                if row & en_bits == 0:
+                    return rep1, rep2
+        return None
+
+    width = 2 * scale + 1
+    min_gap = oracle_min_apart_gap(ctx, d)
+    pairs = 0
+    found = None
+    classes = (
+        (l1, gap, l2)
+        for gap in range(width - 1)
+        for l1 in range(1, width - gap)
+        for l2 in range(1, width - gap - l1 + 1)
+    )
+    for l1, gap, l2 in classes:
+        e1 = FiniteSubset.of(ctx, [(i,) for i in range(l1)])
+        e2 = FiniteSubset.of(ctx, [(l1 + gap + i,) for i in range(l2)])
+        if not are_apart(ctx, d, e1, e2):
+            continue
+        pairs += 1
+        bad = class_counterexample(l1, gap, l2)
+        if bad is not None:
+            found = (l1, gap, l2, bad)
+            break
+
+    counterexample = None
+    if found:
+        l1, gap, l2, (w1, w2) = found
+        a1 = -scale
+        a2 = a1 + l1 + gap
+        counterexample = GluingCounterexample(
+            first=Pattern.of(ctx, {(a1 + i,): v for i, v in enumerate(w1)}),
+            second=Pattern.of(ctx, {(a2 + i,): v for i, v in enumerate(w2)}),
+            gap=gap,
+        )
+    holds = found is None
+    mixing = None
+    if tg.states:
+        for n in range(1, max(2 * scale + 1, min_gap + 1) + 1):
+            if all(r == tg.full for r in tg.power(n)):
+                mixing = n
+                break
+    return IrreducibilityReport(
+        holds=holds,
+        level=level,
+        scale=scale,
+        semantics="exact",
+        method="interval-transfer",
+        pairs_checked=pairs,
+        min_gap=min_gap,
+        mixing_gap=mixing,
+        unconditional=holds and all(r == tg.full for r in tg.power(min_gap)),
+        counterexample=counterexample,
+    )
 
 
 # --- element order ----------------------------------------------------------------
@@ -571,6 +661,69 @@ def test_bit_walks_match_oracles_on_fixed_specs(forbidden):
             assert graph.feasible(length, allowed) == oracle_feasible(graph, length, allowed)
         for w in itertools.product((0, 1, 9), repeat=min(length, 5)):
             assert graph.contains(w) == oracle_contains(graph, w)
+
+
+# --- exact interval gluing ----------------------------------------------------------
+
+# asymmetric sets, singletons and sets without 0, spread up to 8
+Z_DOMAINS = st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True).map(
+    lambda xs: FiniteSubset.of(Z, [(x,) for x in xs])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_sft_specs(), Z_DOMAINS, st.integers(1, 8), st.data())
+def test_exact_scan_matches_per_class_apartness_oracle(spec, d, scale, data):
+    level = data.draw(st.integers(1, spec.stack))
+    got = check_irreducible(Z, spec, level, d, scale)
+    want = oracle_check_irreducible_exact(Z, spec, level, d, scale)
+    assert got == want
+    assert got.to_json(Z) == want.to_json(Z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(Z_DOMAINS)
+def test_apart_span_matches_are_apart_on_every_class(d):
+    diffs = _positive_differences(d)
+    assert _min_apart_gap(diffs) == oracle_min_apart_gap(Z, d)
+    for gap in range(11):
+        span = _apart_span(diffs, gap)
+        for l1, l2 in itertools.product(range(1, 7), repeat=2):
+            e1 = FiniteSubset.of(Z, [(i,) for i in range(l1)])
+            e2 = FiniteSubset.of(Z, [(l1 + gap + i,) for i in range(l2)])
+            apart = span is None or l1 + l2 <= span
+            assert apart == are_apart(Z, d, e1, e2), (gap, l1, l2)
+
+
+@pytest.mark.parametrize(
+    "name,d,scale",
+    [
+        ("golden_mean", [-1, 0, 3], 12),
+        ("full_shift", [0, 2, 5], 10),
+        ("period2", [-2, -1, 0, 1, 2], 10),
+        ("golden_mean", [7], 6),
+    ],
+)
+def test_exact_scan_matches_oracle_on_builtins(name, d, scale):
+    spec = builtin_spec(name)
+    dom = FiniteSubset.of(Z, [(x,) for x in d])
+    assert check_irreducible(Z, spec, 1, dom, scale) == oracle_check_irreducible_exact(
+        Z, spec, 1, dom, scale
+    )
+
+
+def test_exact_scan_memo_keeps_the_gap_in_its_key():
+    # no 000 and no two 0s three apart: single 0s glue at gap 0 but not at
+    # gap 2, with the same behavior sets on both sides
+    spec = SftSpec(
+        "Z", (2,),
+        (Pattern.of(Z, {(0,): 0, (1,): 0, (2,): 0}), Pattern.of(Z, {(0,): 0, (3,): 0})),
+        "no_far_zeros",
+    )
+    d = FiniteSubset.of(Z, [(0,), (2,)])
+    report = check_irreducible(Z, spec, 1, d, 2)
+    assert report == oracle_check_irreducible_exact(Z, spec, 1, d, 2)
+    assert (report.pairs_checked, report.counterexample.gap) == (2, 2)
 
 
 # --- exact against local semantics --------------------------------------------------
