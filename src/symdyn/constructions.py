@@ -52,6 +52,7 @@ from .subshifts import (
     Semantics,
     SftSpec,
     SubshiftError,
+    _normalized_forbidden,
     _require_exact_ctx,
     essential_freeness_check,
     hull_interval,
@@ -219,19 +220,19 @@ def _stamp_core(
         v = ctx.ball(r)
         if not all(g in v for g in f):
             continue
-        slots = [k for k in v if all(ctx.mul(x, k) in v for x in f)]
+        # The cells of each slot, in window order: a candidate shows the
+        # value tuples it reads there, and each window pattern's values
+        # (aligned with the sorted window) must be among them.
+        slot_cells = [
+            [ctx.mul(x, k) for x in f]
+            for k in v
+            if all(ctx.mul(x, k) in v for x in f)
+        ]
         stamp = None
         for cand in level_pattern_list(ctx, spec, v, level, sem):
-            if all(
-                any(
-                    all(
-                        cand.value_at(ctx.mul(x, k)) == p.value_at(x)
-                        for x in f
-                    )
-                    for k in slots
-                )
-                for p in pats
-            ):
+            at = cand.value_at
+            shown = {tuple(at(c) for c in cells) for cells in slot_cells}
+            if all(p.values in shown for p in pats):
                 stamp = cand
                 break
         if stamp is None:
@@ -328,14 +329,12 @@ def build_phi(
     )
 
 
-def _phi_letter(sys: PhiSystem, zprime: Configuration, y: Configuration, g):
-    """Resolve one cell of the rewritten point.
+def _marker_hit(sys: PhiSystem, y: Configuration, g):
+    """The marker whose V^3-neighbourhood covers ``g``, if any.
 
-    Scans for a marker whose V^3-neighbourhood covers ``g``: none means
-    the cell keeps the base point's (truncated) value, a marker within V
-    means a stamp cell, and a marker within V^3 only means a collar cell
-    looked up from the glued V^5 fill.  Two markers that close together
-    mean the marker set was not V^5-separated, which is a hard fault.
+    Scans V^3 for a ``k`` with a marker at ``h = k^-1 g``, and returns
+    ``(k, h)`` or None.  Two markers that close together mean the marker
+    set was not V^5-separated, which is a hard fault.
     """
     ctx = sys.ctx
     hits = []
@@ -348,20 +347,46 @@ def _phi_letter(sys: PhiSystem, zprime: Configuration, y: Configuration, g):
             f"markers collide near {ctx.element_to_text(g)}: "
             "the marker set is not V^5-separated"
         )
-    if not hits:
-        return project_letter(zprime.value(g), sys.level, sys.base.stack)
-    k, h = hits[0]
-    if k in sys.v:
-        return sys.u.value_at(k)
+    return hits[0] if hits else None
+
+
+def _collar_fill(sys: PhiSystem, zprime: Configuration, h) -> Pattern:
+    """The V^5 pattern around the marker at ``h``: stamp glued to the collar.
+
+    The collar is ``zprime`` read (truncated) on the ring V^5 minus V^3
+    around ``h``; fills are memoised on the system by collar values.
+    """
+    ctx = sys.ctx
     collar_vals = tuple(
         project_letter(zprime.value(ctx.mul(c, h)), sys.level, sys.base.stack)
         for c in sys.ring
     )
     q = sys._conf_memo.get(collar_vals)
     if q is None:
-        collar = Pattern.of(ctx, dict(zip(sys.ring.elements, collar_vals)))
+        collar = Pattern.on(sys.ring, collar_vals)
         q = conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem)
         sys._conf_memo[collar_vals] = q
+    return q
+
+
+def _phi_letter(sys: PhiSystem, zprime: Configuration, hit, g, fills: dict):
+    """Resolve one cell of the rewritten point from its marker hit.
+
+    No hit (see :func:`_marker_hit`) means the cell keeps the base point's
+    (truncated) value, a marker within V means a stamp cell, and a marker
+    within V^3 only means a collar cell looked up from the glued V^5 fill
+    around that marker.  ``fills`` keeps one fill per marker for a fixed
+    ``zprime``, so the collar tuple is read and the ``conf`` memo consulted
+    once per marker rather than once per collar cell.
+    """
+    if hit is None:
+        return project_letter(zprime.value(g), sys.level, sys.base.stack)
+    k, h = hit
+    if k in sys.v:
+        return sys.u.value_at(k)
+    q = fills.get(h)
+    if q is None:
+        q = fills[h] = _collar_fill(sys, zprime, h)
     return q.value_at(k)
 
 
@@ -373,17 +398,41 @@ def phi_eval(
         raise ValueError("level index must be non-negative")
     if m >= sys.level:
         return 0
-    return letter_coords(_phi_letter(sys, zprime, y, g), sys.level)[m]
+    letter = _phi_letter(sys, zprime, _marker_hit(sys, y, g), g, {})
+    return letter_coords(letter, sys.level)[m]
 
 
 def phi_point(
     sys: PhiSystem, zprime: Configuration, y: Configuration
 ) -> Configuration:
     """The rewritten configuration (letters truncated to the system level)."""
+    fills: dict = {}
     return Configuration(
         sys.ctx,
-        lambda g: _phi_letter(sys, zprime, y, g),
+        lambda g: _phi_letter(sys, zprime, _marker_hit(sys, y, g), g, fills),
         f"densified[{sys.base.name or 'base'}]",
+    )
+
+
+def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool:
+    """Is the ``period``-periodic ``word`` an admissible window of ``spec``?
+
+    Needs ``len(word) >= period + m`` (``m`` the forbidden diameter);
+    then a scan of each distinct forbidden pattern over the word decides
+    it, by the lemma in :func:`verify_phi`.
+    """
+    norm = dict.fromkeys(_normalized_forbidden(spec))
+    m = max((offs[-1] for offs, _ in norm), default=0)
+    if period < 1 or len(word) < period + m:
+        raise ValueError(
+            f"a {period}-periodic word needs at least {period + m} letters"
+        )
+    if not set(word) <= set(spec.letters()):
+        return False
+    return not any(
+        all(word[i + o] == v for o, v in zip(offs, vals))
+        for offs, vals in norm
+        for i in range(len(word) - offs[-1])
     )
 
 
@@ -405,7 +454,18 @@ def verify_phi(
     ``[-scale, scale]`` and checked three ways: every window-pattern
     translate stays admissible, every stretch of the syndetic bound shows
     every admissible window pattern, and the scanned stretch as a whole
-    shows exactly the expected pattern set.
+    shows exactly the expected pattern set.  The marker point is the same
+    for every sample, so each cell's marker hit is found once; each
+    sample then reads one collar per marker.
+
+    ``marker_window_ok``: the marker point's window on ``[-3s, 3s]`` is
+    an admissible window of the marker system.  Lemma: an ``s``-periodic
+    word of at least ``s + m`` letters (``m`` the forbidden diameter) is
+    one exactly when its letters lie in the alphabet and no forbidden
+    pattern occurs inside it, since every ``(m + 1)``-window of its
+    periodic extension already lies inside it.  Here ``s = 10r + 1`` and
+    ``m = 20r``, so ``6s + 1 >= s + m`` and a direct scan decides it
+    without the marker system's transfer graph.
     """
     ctx = sys.ctx
     _require_exact_ctx(ctx)
@@ -421,29 +481,33 @@ def verify_phi(
     expected = set(level_pattern_list(ctx, sys.base, f, sys.level, sys.sem))
     tg = transfer_graph(sys.base)
     y = canonical_marker_point(sys)
-    mtg = transfer_graph(sys.marker_spec)
     mspan = 3 * sys.marker_spacing
-    marker_window_ok = mtg.contains(
-        tuple(y.value((t,)) for t in range(-mspan, mspan + 1))
+    marker_window_ok = _periodic_window_admissible(
+        sys.marker_spec,
+        tuple(y.value((t,)) for t in range(-mspan, mspan + 1)),
+        sys.marker_spacing,
     )
     margin = scale + max(abs(flo), abs(fhi)) + 8 * sys.v_radius + 1
     length = 2 * margin + 1
     rng = random.Random(seed)
     words = [next(iter(tg.language(length)))]
     words += [tg.sample(length, rng) for _ in range(samples)]
+    cells = range(-scale + flo, scale + fhi + 1)
+    hits = [_marker_hit(sys, y, (t,)) for t in cells]
     violations: list = []
     placements = 0
     stretches = 0
     for idx, word in enumerate(words):
         data = {(-margin + i,): word[i] for i in range(length)}
         zp = Configuration(ctx, lambda g, d=data: d[g], f"sample:{idx}")
+        fills: dict = {}
         img = {
-            t: _phi_letter(sys, zp, y, (t,))
-            for t in range(-scale + flo, scale + fhi + 1)
+            t: _phi_letter(sys, zp, hit, (t,), fills)
+            for t, hit in zip(cells, hits)
         }
         pat_at = {}
         for t in range(-scale, scale + 1):
-            p = Pattern.of(ctx, {x: img[x[0] + t] for x in f})
+            p = Pattern.on(f, tuple(img[x[0] + t] for x in f))
             pat_at[t] = p
             placements += 1
             if p not in expected:
@@ -555,6 +619,25 @@ def _signed_offsets(cap: int):
         yield k
 
 
+def _block_clear_test(member_fn: Callable, lo: int, hi: int, radius: int):
+    """Predicate: does the block ``[h - radius, h + radius]`` miss the set?
+
+    Member flags are read once into running counts, which answer centres
+    in ``[lo, hi]``; centres outside ask ``member_fn`` cell by cell.
+    """
+    base = lo - radius
+    counts = [0]
+    for n in range(base, hi + radius + 1):
+        counts.append(counts[-1] + (1 if member_fn((n,)) else 0))
+
+    def clear(h: int) -> bool:
+        if lo <= h <= hi:
+            return counts[h + radius + 1 - base] == counts[h - radius - base]
+        return not any(member_fn((h + t,)) for t in range(-radius, radius + 1))
+
+    return clear
+
+
 @dataclass(eq=False)
 class ShatterResult:
     """Outcome of shattering: the built point plus its certificate."""
@@ -622,11 +705,8 @@ def shatter_small(
         )
     ints = [g[0] for g in region]
     lo, hi = min(ints), max(ints)
-    avoided = [
-        h
-        for h in range(lo - avoid_cap, hi + avoid_cap + 1)
-        if all(not member_fn((h + t,)) for t in range(-r5, r5 + 1))
-    ]
+    clear = _block_clear_test(member_fn, lo - avoid_cap, hi + avoid_cap, r5)
+    avoided = [h for h in range(lo - avoid_cap, hi + avoid_cap + 1) if clear(h)]
     if not avoided:
         raise ConstructionError(
             f"no avoided block of radius {r5} within {avoid_cap} of the region"
@@ -648,10 +728,7 @@ def shatter_small(
         w = disp_memo.get(gx)
         if w is None:
             for cand in _signed_offsets(sep_cap):
-                h = gx + cand
-                if all(
-                    not member_fn((h + t,)) for t in range(-r5, r5 + 1)
-                ):
+                if clear(gx + cand):
                     w = cand
                     break
             else:

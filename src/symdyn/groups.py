@@ -627,33 +627,41 @@ def is_small(
     """
     if syndetic_cap < 0 and max_f_radius >= 0:
         raise ValueError("ball radius must be >= 0")
-    # interiors[rho] = interior(region, ball(rho)) in region order: the
-    # elements of interiors[rho-1] whose rings[rho] translate stays in the
-    # region, where rings[rho] = ball(rho) minus ball(rho-1).  Each is
-    # built once, by the first r that reaches it.
+    # rings[rho] = ball(rho) minus ball(rho-1), with rings[0] = ball(0).
+    # Both families below nest through them, in region order:
+    # interiors[rho] = interior(region, ball(rho)) keeps the elements of
+    # interiors[rho-1] whose rings[rho] translate stays in the region, and
+    # the avoidance set at radius r keeps the elements of the one at r-1
+    # whose rings[r] translate misses the set.  Each ring and interior is
+    # built once, by the first radius that reaches it.
     rset = region.as_set()
     interiors = [list(region)]
-    rings: list = [None]
+    rings = [list(ctx.ball(0))]
+
+    def ring(rho: int) -> list:
+        while len(rings) <= rho:
+            inner = ctx.ball(len(rings) - 1)
+            rings.append([x for x in ctx.ball(len(rings)) if x not in inner])
+        return rings[rho]
 
     verdicts = []
+    avoid = list(region)
     for r in range(max_f_radius + 1):
-        f = ctx.ball(r)
+        shell = ring(r)
         avoid = [
-            g for g in region if not any(member(ctx.mul(x, g)) for x in f)
+            g for g in avoid if not any(member(ctx.mul(x, g)) for x in shell)
         ]
         verdict: Optional[RadiusVerdict] = None
         covered: set = set(avoid)
         for rho in range(syndetic_cap + 1):
             if rho == len(interiors):
-                inner = ctx.ball(rho - 1)
-                ring = [x for x in ctx.ball(rho) if x not in inner]
-                rings.append(ring)
+                shell = ring(rho)
                 interiors.append([
                     g for g in interiors[-1]
-                    if all(ctx.mul(x, g) in rset for x in ring)
+                    if all(ctx.mul(x, g) in rset for x in shell)
                 ])
             if rho > 0:
-                for x in rings[rho]:
+                for x in ring(rho):
                     covered.update(ctx.mul(x, g) for g in avoid)
             target = interiors[rho]
             if not target:

@@ -64,7 +64,11 @@ class Pattern:
     @staticmethod
     def of(ctx: GroupContext, mapping: dict) -> "Pattern":
         dom = FiniteSubset.of(ctx, mapping.keys())
-        vals = tuple(mapping[g] for g in dom)
+        return Pattern.on(dom, tuple(mapping[g] for g in dom))
+
+    @staticmethod
+    def on(dom: FiniteSubset, vals: tuple) -> "Pattern":
+        """The pattern with ``vals`` aligned with ``dom``'s sorted elements."""
         return Pattern(dom, vals, dict(zip(dom.elements, vals)))
 
     def __hash__(self) -> int:
@@ -379,9 +383,7 @@ def make_letter(coords: tuple) -> Letter:
 
 
 def project_pattern(ctx: GroupContext, p: Pattern, n: int, stack: int) -> Pattern:
-    return Pattern.of(
-        ctx, {g: project_letter(v, n, stack) for g, v in p.items()}
-    )
+    return Pattern.on(p.domain, tuple(project_letter(v, n, stack) for v in p.values))
 
 
 def project_pattern_set(
@@ -433,11 +435,13 @@ class TransferGraph:
 
     def __init__(self, spec: SftSpec):
         self.letters = tuple(sorted(spec.letters()))
-        norm = _normalized_forbidden(spec)
+        norm = dict.fromkeys(_normalized_forbidden(spec))
         self.m = max((offs[-1] for offs, _ in norm), default=0)
-        # Each forbidden pattern, bucketed by its last letter, as the word
-        # length it needs, an item getter over its other cells counted from
-        # the end of the word, and the letters it must find there.
+        # Each distinct normalised forbidden pattern (a maximal-separation
+        # spec lists each pair pattern for both k and -k), bucketed by its
+        # last letter, as the word length it needs, an item getter over its
+        # other cells counted from the end of the word, and the letters it
+        # must find there.
         self._tails: dict = {}
         for offs, vals in norm:
             back = [o - offs[-1] - 1 for o in offs[:-1]]
@@ -808,7 +812,7 @@ def window_patterns(
         idxs = [g[0] - lo for g in f]
         seen = set()
         for w in spec.factors(hi - lo + 1):
-            p = Pattern.of(ctx, {g: w[i] for g, i in zip(f.elements, idxs)})
+            p = Pattern.on(f, tuple(w[i] for i in idxs))
             if p not in seen:
                 seen.add(p)
                 yield p
@@ -823,7 +827,7 @@ def window_patterns(
         full = len(f) == hi - lo + 1
         seen = set()
         for w in tg.language(hi - lo + 1):
-            p = Pattern.of(ctx, {g: w[i] for g, i in zip(f.elements, idxs)})
+            p = Pattern.on(f, tuple(w[i] for i in idxs))
             if full:
                 yield p
             elif p not in seen:
@@ -844,7 +848,7 @@ def window_patterns(
         key = project(vals)
         if key not in seen and region.extends(vals, choices, cut):
             seen.add(key)
-            yield Pattern.of(ctx, {g: vals[i] for g, i in zip(f.elements, fpos)})
+            yield Pattern.on(f, tuple(vals[i] for i in fpos))
 
 
 def pattern_set(

@@ -200,6 +200,23 @@ def test_phi_point_stamps_at_markers_and_keeps_far_cells():
     assert point.value((mid,)) == 0
 
 
+def test_phi_point_reports_colliding_markers_at_the_first_shared_cell():
+    # V = ball(2), so markers at 0 and 7 share the V^3 = ball(6) cells 1..6;
+    # scanning left to right, cell 1 is the first one both cover
+    sys = build_phi(Z, FULL, 1, interval(0, 1))
+    assert sys.v_radius == 2
+    y = Configuration(Z, lambda g: 1 if g[0] in (0, 7) else 0, "too close")
+    point = phi_point(sys, Configuration(Z, lambda g: 1, "ones"), y)
+    for t in range(-12, 1):  # no cell left of 1 sees two markers
+        point.value((t,))
+    with pytest.raises(ConstructionError, match=r"^markers collide near 1: the marker "
+                       r"set is not V\^5-separated$"):
+        point.value((1,))
+    with pytest.raises(ConstructionError, match="markers collide near 4:"):
+        phi_eval(sys, Configuration(Z, lambda g: 1, "ones"), y, 0, (4,))
+    assert phi_eval(sys, Configuration(Z, lambda g: 1, "ones"), y, 0, (10,)) == 0
+
+
 def test_verify_phi_passes_on_full_and_golden():
     for spec, f in ((FULL, interval(0, 0)), (GOLDEN, interval(0, 1))):
         sys = build_phi(Z, spec, 1, f)

@@ -11,6 +11,9 @@ the README's failing exact check, and two local-semantics gluing checks (F2
 and Z^2).  Two more exact checks pin the interval scan's order and pair
 count: a holding one with an asymmetric D at scale 30, and a failing one
 on a gap shift whose first counterexample comes after 36 apart classes.
+Two stamp rows run at the benchmark's sizes: densification with a
+three-cell window at scale 60 (displaying radius 5, so the marker system
+has forbidden diameter 100), and shattering five squares over ``0..600``.
 Every stored certificate must also verify from its inputs alone.
 """
 
@@ -57,6 +60,10 @@ GOLDEN = {
     "disjoint": (["disjoint", "period2", "golden_mean", "--window", "0..1"], 0),
     "shatter": (["shatter", "--member", "squares", "--c", "0,4,16",
                  "--region", "0..400"], 0),
+    "densify-fs60": (["densify", "full_shift", "--window", "0..2", "--level", "1",
+                      "--scale", "60", "--seed", "0"], 0),
+    "shatter-sq600": (["shatter", "--member", "squares", "--c", "0,9,64,121,400",
+                       "--region", "0..600"], 0),
     "gamma-densify": (["gamma-densify", "finite:z2", "full_shift", "--window", "0",
                        "--eps", "0.5", "--scale", "40"], 0),
     "pad-free": (["pad-free", "period2", "--levels", "1", "--g", "2"], 0),

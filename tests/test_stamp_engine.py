@@ -17,24 +17,49 @@ reads interval apartness off ``D - D`` and memoises class verdicts;
 ``oracle_check_irreducible_exact`` is the scan it replaced, which builds
 both intervals and asks ``are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
-singleton-apartness loop.
+singleton-apartness loop.  The densification re-check finds each
+cell's marker once, reads one collar per marker, and decides the marker
+window by a periodic scan; ``oracle_phi_letter`` scans V^3 and rebuilds
+the collar for every cell, ``oracle_marker_window_ok`` asks the marker
+system's transfer graph, and ``oracle_verify_phi`` is the re-check built
+on both.  ``oracle_stamp_core`` is the stamp search with the nested
+all/any/all test, and ``oracle_avoided`` finds shattering's avoided
+blocks by asking the member predicate for every cell of every block.
 """
 
+import dataclasses
 import functools
 import itertools
 import operator
+import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdyn import subshifts
+from symdyn.certificates import canonical_json
 from symdyn.configurations import (
+    Configuration,
     FreeDensePoint,
     Stage,
     elements_in_order,
     free_dense_point,
     mapping_configuration,
+)
+from symdyn.constructions import (
+    _PHI_CLAIM,
+    ConstructionError,
+    _block_clear_test,
+    _periodic_window_admissible,
+    _stamp_core,
+    build_phi,
+    canonical_marker_point,
+    evens_member,
+    squares_member,
+    verify_phi,
 )
 from symdyn.corpus import builtin_spec
 from symdyn.groups import (
@@ -58,17 +83,24 @@ from symdyn.irreducibility import (
     _min_apart_gap,
     _positive_differences,
     check_irreducible,
+    conf,
+    level_pattern_list,
+    max_separated_subshift,
 )
 from symdyn.subshifts import (
     EXACT,
+    GluingError,
     Pattern,
     SftSpec,
     TransferGraph,
     _bitrow_mul,
     _normalized_forbidden,
+    hull_interval,
     local,
     pattern_set,
     project_letter,
+    sorted_patterns,
+    transfer_graph,
 )
 
 Z = parse_group("Z")
@@ -380,6 +412,143 @@ def oracle_check_irreducible_exact(ctx, spec, level, d, scale):
     )
 
 
+def oracle_stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius):
+    """The displaying-ball search with the nested all/any/all stamp test."""
+    pats = level_pattern_list(ctx, spec, f, level, sem)
+    if len(pats) < 2:
+        raise ConstructionError("densification needs at least two window patterns to show")
+    for r in range(max_v_radius + 1):
+        v = ctx.ball(r)
+        if not all(g in v for g in f):
+            continue
+        slots = [k for k in v if all(ctx.mul(x, k) in v for x in f)]
+        stamp = None
+        for cand in level_pattern_list(ctx, spec, v, level, sem):
+            if all(
+                any(all(cand.value_at(ctx.mul(x, k)) == p.value_at(x) for x in f) for k in slots)
+                for p in pats
+            ):
+                stamp = cand
+                break
+        if stamp is None:
+            continue
+        report = check_irreducible(ctx, spec, level, v, witness_scale, sem)
+        if report.holds:
+            return r, stamp, report
+    raise ConstructionError(
+        f"no displaying ball up to radius {max_v_radius} shows all "
+        f"{len(pats)} window patterns and verifies gluing"
+    )
+
+
+def oracle_phi_letter(sys, zprime, y, g):
+    """One cell of the rewritten point: a V^3 scan and a collar rebuilt per cell."""
+    ctx = sys.ctx
+    hits = []
+    for k in sys.v3:
+        h = ctx.mul(ctx.inv(k), g)
+        if y.value(h) == 1:
+            hits.append((k, h))
+    if len(hits) > 1:
+        raise ConstructionError(
+            f"markers collide near {ctx.element_to_text(g)}: "
+            "the marker set is not V^5-separated"
+        )
+    if not hits:
+        return project_letter(zprime.value(g), sys.level, sys.base.stack)
+    k, h = hits[0]
+    if k in sys.v:
+        return sys.u.value_at(k)
+    collar_vals = tuple(
+        project_letter(zprime.value(ctx.mul(c, h)), sys.level, sys.base.stack)
+        for c in sys.ring
+    )
+    collar = Pattern.of(ctx, dict(zip(sys.ring.elements, collar_vals)))
+    return conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem).value_at(k)
+
+
+def oracle_marker_window_ok(spec, word):
+    """Language membership read off the marker system's transfer graph."""
+    return transfer_graph(spec).contains(word)
+
+
+def oracle_verify_phi(sys, scale, samples=12, seed=0):
+    """``verify_phi`` with the per-cell letter and the graph-based marker check."""
+    ctx = sys.ctx
+    bound = sys.syndetic_bound
+    if 2 * scale + 1 < bound:
+        raise ValueError(f"scale too small: the scan must cover the syndetic bound {bound}")
+    f = sys.window
+    flo, fhi = hull_interval(f)
+    expected = set(level_pattern_list(ctx, sys.base, f, sys.level, sys.sem))
+    tg = transfer_graph(sys.base)
+    y = canonical_marker_point(sys)
+    mspan = 3 * sys.marker_spacing
+    marker_window_ok = oracle_marker_window_ok(
+        sys.marker_spec, tuple(y.value((t,)) for t in range(-mspan, mspan + 1))
+    )
+    margin = scale + max(abs(flo), abs(fhi)) + 8 * sys.v_radius + 1
+    length = 2 * margin + 1
+    rng = random.Random(seed)
+    words = [next(iter(tg.language(length)))]
+    words += [tg.sample(length, rng) for _ in range(samples)]
+    violations = []
+    placements = 0
+    stretches = 0
+    for idx, word in enumerate(words):
+        data = {(-margin + i,): word[i] for i in range(length)}
+        zp = Configuration(ctx, lambda g, d=data: d[g], f"sample:{idx}")
+        img = {t: oracle_phi_letter(sys, zp, y, (t,)) for t in range(-scale + flo, scale + fhi + 1)}
+        pat_at = {}
+        for t in range(-scale, scale + 1):
+            p = Pattern.of(ctx, {x: img[x[0] + t] for x in f})
+            pat_at[t] = p
+            placements += 1
+            if p not in expected:
+                violations.append(
+                    {"kind": "pattern-escape", "sample": idx, "at": t, "pattern": p.to_json(ctx)}
+                )
+        for a in range(-scale, scale - bound + 2):
+            stretches += 1
+            seen = {pat_at[t] for t in range(a - flo, a + bound - fhi) if t in pat_at}
+            missing = expected - seen
+            if missing:
+                violations.append(
+                    {"kind": "stretch-missing", "sample": idx, "at": a,
+                     "missing": sorted_patterns(missing)[0].to_json(ctx)}
+                )
+        whole = set(pat_at.values())
+        if whole != expected:
+            violations.append(
+                {"kind": "scan-pattern-set", "sample": idx,
+                 "missing": [p.to_json(ctx) for p in sorted_patterns(expected - whole)],
+                 "extra": [p.to_json(ctx) for p in sorted_patterns(whole - expected)]}
+            )
+    evidence = {
+        "v_radius": sys.v_radius,
+        "stamp": sys.u.to_json(ctx),
+        "marker_spacing": sys.marker_spacing,
+        "syndetic_bound": bound,
+        "pattern_count": len(expected),
+        "marker_window_ok": marker_window_ok,
+        "samples_checked": len(words),
+        "placements_checked": placements,
+        "stretches_checked": stretches,
+        "violations": violations,
+    }
+    build = (ctx, sys.base, sys.level, f, sys.sem, sys.build_scale, sys.max_v_radius)
+    verdict = marker_window_ok and not violations
+    return _PHI_CLAIM.envelope((*build, scale, samples, seed), scale, verdict, evidence)
+
+
+def oracle_avoided(member_fn, lo, hi, radius):
+    """Centres in ``[lo, hi]`` whose radius block misses the set, cell by cell."""
+    return [
+        h for h in range(lo, hi + 1)
+        if all(not member_fn((h + t,)) for t in range(-radius, radius + 1))
+    ]
+
+
 # --- element order ----------------------------------------------------------------
 
 
@@ -569,6 +738,7 @@ def test_exact_gluing_mixing_gap_matches_path_scan(spec, radius, scale):
         [{0: 0}, {0: 1}],  # every letter forbidden: empty graph
         [{0: 1, 3: 1}, {0: 0, 1: 0}],  # a sparse pattern beside a contiguous one
         [{-2: 1, 0: 0, 2: 1}],
+        [{0: 1, 2: 1}, {-2: 1, 0: 1}, {0: 1, 2: 1}, {0: 0, 1: 0}],  # duplicates once normalised
     ],
 )
 def test_transfer_graph_fixed_specs_match_oracle(forbidden):
@@ -578,6 +748,8 @@ def test_transfer_graph_fixed_specs_match_oracle(forbidden):
     graph = TransferGraph(spec)
     states, edges = oracle_transfer_graph(spec)
     assert (graph.states, graph.edges) == (states, edges)
+    # one compiled tail check per distinct normalised pattern
+    assert sum(map(len, graph._tails.values())) == len(set(_normalized_forbidden(spec)))
     for length in range(6):
         assert list(graph.language(length)) == oracle_language(states, edges, length)
     _assert_mixing_gap_matches(spec, 1, 2)
@@ -754,3 +926,166 @@ def test_local_zero_differs_from_exact_on_a_dead_end():
     assert pattern_set(Z, spec, f, EXACT) == {zero}
     assert pattern_set(Z, spec, f, local(0)) == {zero, one}
     assert pattern_set(Z, spec, f, local(1)) == {zero}
+
+
+# --- densification and shattering ---------------------------------------------------
+
+PHI_BUILTINS = [
+    ("full_shift", [0], 1),
+    ("full_shift", [0, 1], 1),
+    ("full_shift", [0, 1, 2], 1),
+    ("golden_mean", [0, 1], 1),
+    ("golden_mean", [0, 1, 2], 1),
+    ("golden_mean", [-1, 1], 1),
+]
+
+
+def _outcome(fn, *args):
+    """The canonical JSON ``fn`` returns, or the type and text of what it raises."""
+    try:
+        return canonical_json(fn(*args))
+    except (ConstructionError, GluingError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def phi_cases(draw):
+    """A base system (builtin, or a random two-letter Z SFT on one or two levels),
+    a window of one to three cells and a level."""
+    if draw(st.booleans()):
+        name, cells, level = draw(st.sampled_from(PHI_BUILTINS))
+        spec = builtin_spec(name)
+    else:
+        spec = draw(z_sft_specs(sizes=st.sampled_from([(2,), (2, 1), (1, 2)]), lo=-1, hi=2))
+        cells = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=2, unique=True))
+        level = draw(st.integers(1, spec.stack))
+    return spec, FiniteSubset.of(Z, [(c,) for c in cells]), level
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi_cases())
+def test_stamp_core_matches_nested_search(case):
+    spec, f, level = case
+    try:
+        want = oracle_stamp_core(Z, spec, level, f, 6, EXACT, 5)
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+            _stamp_core(Z, spec, level, f, 6, EXACT, 5)
+        return
+    got = _stamp_core(Z, spec, level, f, 6, EXACT, 5)
+    assert (got["v_radius"], got["u"], got["witness_report"]) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi_cases(), st.data())
+def test_verify_phi_matches_per_cell_oracle(case, data):
+    spec, f, level = case
+    try:
+        sys = build_phi(Z, spec, level, f, max_v_radius=5)
+    except ConstructionError:
+        return  # no displaying ball: test_stamp_core_matches_nested_search covers it
+    s = sys.marker_spacing
+    if sys.v_radius > 0 and data.draw(st.booleans()):
+        # a wrong spacing (s - 1 breaks the marker window) or a wrong stamp
+        # (the window patterns go missing) must be reported the same way
+        s = data.draw(st.sampled_from([s - 1, s, s + 1]))
+        stamps = level_pattern_list(Z, sys.base, sys.v, sys.level, EXACT)
+        u = data.draw(st.sampled_from(stamps))
+        sys = dataclasses.replace(sys, marker_spacing=s, u=u, _conf_memo={})
+    scale = (sys.syndetic_bound + 1) // 2 + data.draw(st.integers(-1, 5))
+    samples = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2**16))
+    got = _outcome(verify_phi, sys, scale, samples, seed)
+    assert got == _outcome(oracle_verify_phi, sys, scale, samples, seed)
+
+
+def _z_spec(forbidden, name):
+    return SftSpec(
+        "Z", (2,), tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), name
+    )
+
+
+# Collar fills here depend on where each marker falls in the base point, so
+# a collar fill reused across markers would show.
+GAP_SHIFT = _z_spec([{0: 1, 1: 1}, {0: 1, 2: 1}, {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}], "gap_shift")
+NO_11_NO_000 = _z_spec([{0: 1, 1: 1}, {0: 0, 1: 0, 2: 0}], "no_11_no_000")
+
+
+@pytest.mark.parametrize(
+    "spec,cells",
+    [(GAP_SHIFT, [0]), (GAP_SHIFT, [0, 1]), (GAP_SHIFT, [0, 2]), (NO_11_NO_000, [0, 1])],
+)
+def test_verify_phi_matches_oracle_where_collar_fills_differ(spec, cells):
+    sys = build_phi(Z, spec, 1, FiniteSubset.of(Z, [(c,) for c in cells]))
+    scale = (sys.syndetic_bound + 1) // 2
+    want = oracle_verify_phi(sys, scale, 3, 1)
+    assert want["verdict"]
+    assert canonical_json(verify_phi(sys, scale, 3, 1)) == canonical_json(want)
+
+
+@functools.lru_cache(maxsize=None)
+def _marker_system(r):
+    spec, _ = max_separated_subshift(Z, Z.ball(5 * r))
+    return spec, 10 * r + 1, transfer_graph(spec).m
+
+
+def _periodic_word(period, length, ones):
+    return tuple(1 if i % period in ones else 0 for i in range(length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_periodic_marker_window_matches_the_language(r, data):
+    spec, s, m = _marker_system(r)
+    period = data.draw(st.sampled_from([p for p in (s - 1, s, s + 1, 2 * m + 2) if p > 0]))
+    ones = frozenset(data.draw(st.lists(st.integers(0, period - 1), max_size=3)))
+    word = _periodic_word(period, 6 * s + 1, ones)
+    assert _periodic_window_admissible(spec, word, period) == oracle_marker_window_ok(spec, word)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_periodic_marker_window_periods_give_both_verdicts(r):
+    spec, s, m = _marker_system(r)
+    verdicts = set()
+    for period in {p for p in (s - 1, s, s + 1, 2 * m + 2) if p > 0}:
+        word = _periodic_word(period, 6 * s + 1, {0})
+        got = _periodic_window_admissible(spec, word, period)
+        assert got == oracle_marker_window_ok(spec, word)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    outside = _periodic_word(s, 6 * s + 1, {0}) + (2,)
+    assert _periodic_window_admissible(spec, outside, s) is oracle_marker_window_ok(spec, outside)
+    with pytest.raises(ValueError, match="letters"):
+        _periodic_window_admissible(spec, (1,) * (s + m - 1), s)
+
+
+def test_densify_at_scale_60_builds_no_marker_graph(monkeypatch):
+    monkeypatch.setattr(subshifts, "_TRANSFER_CACHE", {})
+    spec = builtin_spec("full_shift")
+    sys = build_phi(Z, spec, 1, FiniteSubset.of(Z, [(0,), (1,), (2,)]))
+    env = verify_phi(sys, 60, seed=0)
+    assert env["verdict"] and env["evidence"]["marker_window_ok"]
+    assert list(subshifts._TRANSFER_CACHE) == [spec]
+
+
+def _multiples_of_seven(g):
+    return g[0] % 7 == 0
+
+
+@pytest.mark.parametrize(
+    "member,lo,hi,radius",
+    [
+        (squares_member, -2000, 2600, 10),
+        (squares_member, -50, 400, 0),
+        (evens_member, -40, 40, 0),
+        (evens_member, -40, 40, 1),
+        (_multiples_of_seven, -100, 100, 2),
+        (_multiples_of_seven, -100, 100, 3),
+    ],
+)
+def test_avoided_blocks_match_cell_by_cell_scan(member, lo, hi, radius):
+    clear = _block_clear_test(member, lo, hi, radius)
+    # centres past both ends fall back to asking the predicate
+    assert [h for h in range(lo - 30, hi + 31) if clear(h)] == oracle_avoided(
+        member, lo - 30, hi + 30, radius
+    )
