@@ -293,7 +293,8 @@ def _cmd_gamma_densify(args):
     gamma = parse_group(_gamma_name(args.gamma))
     f = parse_region(ctx, args.window)
     gsys, env = gamma_densify(ctx, gamma, spec, f, args.eps, args.scale)
-    print(f"stamp radius {gsys.v_radius}, marker spacing {gsys.marker_spacing}, "
+    phi = gsys.phi
+    print(f"stamp radius {phi.v_radius}, marker spacing {phi.marker_spacing}, "
           f"equivariant bound {gsys.syndetic_bound}")
     return _finish(env, args, f"equivariant densification over {gamma.describe()}")
 

@@ -98,36 +98,21 @@ def product_spec(spec_a: SftSpec, spec_b: SftSpec, name: str = "") -> SftSpec:
     ctx = parse_group(spec_a.group)
     sizes = spec_a.alphabet_sizes + spec_b.alphabet_sizes
     forbidden = []
-    for p in spec_a.forbidden:
-        cells = p.domain.elements
-        for fill in itertools.product(spec_b.letters(), repeat=len(cells)):
-            forbidden.append(
-                Pattern.of(
-                    ctx,
-                    {
-                        c: make_letter(
-                            letter_coords(p.value_at(c), spec_a.stack)
-                            + letter_coords(w, spec_b.stack)
-                        )
-                        for c, w in zip(cells, fill)
-                    },
+    for own, other, own_first in ((spec_a, spec_b, True), (spec_b, spec_a, False)):
+        for p in own.forbidden:
+            cells = p.domain.elements
+            mine = [letter_coords(p.value_at(c), own.stack) for c in cells]
+            for fill in itertools.product(other.letters(), repeat=len(cells)):
+                theirs = [letter_coords(w, other.stack) for w in fill]
+                forbidden.append(
+                    Pattern.of(
+                        ctx,
+                        {
+                            c: make_letter(x + y if own_first else y + x)
+                            for c, x, y in zip(cells, mine, theirs)
+                        },
+                    )
                 )
-            )
-    for p in spec_b.forbidden:
-        cells = p.domain.elements
-        for fill in itertools.product(spec_a.letters(), repeat=len(cells)):
-            forbidden.append(
-                Pattern.of(
-                    ctx,
-                    {
-                        c: make_letter(
-                            letter_coords(w, spec_a.stack)
-                            + letter_coords(p.value_at(c), spec_b.stack)
-                        )
-                        for c, w in zip(cells, fill)
-                    },
-                )
-            )
     prod_name = name or "x".join(n for n in (spec_a.name, spec_b.name) if n)
     return SftSpec(spec_a.group, sizes, tuple(forbidden), prod_name)
 
@@ -207,9 +192,12 @@ def _stamp_core(
 
     A slot is a position ``k`` with ``F k`` inside V; the stamp is the
     canonically least admissible V-pattern whose slots jointly show every
-    admissible F-pattern.  V must additionally pass the gluing check at
-    the requested scale, so collars around stamps can always be re-glued.
-    Returns the fields :class:`PhiSystem` and :class:`GammaSystem` share.
+    admissible F-pattern.  V must additionally pass the gluing check.
+    Under exact semantics the check runs at scale ``max(witness_scale,
+    5r)``, so its windows are as wide as the V^5 collar fills (``10r + 1``
+    cells) that :func:`verify_phi` re-glues around every stamp; local
+    semantics checks at ``witness_scale``.  Returns the stamp-core fields
+    of :class:`PhiSystem`.
     """
     pats = level_pattern_list(ctx, spec, f, level, sem)
     if len(pats) < 2:
@@ -237,7 +225,8 @@ def _stamp_core(
                 break
         if stamp is None:
             continue
-        report = check_irreducible(ctx, spec, level, v, witness_scale, sem)
+        scale = max(witness_scale, 5 * r) if sem.mode == "exact" else witness_scale
+        report = check_irreducible(ctx, spec, level, v, scale, sem)
         if report.holds:
             v3 = set_pow(ctx, v, 3)
             v5 = set_pow(ctx, v, 5)
@@ -350,43 +339,49 @@ def _marker_hit(sys: PhiSystem, y: Configuration, g):
     return hits[0] if hits else None
 
 
-def _collar_fill(sys: PhiSystem, zprime: Configuration, h) -> Pattern:
-    """The V^5 pattern around the marker at ``h``: stamp glued to the collar.
+def _collar_fill(sys: PhiSystem, zprime: Configuration, h, u: Pattern) -> Pattern:
+    """The V^5 pattern around the marker at ``h``: stamp ``u`` glued to the collar.
 
     The collar is ``zprime`` read (truncated) on the ring V^5 minus V^3
-    around ``h``; fills are memoised on the system by collar values.
+    around ``h``; fills are memoised on the system by collar and stamp
+    values, so one memo serves every stamp a rewrite places.
     """
     ctx = sys.ctx
     collar_vals = tuple(
         project_letter(zprime.value(ctx.mul(c, h)), sys.level, sys.base.stack)
         for c in sys.ring
     )
-    q = sys._conf_memo.get(collar_vals)
+    key = (collar_vals, u.values)
+    q = sys._conf_memo.get(key)
     if q is None:
         collar = Pattern.on(sys.ring, collar_vals)
-        q = conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem)
-        sys._conf_memo[collar_vals] = q
+        q = conf(ctx, sys.base, sys.level, sys.v5, collar, u, sys.sem)
+        sys._conf_memo[key] = q
     return q
 
 
-def _phi_letter(sys: PhiSystem, zprime: Configuration, hit, g, fills: dict):
+def _phi_letter(
+    sys: PhiSystem, zprime: Configuration, hit, g, fills: dict, stamp_at=None
+):
     """Resolve one cell of the rewritten point from its marker hit.
 
     No hit (see :func:`_marker_hit`) means the cell keeps the base point's
     (truncated) value, a marker within V means a stamp cell, and a marker
     within V^3 only means a collar cell looked up from the glued V^5 fill
-    around that marker.  ``fills`` keeps one fill per marker for a fixed
-    ``zprime``, so the collar tuple is read and the ``conf`` memo consulted
-    once per marker rather than once per collar cell.
+    around that marker.  ``stamp_at`` maps a marker to the stamp it
+    carries, ``sys.u`` when omitted.  ``fills`` keeps one fill per marker
+    for a fixed ``zprime``, so the collar tuple is read and the ``conf``
+    memo consulted once per marker rather than once per collar cell.
     """
     if hit is None:
         return project_letter(zprime.value(g), sys.level, sys.base.stack)
     k, h = hit
+    u = sys.u if stamp_at is None else stamp_at(h)
     if k in sys.v:
-        return sys.u.value_at(k)
+        return u.value_at(k)
     q = fills.get(h)
     if q is None:
-        q = fills[h] = _collar_fill(sys, zprime, h)
+        q = fills[h] = _collar_fill(sys, zprime, h, u)
     return q.value_at(k)
 
 
@@ -841,75 +836,41 @@ _SHATTER_CLAIM = register_claim(
 class GammaSystem:
     """Equivariant densification data over a finite acting group.
 
-    Markers sit on a fixed grid; the stamp at the ``j``-th marker is the
-    base stamp with every letter multiplied by the ``j``-th group element,
-    cycling through the whole group.  Collars are re-glued against a least
-    periodic background point.
+    The rewrite is ``phi``'s (:func:`build_phi` on the base at level 1):
+    markers sit on its canonical grid, and the stamp at the ``j``-th grid
+    point is the base stamp with every letter multiplied by the ``j``-th
+    group element, cycling through the whole group.  Collars are re-glued
+    against a least periodic background point through ``phi``'s memo.
     """
 
-    ctx: GroupContext
+    phi: PhiSystem
     gamma: FiniteGroupContext
-    base: SftSpec
-    window: FiniteSubset
     eps: float
-    v_radius: int
-    v: FiniteSubset
-    v3: FiniteSubset
-    v5: FiniteSubset
-    ring: FiniteSubset
-    u: Pattern
-    witness_report: IrreducibilityReport
-    marker_spacing: int
     syndetic_bound: int  # |group| * spacing + 2 * v_radius
     base_point: Configuration
     base_period: int
-    _ring_memo: dict = field(default_factory=dict, repr=False)
+    stamps: tuple  # stamps[j]: the base stamp times group element j
 
-
-def _gamma_ring_fill(gsys: GammaSystem, h: int, j: int) -> Pattern:
-    key = (h % gsys.base_period, j)
-    q = gsys._ring_memo.get(key)
-    if q is None:
-        ctx = gsys.ctx
-        collar = Pattern.of(
-            ctx,
-            {c: gsys.base_point.value((c[0] + h,)) for c in gsys.ring},
-        )
-        stamped = Pattern.of(
-            ctx,
-            {c: gsys.gamma.mul(j, val) for c, val in gsys.u.items()},
-        )
-        q = conf(ctx, gsys.base, 1, gsys.v5, collar, stamped, EXACT)
-        gsys._ring_memo[key] = q
-    return q
-
-
-def _gamma_star_letter(gsys: GammaSystem, g) -> int:
-    n = g[0]
-    spacing = gsys.marker_spacing
-    h = ((n + spacing // 2) // spacing) * spacing
-    k = n - h
-    r = gsys.v_radius
-    if abs(k) > 3 * r:
-        return gsys.base_point.value(g)
-    j = (h // spacing) % gsys.gamma.order
-    if abs(k) <= r:
-        return gsys.gamma.mul(j, gsys.u.value_at((k,)))
-    return _gamma_ring_fill(gsys, h, j).value_at((k,))
+    def stamp_at(self, h) -> Pattern:
+        """The stamp carried by the marker at ``h``."""
+        return self.stamps[(h[0] // self.phi.marker_spacing) % self.gamma.order]
 
 
 def gamma_point(gsys: GammaSystem, gelt: int = 0) -> Configuration:
     """The built point, letterwise multiplied by a group element."""
     if not 0 <= gelt < gsys.gamma.order:
         raise ValueError("unknown group element")
-    if gelt == 0:
-        return Configuration(
-            gsys.ctx, lambda g: _gamma_star_letter(gsys, g), "gamma-star"
-        )
+    phi = gsys.phi
+    markers = canonical_marker_point(phi)
+    fills: dict = {}
+
+    def letter(g):
+        hit = _marker_hit(phi, markers, g)
+        star = _phi_letter(phi, gsys.base_point, hit, g, fills, gsys.stamp_at)
+        return gsys.gamma.mul(gelt, star)
+
     return Configuration(
-        gsys.ctx,
-        lambda g: gsys.gamma.mul(gelt, _gamma_star_letter(gsys, g)),
-        f"gamma-star*{gelt}",
+        phi.ctx, letter, "gamma-star" if gelt == 0 else f"gamma-star*{gelt}"
     )
 
 
@@ -973,22 +934,20 @@ def gamma_densify(
                         f"base language is not invariant: {w!r} maps to "
                         f"inadmissible {mapped!r}"
                     )
-    core = _stamp_core(ctx, spec_y, 1, f, witness_scale, EXACT, max_v_radius)
-    r = core["v_radius"]
-    spacing = 10 * r + 1
-    bound = gamma.order * spacing + 2 * r
+    phi = build_phi(ctx, spec_y, 1, f, witness_scale, EXACT, max_v_radius)
+    u = phi.u
     base_point, base_period = least_periodic_point(ctx, spec_y)
     gsys = GammaSystem(
-        ctx=ctx,
+        phi=phi,
         gamma=gamma,
-        base=spec_y,
-        window=f,
         eps=float(eps),
-        marker_spacing=spacing,
-        syndetic_bound=bound,
+        syndetic_bound=gamma.order * phi.marker_spacing + 2 * phi.v_radius,
         base_point=base_point,
         base_period=base_period,
-        **core,
+        stamps=tuple(
+            Pattern.on(u.domain, tuple(gamma.mul(j, a) for a in u.values))
+            for j in range(gamma.order)
+        ),
     )
     inputs = (ctx, gamma, spec_y, f, eps, scale, witness_scale, max_v_radius,
               closure_len)
@@ -996,7 +955,8 @@ def gamma_densify(
 
 
 def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
-    ctx = gsys.ctx
+    phi = gsys.phi
+    ctx = phi.ctx
     gamma = gsys.gamma
     bound = gsys.syndetic_bound
     if 2 * scale + 1 < bound:
@@ -1004,10 +964,11 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
             f"scale too small: the scan must cover the syndetic bound {bound}"
         )
     wlen = bound
-    spacing = gsys.marker_spacing
-    r = gsys.v_radius
-    tg = transfer_graph(gsys.base)
-    star = {t: _gamma_star_letter(gsys, (t,)) for t in range(-scale, scale + 1)}
+    spacing = phi.marker_spacing
+    r = phi.v_radius
+    tg = transfer_graph(phi.base)
+    point = gamma_point(gsys)
+    star = {t: point.value((t,)) for t in range(-scale, scale + 1)}
     corpus: dict[tuple, tuple] = {}
     for gelt in range(gamma.order):
         row = [gamma.mul(gelt, star[t]) for t in range(-scale, scale + 1)]
@@ -1021,9 +982,9 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
                 violations.append(
                     {"kind": "orbit-escape", "window": list(w), "by": gelt}
                 )
-    expected = set(level_pattern_list(ctx, gsys.base, gsys.window, 1, EXACT))
-    flo, fhi = hull_interval(gsys.window)
-    stamp_by_pos = [gsys.u.value_at((k,)) for k in range(-r, r + 1)]
+    expected = set(level_pattern_list(ctx, phi.base, phi.window, 1, EXACT))
+    flo, fhi = hull_interval(phi.window)
+    stamp_by_pos = [phi.u.value_at((k,)) for k in range(-r, r + 1)]
     stamp_orbit = [
         [gamma.mul(gelt, x) for x in stamp_by_pos]
         for gelt in range(gamma.order)
@@ -1043,7 +1004,7 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
             hnear = ((t + spacing // 2) // spacing) * spacing
             if abs(t - hnear) > 3 * r:
                 off[(t,)] = w[t - a]
-        if off and not is_admissible(ctx, gsys.base, Pattern.of(ctx, off), EXACT):
+        if off and not is_admissible(ctx, phi.base, Pattern.of(ctx, off), EXACT):
             violations.append({"kind": "off-stamp-escape", "window": list(w)})
         for b in range(wlen - span + 1):
             if not tg.contains(w[b : b + span]):
@@ -1054,7 +1015,7 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
         seen = set()
         for t in range(a - flo, a + wlen - fhi):
             seen.add(
-                Pattern.of(ctx, {x: w[x[0] + t - a] for x in gsys.window})
+                Pattern.of(ctx, {x: w[x[0] + t - a] for x in phi.window})
             )
         if seen != expected:
             violations.append(
@@ -1063,7 +1024,7 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
     verdict = not violations
     evidence = {
         "v_radius": r,
-        "stamp": gsys.u.to_json(ctx),
+        "stamp": phi.u.to_json(ctx),
         "marker_spacing": spacing,
         "syndetic_bound": bound,
         "base_period": gsys.base_period,

@@ -47,12 +47,12 @@ from .subshifts import (
     _LocalRegion,
     _bitrow_mul,
     _require_exact_ctx,
-    hull_interval,
     pattern_set,
     project_letter,
     project_pattern,
     sorted_patterns,
     transfer_graph,
+    window_test,
 )
 
 
@@ -533,8 +533,9 @@ def conf(
     """The least admissible level-``level`` extension of two patterns on ``f``.
 
     Free cells are filled in the context's deterministic order, always
-    taking the least level letter that keeps the window completable, so
-    the result is reproducible across runs and machines — every
+    taking the least level letter that keeps the window completable (one
+    :func:`~symdyn.subshifts.window_test` predicate for either semantics),
+    so the result is reproducible across runs and machines — every
     downstream construction that needs "some joint extension" takes this
     one.  Raises ``GluingError`` when no joint extension exists, which
     callers should read as an invalid irreducibility witness at this
@@ -548,42 +549,21 @@ def conf(
     for g, v in merged.items():
         if v not in pre:
             raise SubshiftError(f"{v!r} is not a level-{level} letter")
-    free = [g for g in f if g not in merged]
-    values = dict(merged)
-
-    if sem.mode == "exact":
-        _require_exact_ctx(ctx)
-        tg = transfer_graph(spec)
-        lo, hi = hull_interval(f)
-        length = hi - lo + 1
-        allowed = {g[0] - lo: pre[v] for g, v in merged.items()}
-        if not tg.feasible(length, allowed):
-            raise GluingError("the two patterns admit no joint extension")
-        for cell in free:
-            pos = cell[0] - lo
-            for v in level_letters:
-                allowed[pos] = pre[v]
-                if tg.feasible(length, allowed):
-                    values[cell] = v
-                    break
-            else:
-                raise RuntimeError("feasible window lost during gluing")
-        return Pattern.of(ctx, values)
-
-    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
-    choices = region.choices({g: pre[v] for g, v in merged.items()})
-    vals = [None] * len(region.cells)
-    if not region.extends(vals, choices):
+    test = window_test(ctx, spec, f, sem)
+    allowed = {g: pre[v] for g, v in merged.items()}
+    if not test(allowed):
         raise GluingError("the two patterns admit no joint extension")
-    for cell in free:
-        i = region.index[cell]
+    values = dict(merged)
+    for cell in f:
+        if cell in merged:
+            continue
         for v in level_letters:
-            choices[i] = region.among(pre[v])
-            if region.extends(vals, choices):
+            allowed[cell] = pre[v]
+            if test(allowed):
                 values[cell] = v
                 break
         else:
-            raise RuntimeError("feasible region lost during gluing")
+            raise RuntimeError("feasible window lost during gluing")
     return Pattern.of(ctx, values)
 
 

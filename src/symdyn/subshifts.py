@@ -750,35 +750,29 @@ class _LocalRegion:
         return next(self.search(vals, choices, start, len(self.cells)), None) is not None
 
 
-def locally_admissible(ctx: GroupContext, spec: SftSpec, pattern: Pattern) -> bool:
-    """No forbidden occurrence lies fully inside the pattern's domain."""
-    region = _LocalRegion(ctx, spec, pattern.domain)
-    vals = list(pattern.values)
-    return region.extends(vals, [(v,) for v in vals])
+def window_test(
+    ctx: GroupContext, spec: SftSpec, f: FiniteSubset, sem: Semantics
+) -> Callable[[dict], bool]:
+    """Feasibility of letter constraints on ``f``, compiled once.
 
-
-def fill_completions(
-    ctx: GroupContext,
-    spec: SftSpec,
-    domain: FiniteSubset,
-    clamps: dict,
-    allowed: Optional[dict] = None,
-) -> Iterator[dict]:
-    """Backtracking enumeration of admissible assignments on ``domain``.
-
-    Clamped cells are fixed (they may lie outside ``domain``); free cells
-    are filled in deterministic position order, least letters first,
-    pruning as soon as a forbidden occurrence becomes fully visible.
-    ``allowed`` optionally restricts cells to letter subsets (applied to
-    free cells only).  Yields complete assignments, clamps first.
+    The returned predicate takes ``allowed``, a map from cells of ``f`` to
+    letter sets (other cells are free), and says whether some admissible
+    pattern on ``f`` takes its letters there.  Exact semantics walks the
+    transfer graph over the hull of ``f``; ``local(m)`` asks for an
+    admissible fill of ``ball(m) * f``.  Letters outside the alphabet
+    satisfy neither.
     """
-    free = [g for g in domain if g not in clamps]
-    region = _LocalRegion(ctx, spec, [*clamps, *free])
-    choices = [(v,) for v in clamps.values()]
-    choices += region.choices(allowed)[len(clamps):]
-    cells = region.cells
-    for vals in region.search([None] * len(cells), choices, 0, len(cells)):
-        yield dict(zip(cells, vals))
+    if sem.mode == "exact":
+        _require_exact_ctx(ctx)
+        tg = transfer_graph(spec)
+        lo, hi = hull_interval(f)
+        return lambda allowed: tg.feasible(
+            hi - lo + 1, {g[0] - lo: lset for g, lset in allowed.items()}
+        )
+    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
+    return lambda allowed: region.extends(
+        [None] * len(region.cells), region.choices(allowed)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -878,16 +872,9 @@ def is_admissible(
     """Window-scale admissibility of a (possibly scattered) pattern."""
     if len(pattern.domain) == 0:
         return True
-    if isinstance(spec, SftSpec) and sem.mode == "exact":
-        _require_exact_ctx(ctx)
-        tg = transfer_graph(spec)
-        lo, hi = hull_interval(pattern.domain)
-        return tg.feasible(hi - lo + 1, {g[0] - lo: (v,) for g, v in pattern.items()})
     if isinstance(spec, SftSpec):
-        thick = set_mul(ctx, ctx.ball(sem.margin), pattern.domain)
-        for _ in fill_completions(ctx, spec, thick, pattern.mapping()):
-            return True
-        return False
+        test = window_test(ctx, spec, pattern.domain, sem)
+        return test({g: (v,) for g, v in pattern.items()})
     return pattern in pattern_set(ctx, spec, pattern.domain, sem)
 
 

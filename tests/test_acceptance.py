@@ -223,9 +223,9 @@ def test_criterion_7_equivariant_densification_certificate():
     assert verify_envelope(env).ok
     # the built point cycles the stamp through the whole group
     point = gamma_point(gsys)
-    base_word = [gsys.u.value_at((k,)) for k in range(-1, 2)]
+    base_word = [gsys.phi.u.value_at((k,)) for k in range(-1, 2)]
     for j in range(4):
-        marker = j * gsys.marker_spacing
+        marker = j * gsys.phi.marker_spacing
         got = [point.value((marker + k,)) for k in range(-1, 2)]
         want = [gamma.mul(j % gamma.order, v) for v in base_word]
         assert got == want, marker

@@ -175,6 +175,36 @@ def test_densify_command(capsys):
     assert "holds" in out
 
 
+def test_densify_refuses_a_ball_whose_collars_cannot_be_reglued(capsys):
+    # ball(5) displays both window patterns and glues at scale 6, but not at
+    # scale 10, where the gluing windows are as wide as its V^5 collars
+    spec = (
+        '{"group":"Z","alphabet":2,"name":"r","forbidden":'
+        '[{"domain":[-1,0,2],"values":[1,0,0]}]}'
+    )
+    code = main(["densify", spec, "--window", "0", "--level", "1", "--scale", "56"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "rejected: no displaying ball up to radius 6 shows all 2 window "
+        "patterns and verifies gluing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["densify", "full_shift", "--window", ""],
+        ["gamma-densify", "finite:z2", "full_shift", "--window", "", "--eps", "0.5"],
+    ],
+)
+def test_densify_commands_refuse_an_empty_window(argv, capsys):
+    # both build the same marker rewrite, so both refuse the same way
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the window must be non-empty\n"
+
+
 def test_pad_free_command(capsys):
     assert main(["pad-free", "period2", "--g", "2"]) == 0
     assert "holds" in capsys.readouterr().out

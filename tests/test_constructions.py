@@ -3,10 +3,15 @@ equivariant variant.
 
 Displaying-ball constants are re-derived inline by brute force: the least
 radius whose ball fits the window and carries an admissible pattern whose
-slots show every admissible window pattern.
+slots show every admissible window pattern.  ``oracle_product_forbidden``
+is the product's original build, one mirrored loop per factor.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdyn.certificates import verify_envelope
 from symdyn.configurations import Configuration
@@ -35,6 +40,7 @@ from symdyn.subshifts import (
     Pattern,
     SftSpec,
     letter_coords,
+    make_letter,
     pattern_set,
     project_letter,
     transfer_graph,
@@ -86,6 +92,58 @@ def test_product_spec_window_pattern_count_multiplies():
         for p in pats
     }
     assert projected == pattern_set(Z, GOLDEN, f, EXACT)
+
+
+def oracle_product_forbidden(spec_a, spec_b):
+    """The product's forbidden patterns, built by one loop per factor."""
+    forbidden = []
+    for p in spec_a.forbidden:
+        cells = p.domain.elements
+        for fill in itertools.product(spec_b.letters(), repeat=len(cells)):
+            forbidden.append(Pattern.of(Z, {
+                c: make_letter(letter_coords(p.value_at(c), spec_a.stack)
+                               + letter_coords(w, spec_b.stack))
+                for c, w in zip(cells, fill)
+            }))
+    for p in spec_b.forbidden:
+        cells = p.domain.elements
+        for fill in itertools.product(spec_a.letters(), repeat=len(cells)):
+            forbidden.append(Pattern.of(Z, {
+                c: make_letter(letter_coords(w, spec_a.stack)
+                               + letter_coords(p.value_at(c), spec_b.stack))
+                for c, w in zip(cells, fill)
+            }))
+    return tuple(forbidden)
+
+
+@st.composite
+def stacked_z_specs(draw):
+    sizes = draw(st.sampled_from([(2,), (3,), (1, 2), (2, 2), (2, 1, 2)]))
+    letters = SftSpec("Z", sizes, ()).letters()
+    forbidden = []
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3, unique=True))
+        forbidden.append(Pattern.of(Z, {(c,): draw(st.sampled_from(letters)) for c in cells}))
+    return SftSpec("Z", sizes, tuple(forbidden), draw(st.sampled_from(["", "s"])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_z_specs(), stacked_z_specs())
+def test_product_spec_forbidden_patterns_match_two_loop_build(spec_a, spec_b):
+    prod = product_spec(spec_a, spec_b)
+    assert prod.forbidden == oracle_product_forbidden(spec_a, spec_b)
+    assert prod.alphabet_sizes == spec_a.alphabet_sizes + spec_b.alphabet_sizes
+
+
+def test_product_spec_lifts_both_factors_in_order():
+    stacked = SftSpec("Z", (2, 2), (Pattern.of(Z, {(0,): (1, 1), (1,): (0, 1)}),), "st")
+    prod = product_spec(GOLDEN, stacked)
+    assert prod.forbidden == oracle_product_forbidden(GOLDEN, stacked)
+    # golden_mean's pattern lifts over 4 x 4 fills first, then the stacked one over 2 x 2
+    assert len(prod.forbidden) == 16 + 4
+    assert prod.forbidden[0].values == ((1, 0, 0), (1, 0, 0))
+    assert prod.forbidden[16].values == ((0, 1, 1), (0, 0, 1))
+    assert prod.alphabet_sizes == (2, 2, 2)
 
 
 def test_product_spec_rejects_mixed_groups():
@@ -337,12 +395,12 @@ def test_gamma_densify_cycles_stamps_through_the_group():
     gsys, env = gamma_densify(
         Z, gamma, z2_base(), interval(0, 0), eps=0.5, scale=40
     )
-    assert gsys.v_radius == 1
-    assert gsys.marker_spacing == 11
+    assert gsys.phi.v_radius == 1
+    assert gsys.phi.marker_spacing == 11
     assert gsys.syndetic_bound == 2 * 11 + 2
     assert env["verdict"] is True
     point = gamma_point(gsys)
-    base_word = [gsys.u.value_at((k,)) for k in range(-1, 2)]
+    base_word = [gsys.phi.u.value_at((k,)) for k in range(-1, 2)]
     swapped = [gamma.mul(1, v) for v in base_word]
     at0 = [point.value((k,)) for k in range(-1, 2)]
     at1 = [point.value((11 + k,)) for k in range(-1, 2)]

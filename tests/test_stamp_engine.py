@@ -25,6 +25,12 @@ system's transfer graph, and ``oracle_verify_phi`` is the re-check built
 on both.  ``oracle_stamp_core`` is the stamp search with the nested
 all/any/all test, and ``oracle_avoided`` finds shattering's avoided
 blocks by asking the member predicate for every cell of every block.
+``oracle_conf_exact`` is the exact gluing loop ``conf`` ran before both
+semantics shared one window test: positions counted on the hull of the
+domain and one transfer-graph walk per probed letter.  Equivariant
+densification now runs on the densification rewrite;
+``oracle_gamma_letter`` is its own nearest-grid rewrite, which finds the
+marker by arithmetic and glues a group-translated stamp for every cell.
 """
 
 import dataclasses
@@ -58,6 +64,8 @@ from symdyn.constructions import (
     build_phi,
     canonical_marker_point,
     evens_member,
+    gamma_densify,
+    gamma_point,
     squares_member,
     verify_phi,
 )
@@ -85,6 +93,7 @@ from symdyn.irreducibility import (
     check_irreducible,
     conf,
     level_pattern_list,
+    level_preimages,
     max_separated_subshift,
 )
 from symdyn.subshifts import (
@@ -432,13 +441,57 @@ def oracle_stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius):
                 break
         if stamp is None:
             continue
-        report = check_irreducible(ctx, spec, level, v, witness_scale, sem)
+        scale = max(witness_scale, 5 * r) if sem.mode == "exact" else witness_scale
+        report = check_irreducible(ctx, spec, level, v, scale, sem)
         if report.holds:
             return r, stamp, report
     raise ConstructionError(
         f"no displaying ball up to radius {max_v_radius} shows all "
         f"{len(pats)} window patterns and verifies gluing"
     )
+
+
+def oracle_conf_exact(ctx, spec, level, f, alpha1, alpha2):
+    """Least joint extension by hull positions and graph walks; None if none."""
+    pre = level_preimages(spec, level)
+    merged = {**alpha1.mapping(), **alpha2.mapping()}
+    tg = transfer_graph(spec)
+    lo, hi = hull_interval(f)
+    length = hi - lo + 1
+    allowed = {g[0] - lo: pre[v] for g, v in merged.items()}
+    if not tg.feasible(length, allowed):
+        return None
+    values = dict(merged)
+    for cell in f:
+        if cell in merged:
+            continue
+        pos = cell[0] - lo
+        for v in sorted(pre):
+            allowed[pos] = pre[v]
+            if tg.feasible(length, allowed):
+                values[cell] = v
+                break
+        else:
+            raise RuntimeError("feasible window lost during gluing")
+    return Pattern.of(ctx, values)
+
+
+def oracle_gamma_letter(gsys, g):
+    """One cell of the equivariant point from the nearest grid marker."""
+    phi, gamma = gsys.phi, gsys.gamma
+    n = g[0]
+    spacing = phi.marker_spacing
+    h = ((n + spacing // 2) // spacing) * spacing
+    k = n - h
+    r = phi.v_radius
+    if abs(k) > 3 * r:
+        return gsys.base_point.value(g)
+    j = (h // spacing) % gamma.order
+    if abs(k) <= r:
+        return gamma.mul(j, phi.u.value_at((k,)))
+    collar = Pattern.of(Z, {c: gsys.base_point.value((c[0] + h,)) for c in phi.ring})
+    stamped = Pattern.of(Z, {c: gamma.mul(j, v) for c, v in phi.u.items()})
+    return conf(Z, phi.base, 1, phi.v5, collar, stamped, EXACT).value_at((k,))
 
 
 def oracle_phi_letter(sys, zprime, y, g):
@@ -928,6 +981,30 @@ def test_local_zero_differs_from_exact_on_a_dead_end():
     assert pattern_set(Z, spec, f, local(1)) == {zero}
 
 
+# --- the exact gluing function -----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_sft_specs(), st.data())
+def test_exact_conf_matches_hull_loop(spec, data):
+    level = data.draw(st.integers(1, spec.stack))
+    level_letters = sorted(level_preimages(spec, level))
+    # scattered domains: the hull has cells outside f
+    cells = data.draw(st.lists(st.integers(-3, 5), min_size=1, max_size=6, unique=True))
+    f = FiniteSubset.of(Z, [(c,) for c in cells])
+    clamped = data.draw(st.lists(st.sampled_from(f.elements), min_size=1, unique=True))
+    split = data.draw(st.integers(0, len(clamped)))
+    values = {g: data.draw(st.sampled_from(level_letters)) for g in clamped}
+    alpha1 = Pattern.of(Z, {g: values[g] for g in clamped[:split]})
+    alpha2 = Pattern.of(Z, {g: values[g] for g in clamped[split:]})
+    want = oracle_conf_exact(Z, spec, level, f, alpha1, alpha2)
+    if want is None:
+        with pytest.raises(GluingError):
+            conf(Z, spec, level, f, alpha1, alpha2)
+    else:
+        assert conf(Z, spec, level, f, alpha1, alpha2) == want
+
+
 # --- densification and shattering ---------------------------------------------------
 
 PHI_BUILTINS = [
@@ -999,9 +1076,10 @@ def test_verify_phi_matches_per_cell_oracle(case, data):
     assert got == _outcome(oracle_verify_phi, sys, scale, samples, seed)
 
 
-def _z_spec(forbidden, name):
+def _z_spec(forbidden, name, alphabet=2):
     return SftSpec(
-        "Z", (2,), tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), name
+        "Z", (alphabet,),
+        tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), name,
     )
 
 
@@ -1057,6 +1135,34 @@ def test_periodic_marker_window_periods_give_both_verdicts(r):
     assert _periodic_window_admissible(spec, outside, s) is oracle_marker_window_ok(spec, outside)
     with pytest.raises(ValueError, match="letters"):
         _periodic_window_admissible(spec, (1,) * (s + m - 1), s)
+
+
+NO_EQUAL_PAIR = _z_spec([{0: a, 1: a} for a in range(3)], "no_equal_pair", 3)
+
+
+# Bases closed under the group's letterwise action.  On no_equal_pair with a
+# one-cell window the collar fill next to a stamp depends on which group
+# translate the stamp carries, so a fill memo blind to the stamp would show.
+@pytest.mark.parametrize(
+    "group,spec,cells,scale",
+    [
+        ("z2", builtin_spec("full_shift"), [0], 40),
+        ("z3", _z_spec([], "full3", 3), [0], 40),
+        ("z2", _z_spec([{0: 0, 1: 0, 2: 0}, {0: 1, 1: 1, 2: 1}], "no_runs_of_3"), [0, 1], 40),
+        ("z3", NO_EQUAL_PAIR, [0], 40),
+        ("z3", NO_EQUAL_PAIR, [0, 1], 50),
+    ],
+)
+def test_gamma_point_matches_nearest_grid_oracle(group, spec, cells, scale):
+    gamma = parse_group(f"finite:{group}")
+    f = FiniteSubset.of(Z, [(c,) for c in cells])
+    gsys, env = gamma_densify(Z, gamma, spec, f, 0.5, scale)
+    assert env["verdict"]
+    want = [oracle_gamma_letter(gsys, (t,)) for t in range(-scale, scale + 1)]
+    for gelt in range(gamma.order):
+        point = gamma_point(gsys, gelt)
+        got = [point.value((t,)) for t in range(-scale, scale + 1)]
+        assert got == [gamma.mul(gelt, v) for v in want]
 
 
 def test_densify_at_scale_60_builds_no_marker_graph(monkeypatch):

@@ -253,6 +253,22 @@ def test_is_admissible_scattered_feasibility():
     assert not is_admissible(Z, spec, bad, EXACT)
 
 
+@pytest.mark.parametrize("sem", [EXACT, local(0), local(1)])
+def test_is_admissible_rejects_letters_outside_the_alphabet(sem):
+    spec = builtin_spec("golden_mean")
+    assert not is_admissible(Z, spec, Pattern.of(Z, {(0,): 2}), sem)
+    assert not is_admissible(Z, spec, Pattern.of(Z, {(0,): 0, (2,): 2}), sem)
+    assert is_admissible(Z, spec, Pattern.of(Z, {(0,): 1}), sem)
+
+
+def test_is_admissible_rejects_letters_outside_the_alphabet_on_z2():
+    z2 = parse_group("Z^2")
+    spec = SftSpec("Z^2", (2,), (Pattern.of(z2, {(0, 0): 1, (1, 0): 1}),), "no_horizontal_11")
+    for sem in (local(0), local(1)):
+        assert not is_admissible(z2, spec, Pattern.of(z2, {(0, 0): 5}), sem)
+        assert is_admissible(z2, spec, Pattern.of(z2, {(0, 0): 1}), sem)
+
+
 def test_block_map_push_forward():
     spec = builtin_spec("period2")
     support = FiniteSubset.of(Z, [(0,), (1,)])
