@@ -217,7 +217,7 @@ def _cmd_minimal_check(args):
     probe = parse_region(ctx, args.probe)
     window = parse_region(ctx, args.window)
     sem = parse_semantics(args.sem)
-    level = args.level or spec.stack
+    level = spec.stack if args.level is None else args.level
     res = is_minimal_at(ctx, spec, level, probe, window, sem)
     if res.holds:
         print(f"window-minimal: {res.scanned} windows each visit all probe patterns")
@@ -230,7 +230,7 @@ def _cmd_irreducible(args):
     ctx, spec = load_spec(args.spec)
     d = parse_subset(ctx, args.d)
     sem = parse_semantics(args.sem)
-    level = args.level or spec.stack
+    level = spec.stack if args.level is None else args.level
     env = irreducibility_envelope(ctx, spec, level, d, args.scale, sem)
     return _finish(env, args, f"{spec.name or 'system'} gluing over D")
 
@@ -241,7 +241,7 @@ def _cmd_conf(args):
     a = parse_pattern(ctx, args.a)
     b = parse_pattern(ctx, args.b)
     sem = parse_semantics(args.sem)
-    level = args.level or spec.stack
+    level = spec.stack if args.level is None else args.level
     glued = conf(ctx, spec, level, f, a, b, sem)
     print(format_pattern(ctx, glued))
     return 0, []
@@ -262,7 +262,7 @@ def _cmd_max_sep_shift(args):
 def _cmd_densify(args):
     ctx, spec = load_spec(args.spec)
     f = parse_region(ctx, args.window)
-    level = args.level or spec.stack
+    level = spec.stack if args.level is None else args.level
     sys_ = build_phi(ctx, spec, level, f, args.witness_scale)
     print(f"displaying ball radius {sys_.v_radius}, "
           f"marker spacing {sys_.marker_spacing}, "
@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--probe", required=True)
     p.add_argument("--window", required=True)
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=int)
     p.add_argument("--sem", default="exact")
     p.set_defaults(handler=_cmd_minimal_check)
 
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--d", required=True)
     p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=int)
     p.add_argument("--sem", default="exact")
     _add_emit(p)
     p.set_defaults(handler=_cmd_irreducible)
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="target domain")
     p.add_argument("--a", required=True, help="first pattern (cell=value,...)")
     p.add_argument("--b", required=True, help="second pattern")
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=int)
     p.add_argument("--sem", default="exact")
     p.set_defaults(handler=_cmd_conf)
 
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", help="marker densification + verification")
     p.add_argument("spec")
     p.add_argument("--window", required=True)
-    p.add_argument("--level", type=int, default=0)
+    p.add_argument("--level", type=int)
     p.add_argument("--scale", type=int, default=40)
     p.add_argument("--samples", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)

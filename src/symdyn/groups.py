@@ -473,10 +473,6 @@ def symmetric_closure(ctx: GroupContext, a: FiniteSubset) -> FiniteSubset:
     return FiniteSubset.of(ctx, itertools.chain(a, (ctx.inv(x) for x in a)))
 
 
-def translate_set(ctx: GroupContext, a: FiniteSubset, g) -> FiniteSubset:
-    return FiniteSubset.of(ctx, (ctx.mul(x, g) for x in a))
-
-
 def interior(ctx: GroupContext, region: FiniteSubset, d: FiniteSubset) -> FiniteSubset:
     """Elements of ``region`` whose whole ``d``-translate stays inside it."""
     rset = region.as_set()

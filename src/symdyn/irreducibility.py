@@ -13,7 +13,9 @@ patterns by their reachability behavior keeps the scan polynomial in the
 scale, a class verdict is computed once per behavior key, and a uniform
 reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
-domains in any context and inherits the local approximation.
+domains in any context and inherits the local approximation; each
+translation class is decided by membership tests, and only classes that
+one forbidden occurrence can join are searched.
 
 ``canonical_gluing`` returns the deterministic least joint extension of
 two compatible patterns — the densification pipeline depends on this
@@ -26,16 +28,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable, Optional
 
 from .certificates import register_claim
 from .groups import (
     FiniteSubset,
     GroupContext,
-    are_apart,
+    set_inv,
     set_mul,
     symmetric_closure,
-    translate_set,
 )
 from .subshifts import (
     EXACT,
@@ -356,13 +358,17 @@ def _check_irreducible_local(
     radii = tuple(sorted(set(domain_radii)))
     base = {rho: level_pattern_list(ctx, spec, ctx.ball(rho), level, sem) for rho in radii}
     centers = ctx.ball(scale).elements
-    domains = [(rho, c) for rho in radii for c in centers]
     margin = ctx.ball(sem.margin)
     narrow = {v: tuple(sorted(s)) for v, s in pre.items()}
+    # relative positions b * a^-1 of two cells of one forbidden domain
+    joins = FiniteSubset.of(
+        ctx, (ctx.mul(b, ctx.inv(a)) for p in spec.forbidden for a in p.domain for b in p.domain)
+    )
 
-    def placed(rho: int, c) -> list[Pattern]:
-        cinv = ctx.inv(c)
-        return [p.translate(ctx, cinv) for p in base[rho]]
+    def offsets(r1: int, r2: int, *middle) -> FiniteSubset:
+        """``ball(r2)^-1 * middle[0] * ... * ball(r1)``."""
+        sets = (set_inv(ctx, ctx.ball(r2)), *middle, ctx.ball(r1))
+        return reduce(partial(set_mul, ctx), sets)
 
     def report(pairs: int, counterexample) -> IrreducibilityReport:
         return IrreducibilityReport(
@@ -379,47 +385,78 @@ def _check_irreducible_local(
         )
 
     # The SFT and apartness are invariant under right translation, so a
-    # pair's verdict depends only on (r1, r2, c2 * c1^-1).  An apart class
-    # met again has glued: the first failure ends the scan.
-    apart_class: dict = {}
+    # pair's verdict depends only on its class (r1, r2, x), x = c2 * c1^-1,
+    # decided with ball(r1) at the origin and ball(r2) at ball(r2) * x.
+    # Two sets per radius pair, built on first use, decide most classes:
+    #   near: the x whose domains are not D-apart, ball(r2)^-1 D^-1 D ball(r1);
+    #   touch: the x at which one forbidden occurrence can meet both
+    #     margin-thickened domains, ball(r2)^-1 M^-1 K M ball(r1), with
+    #     M = ball(margin) and K = joins.
+    # An apart class outside touch holds with no search.  Under local(m)
+    # each listed pattern extends on M * its domain by itself, since
+    # level_pattern_list keeps only those.  Outside touch the two thickened
+    # domains are disjoint (e lies in K, or nothing is forbidden) and no
+    # forbidden occurrence meets both, so the two fills together fill the
+    # joint region.  A searched class met again has glued: the first
+    # failure ends the scan.
+    sets: dict = {}
+    searched: set = set()
     pairs = 0
-    for i, (r1, c1) in enumerate(domains):
-        e1 = translate_set(ctx, ctx.ball(r1), c1)
-        c1_inv = ctx.inv(c1)
-        for r2, c2 in domains[i:]:
-            key = (r1, r2, ctx.mul(c2, c1_inv))
-            apart = apart_class.get(key)
-            if apart is None:
-                e2 = translate_set(ctx, ctx.ball(r2), c2)
-                apart = apart_class[key] = are_apart(ctx, d, e1, e2)
-                if apart:
-                    both = FiniteSubset.of(ctx, e1.elements + e2.elements)
-                    region = _LocalRegion(ctx, spec, set_mul(ctx, margin, both))
-                    bad = _first_unglued(region, narrow, placed(r1, c1), placed(r2, c2))
+    for i, r1 in enumerate(radii):
+        for j, c1 in enumerate(centers):
+            c1_inv = ctx.inv(c1)
+            for r2 in radii[i:]:
+                if (r1, r2) not in sets:
+                    sets[r1, r2] = (
+                        offsets(r1, r2, set_inv(ctx, d), d),
+                        offsets(r1, r2, set_inv(ctx, margin), joins, margin),
+                    )
+                near, touch = sets[r1, r2]
+                for c2 in centers[j:] if r2 == r1 else centers:
+                    x = ctx.mul(c2, c1_inv)
+                    if x in near:
+                        continue
+                    pairs += 1
+                    if x not in touch or (r1, r2, x) in searched:
+                        continue
+                    searched.add((r1, r2, x))
+                    bad = _first_unglued(ctx, spec, narrow, margin, base, (r1, r2, x))
                     if bad is not None:
-                        return report(pairs + 1, GluingCounterexample(*bad, None))
-            if apart:
-                pairs += 1
+                        q1, q2 = bad
+                        return report(pairs, GluingCounterexample(
+                            q1.translate(ctx, c1_inv), q2.translate(ctx, ctx.inv(c2)), None
+                        ))
     return report(pairs, None)
 
 
 def _first_unglued(
-    region: _LocalRegion, narrow: dict, firsts: list, seconds: list
+    ctx: GroupContext, spec: SftSpec, narrow: dict, margin: FiniteSubset,
+    base: dict, cls: tuple,
 ) -> Optional[tuple[Pattern, Pattern]]:
-    """First pattern pair, in scan order, with no joint fill of the region.
+    """First pattern pair, in scan order, with no joint fill of the class region.
 
+    ``cls`` is ``(r1, r2, x)``: the patterns ``base[r1]`` lie on ``ball(r1)``
+    at the origin, ``base[r2]`` on ``ball(r2)`` placed at ``ball(r2) * x``
+    (each pattern's values follow its ball's element order), and the region
+    is the ``margin``-thickened union of the two balls.
     ``narrow`` maps each level letter to the full letters above it.
     """
+    r1, r2, x = cls
+    at1 = ctx.ball(r1).elements
+    at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
+    region = _LocalRegion(ctx, spec, set_mul(ctx, margin, FiniteSubset.of(ctx, (*at1, *at2))))
+    cells1 = [region.index[g] for g in at1]
+    cells2 = [region.index[g] for g in at2]
     free = region.choices()
     vals = [None] * len(region.cells)
-    for q1 in firsts:
+    for q1 in base[r1]:
         half = list(free)
-        for g, v in q1.items():
-            half[region.index[g]] = narrow[v]
-        for q2 in seconds:
+        for i, v in zip(cells1, q1.values):
+            half[i] = narrow[v]
+        for q2 in base[r2]:
             choices = list(half)
-            for g, v in q2.items():
-                choices[region.index[g]] = narrow[v]
+            for i, v in zip(cells2, q2.values):
+                choices[i] = narrow[v]
             if not region.extends(vals, choices):
                 return q1, q2
     return None

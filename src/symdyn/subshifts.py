@@ -151,7 +151,11 @@ def parse_semantics(text: str) -> Semantics:
     if text == "exact":
         return EXACT
     if text.startswith("local:"):
-        return local(int(text.split(":", 1)[1]))
+        try:
+            margin = int(text.split(":", 1)[1])
+        except ValueError:
+            raise SubshiftError(f"cannot parse semantics {text!r}") from None
+        return local(margin)
     raise SubshiftError(f"cannot parse semantics {text!r}")
 
 

@@ -205,6 +205,36 @@ def test_densify_commands_refuse_an_empty_window(argv, capsys):
     assert capsys.readouterr().err == "error: the window must be non-empty\n"
 
 
+HARD_SQUARE = (
+    '{"group":"Z^2","alphabet":2,"name":"hard_square","forbidden":['
+    '{"domain":[[0,0],[1,0]],"values":[1,1]},{"domain":[[0,0],[0,1]],"values":[1,1]}]}'
+)
+
+
+@pytest.mark.parametrize("level", ["0", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "2", "--sem", "local:1"],
+        ["conf", "golden_mean", "--f", "0..3", "--a", "0=1", "--b", "3=1"],
+    ],
+    ids=["irreducible", "conf"],
+)
+def test_level_outside_the_stack_is_a_usage_error(argv, level, capsys):
+    # --level 0 is a level like any other, not "no level given"
+    assert main([*argv, "--level", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: level must lie in 1..1, got {level}\n"
+
+
+@pytest.mark.parametrize("sem", ["local:x", "local:"])
+def test_unparsable_local_margin_is_a_usage_error(sem, capsys):
+    assert main(["irreducible", "golden_mean", "--d", "ball:1", "--scale", "2",
+                 "--sem", sem]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse semantics '{sem}'\n"
+
+
 def test_pad_free_command(capsys):
     assert main(["pad-free", "period2", "--g", "2"]) == 0
     assert "holds" in capsys.readouterr().out

@@ -8,7 +8,9 @@ shows up as a failing row.  The rows are the README's certificate-emitting
 commands, one command for each remaining claim (``scp-lift``), a covering
 witness on a substitution system (the one input that is not finite-type),
 the README's failing exact check, and two local-semantics gluing checks (F2
-and Z^2).  Two more exact checks pin the interval scan's order and pair
+and Z^2).  Two larger local checks, hard square on Z^2 at scale 5 and
+``f2_hard`` at scale 3, pin the local scan's order and pair count at scales
+where most translation classes are decided without a search.  Two more exact checks pin the interval scan's order and pair
 count: a holding one with an asymmetric D at scale 30, and a failing one
 on a gap shift whose first counterexample comes after 36 apart classes.
 Two stamp rows run at the benchmark's sizes: densification with a
@@ -37,6 +39,10 @@ GAP_SHIFT = (
     '{"group":"Z","alphabet":2,"name":"gap_shift","forbidden":['
     '{"domain":[0,1],"values":[1,1]},{"domain":[0,1,2],"values":[1,0,1]},'
     '{"domain":[0,1,2,3,4],"values":[0,0,0,0,0]}]}'
+)
+HARD_SQUARE = (
+    '{"group":"Z^2","alphabet":2,"name":"hard_square","forbidden":['
+    '{"domain":[[0,0],[1,0]],"values":[1,1]},{"domain":[[0,0],[0,1]],"values":[1,1]}]}'
 )
 F2_HARD = (
     '{"group":"F2","alphabet":2,"name":"f2_hard","forbidden":['
@@ -71,6 +77,10 @@ GOLDEN = {
                        "--sem", "local:1"], 0),
     "checkerboard-local-fails": (["irreducible", CHECKERBOARD, "--d", "ball:1",
                                   "--scale", "2", "--sem", "local:1"], 1),
+    "hard-square-local-s5": (["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "5",
+                              "--sem", "local:1"], 0),
+    "f2-hard-local-s3": (["irreducible", F2_HARD, "--d", "ball:1", "--scale", "3",
+                          "--sem", "local:1"], 0),
 }
 
 

@@ -8,7 +8,11 @@ enumeration lists every fill of the thickened domain and then projects,
 and the gluing scan probes every domain pair afresh.  The library must
 agree with them exactly: same patterns in the same order, same
 admissibility verdicts and glued patterns (both asked through
-``window_test``), same reports.
+``window_test``), same reports.  The library's scan decides apartness and
+independence of each translation class by membership and compiles a
+region only for classes a forbidden occurrence can join, so its tests also
+count the regions it builds and pin failing specs whose counterexample
+lies off the identity.
 """
 
 import gc
@@ -17,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdyn import irreducibility
 from symdyn.groups import (
     FiniteSubset,
     LatticeContext,
     are_apart,
     parse_group,
     set_mul,
-    translate_set,
 )
 from symdyn.irreducibility import (
     GluingCounterexample,
@@ -49,6 +53,10 @@ from symdyn.subshifts import (
 Z2 = parse_group("Z^2")
 F2 = parse_group("F2")
 GROUPS = {"Z^2": Z2, "F2": F2}
+# the gluing scan also runs on Z and on finite groups, abelian or not
+GLUING_GROUPS = {
+    **GROUPS, **{g: parse_group(g) for g in ("Z", "finite:z3", "finite:s3", "finite:klein")}
+}
 
 
 # --- oracles ---------------------------------------------------------------------
@@ -119,9 +127,9 @@ def oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, domain_radii
     domains = [(rho, c) for rho in radii for c in ctx.ball(scale)]
     pairs = 0
     for i, (r1, c1) in enumerate(domains):
-        e1 = translate_set(ctx, ctx.ball(r1), c1)
+        e1 = set_mul(ctx, ctx.ball(r1), FiniteSubset.of(ctx, [c1]))
         for r2, c2 in domains[i:]:
-            e2 = translate_set(ctx, ctx.ball(r2), c2)
+            e2 = set_mul(ctx, ctx.ball(r2), FiniteSubset.of(ctx, [c2]))
             if not are_apart(ctx, d, e1, e2):
                 continue
             pairs += 1
@@ -181,15 +189,21 @@ SIZES = st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (1, 3), (3, 1), (2, 1),
 
 
 @st.composite
-def sft_specs(draw, max_letters=4):
-    group = draw(st.sampled_from(sorted(GROUPS)))
-    ctx = GROUPS[group]
+def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False, min_forbidden=0):
+    """Random SFTs with forbidden domains in ``ball(1)``, or, with
+    ``offset``, in ``ball(1) * t`` for a drawn ``t`` in ``ball(1)``, so
+    that a domain need not contain the identity."""
+    group = draw(st.sampled_from(sorted(groups)))
+    ctx = groups[group]
     sizes = draw(SIZES.filter(lambda s: _count(s) <= max_letters))
     letters = SftSpec(group, sizes, ()).letters()
     cells = ctx.ball(1).elements
     forbidden = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(min_forbidden, 3))):
         dom = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+        if offset:
+            t = draw(st.sampled_from(cells))
+            dom = [ctx.mul(g, t) for g in dom]
         forbidden.append(
             Pattern.of(ctx, {g: draw(st.sampled_from(letters)) for g in dom})
         )
@@ -237,16 +251,25 @@ def test_locally_admissible_matches_oracle(data):
         assert is_admissible(ctx, spec, p, local(1)) == exists
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_local_gluing_scan_matches_unmemoised_scan(data):
-    radii = data.draw(st.sampled_from([(0,), (0, 1)]))
-    ctx, spec = data.draw(sft_specs(max_letters=2 if 1 in radii else 3))
+    # at scale 2 most classes are decided by membership alone; radius-1
+    # domains stay at scale 1, where the oracle is still quick
+    scale = data.draw(st.integers(1, 2))
+    radii = (0,) if scale == 2 else data.draw(st.sampled_from([(0,), (0, 1)]))
+    ctx, spec = data.draw(
+        sft_specs(max_letters=2 if 1 in radii else 3, groups=GLUING_GROUPS, offset=True,
+                  min_forbidden=1)
+    )
     level = data.draw(st.integers(1, spec.stack))
-    d = ctx.ball(data.draw(st.integers(0, 1)))
+    # any non-empty part of ball(1): D need not be symmetric or hold e
+    d = FiniteSubset.of(
+        ctx, data.draw(st.lists(st.sampled_from(ctx.ball(1).elements), min_size=1, unique=True))
+    )
     sem = local(data.draw(st.integers(0, 1)))
-    got = _check_irreducible_local(ctx, spec, level, d, 1, sem, radii)
-    assert got == oracle_check_irreducible_local(ctx, spec, level, d, 1, sem, radii)
+    got = _check_irreducible_local(ctx, spec, level, d, scale, sem, radii)
+    assert got == oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, radii)
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,7 +299,7 @@ def test_local_conf_matches_oracle(data):
 
 
 def _domino_spec(group, pairs, name):
-    ctx = GROUPS[group]
+    ctx = GLUING_GROUPS[group]
     return ctx, SftSpec(
         group, (2,), tuple(Pattern.of(ctx, {ctx.identity: v, g: w}) for g, v, w in pairs), name
     )
@@ -297,6 +320,71 @@ def test_local_gluing_scan_holding_and_failing_specs(group, pairs, holds):
     want = oracle_check_irreducible_local(ctx, spec, 1, ctx.ball(1), 2, local(1), (0, 1))
     assert got == want
     assert got.holds is holds
+
+
+def test_local_gluing_scan_compiles_a_region_only_for_interacting_classes(monkeypatch):
+    built = []
+
+    class CountingRegion(irreducibility._LocalRegion):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(irreducibility, "_LocalRegion", CountingRegion)
+    ctx, spec = _domino_spec("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], "hard_square")
+    got = check_irreducible(ctx, spec, 1, ctx.ball(1), 3, local(1))
+    assert got.holds and got.pairs_checked == 552
+    # one region per apart class would be 152 regions here (154 with the
+    # two window enumerations); skipping the classes no forbidden occurrence
+    # can join must leave at most a third of them
+    assert 0 < len(built) <= 154 // 3
+
+
+CHECKER = [{(0, 0): v, s: v} for s in ((1, 0), (0, 1)) for v in (0, 1)]
+
+# (group, forbidden patterns, D, scale, margin, radii), then the pair count
+# and first counterexample of the unskipped scan, each off the identity
+PINNED_FAILURES = {
+    # checkerboard, scale 3: the first apart class has c1 = (-2, 0)
+    "z2-checkerboard": (
+        ("Z^2", CHECKER, "ball:2", 3, 2, (0,)), 1,
+        ([[-2, 0]], [0]), ([[0, -3]], [0]),
+    ),
+    # an F2 domino along ab, with a radius-1 second domain
+    "f2-ab-domino": (
+        ("F2", [{"": v, "ab": v} for v in (0, 1)], "ball:1", 2, 1, (0, 1)), 101,
+        (["BA"], [0]), (["b", "ab", "Bab", "aab", "bab"], [0, 1, 0, 1, 0]),
+    ),
+    # ball(1) M K M differs from M K M ball(1) on F2: testing x^-1 for
+    # interaction skips the class that fails first here
+    "f2-skip-needs-x": (
+        ("F2", [{"BB": 1, "ab": 0}], [""], 2, 0, (0, 1)), 81,
+        (["B"], [1]), (["b", "bb", "Abb", "abb", "bbb"], [0, 0, 0, 0, 0]),
+    ),
+    # D = {e, b} is not symmetric: testing x^-1 for apartness miscounts
+    "f2-apart-needs-x": (
+        ("F2", [{"A": 1, "Ab": 1}, {"A": 1, "BA": 1}], ["", "b"], 1, 1, (0, 1)), 6,
+        (["A"], [1]), (["", "B", "AB", "BB", "aB"], [0, 0, 1, 0, 0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FAILURES))
+def test_local_gluing_scan_keeps_pinned_counterexamples(name):
+    # the failing class is decided in class coordinates; its patterns must
+    # come back translated to the absolute cells of the pair that met it
+    (group, forbidden, d, scale, margin, radii), pairs, first, second = PINNED_FAILURES[name]
+    ctx = GLUING_GROUPS[group]
+    spec = SftSpec(group, (2,), tuple(Pattern.of(ctx, f) for f in forbidden), name)
+    d = ctx.ball(int(d[5:])) if isinstance(d, str) else FiniteSubset.of(ctx, d)
+    got = check_irreducible(ctx, spec, 1, d, scale, local(margin), radii)
+    assert not got.holds and got.pairs_checked == pairs
+    assert got.counterexample.to_json(ctx) == {
+        "first": {"domain": first[0], "values": first[1]},
+        "second": {"domain": second[0], "values": second[1]},
+        "gap": None,
+    }
+    assert got == oracle_check_irreducible_local(ctx, spec, 1, d, scale, local(margin), radii)
 
 
 def test_window_patterns_yield_in_scan_order_on_a_ball():

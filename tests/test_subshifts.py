@@ -154,6 +154,9 @@ def test_semantics_parsing():
     assert parse_semantics("local:3").margin == 3
     with pytest.raises(SubshiftError):
         parse_semantics("fuzzy")
+    for text in ("local:x", "local:"):
+        with pytest.raises(SubshiftError, match=f"^cannot parse semantics '{text}'$"):
+            parse_semantics(text)
 
 
 def test_spec_json_round_trip():
