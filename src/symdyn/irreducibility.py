@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial, reduce
 from typing import Iterable, Optional
 
 from .certificates import register_claim
@@ -364,11 +363,10 @@ def _check_irreducible_local(
     joins = FiniteSubset.of(
         ctx, (ctx.mul(b, ctx.inv(a)) for p in spec.forbidden for a in p.domain for b in p.domain)
     )
-
-    def offsets(r1: int, r2: int, *middle) -> FiniteSubset:
-        """``ball(r2)^-1 * middle[0] * ... * ball(r1)``."""
-        sets = (set_inv(ctx, ctx.ball(r2)), *middle, ctx.ball(r1))
-        return reduce(partial(set_mul, ctx), sets)
+    cores = (
+        set_mul(ctx, set_inv(ctx, d), d),
+        set_mul(ctx, set_mul(ctx, set_inv(ctx, margin), joins), margin),
+    )
 
     def report(pairs: int, counterexample) -> IrreducibilityReport:
         return IrreducibilityReport(
@@ -387,18 +385,19 @@ def _check_irreducible_local(
     # The SFT and apartness are invariant under right translation, so a
     # pair's verdict depends only on its class (r1, r2, x), x = c2 * c1^-1,
     # decided with ball(r1) at the origin and ball(r2) at ball(r2) * x.
-    # Two sets per radius pair, built on first use, decide most classes:
+    # Two sets per radius pair, ball(r2)^-1 * core * ball(r1) for the two
+    # cores above, built on first use, decide most classes:
     #   near: the x whose domains are not D-apart, ball(r2)^-1 D^-1 D ball(r1);
     #   touch: the x at which one forbidden occurrence can meet both
     #     margin-thickened domains, ball(r2)^-1 M^-1 K M ball(r1), with
     #     M = ball(margin) and K = joins.
     # An apart class outside touch holds with no search.  Under local(m)
     # each listed pattern extends on M * its domain by itself, since
-    # level_pattern_list keeps only those.  Outside touch the two thickened
-    # domains are disjoint (e lies in K, or nothing is forbidden) and no
-    # forbidden occurrence meets both, so the two fills together fill the
-    # joint region.  A searched class met again has glued: the first
-    # failure ends the scan.
+    # level_pattern_list keeps only those.  With nothing forbidden any two
+    # disjoint patterns glue; otherwise e lies in K, so outside touch the
+    # two thickened domains are disjoint and no forbidden occurrence meets
+    # both, and the two fills together fill the joint region.  A searched
+    # class met again has glued: the first failure ends the scan.
     sets: dict = {}
     searched: set = set()
     pairs = 0
@@ -407,9 +406,9 @@ def _check_irreducible_local(
             c1_inv = ctx.inv(c1)
             for r2 in radii[i:]:
                 if (r1, r2) not in sets:
-                    sets[r1, r2] = (
-                        offsets(r1, r2, set_inv(ctx, d), d),
-                        offsets(r1, r2, set_inv(ctx, margin), joins, margin),
+                    sets[r1, r2] = tuple(
+                        set_mul(ctx, set_mul(ctx, set_inv(ctx, ctx.ball(r2)), core), ctx.ball(r1))
+                        for core in cores
                     )
                 near, touch = sets[r1, r2]
                 for c2 in centers[j:] if r2 == r1 else centers:

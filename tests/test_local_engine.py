@@ -189,7 +189,7 @@ SIZES = st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (1, 3), (3, 1), (2, 1),
 
 
 @st.composite
-def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False, min_forbidden=0):
+def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False):
     """Random SFTs with forbidden domains in ``ball(1)``, or, with
     ``offset``, in ``ball(1) * t`` for a drawn ``t`` in ``ball(1)``, so
     that a domain need not contain the identity."""
@@ -199,7 +199,7 @@ def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False, min_forbidden=0)
     letters = SftSpec(group, sizes, ()).letters()
     cells = ctx.ball(1).elements
     forbidden = []
-    for _ in range(draw(st.integers(min_forbidden, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         dom = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
         if offset:
             t = draw(st.sampled_from(cells))
@@ -259,8 +259,7 @@ def test_local_gluing_scan_matches_unmemoised_scan(data):
     scale = data.draw(st.integers(1, 2))
     radii = (0,) if scale == 2 else data.draw(st.sampled_from([(0,), (0, 1)]))
     ctx, spec = data.draw(
-        sft_specs(max_letters=2 if 1 in radii else 3, groups=GLUING_GROUPS, offset=True,
-                  min_forbidden=1)
+        sft_specs(max_letters=2 if 1 in radii else 3, groups=GLUING_GROUPS, offset=True)
     )
     level = data.draw(st.integers(1, spec.stack))
     # any non-empty part of ball(1): D need not be symmetric or hold e
@@ -312,6 +311,10 @@ def _domino_spec(group, pairs, name):
         ("Z^2", [(s, v, v) for s in ((1, 0), (0, 1)) for v in (0, 1)], False),  # checkerboard
         ("F2", [("a", 1, 1), ("b", 1, 1)], True),
         ("F2", [("a", 0, 0), ("a", 1, 1)], False),
+        # full shifts: no forbidden occurrence joins any class
+        ("Z^2", [], True),
+        ("F2", [], True),
+        ("finite:s3", [], True),
     ],
 )
 def test_local_gluing_scan_holding_and_failing_specs(group, pairs, holds):
@@ -334,10 +337,10 @@ def test_local_gluing_scan_compiles_a_region_only_for_interacting_classes(monkey
     ctx, spec = _domino_spec("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], "hard_square")
     got = check_irreducible(ctx, spec, 1, ctx.ball(1), 3, local(1))
     assert got.holds and got.pairs_checked == 552
-    # one region per apart class would be 152 regions here (154 with the
-    # two window enumerations); skipping the classes no forbidden occurrence
-    # can join must leave at most a third of them
-    assert 0 < len(built) <= 154 // 3
+    # the unskipped scan compiles one region per apart class, 152 here;
+    # skipping the classes no forbidden occurrence can join must leave at
+    # most a third of them
+    assert 0 < len(built) <= 152 // 3
 
 
 CHECKER = [{(0, 0): v, s: v} for s in ((1, 0), (0, 1)) for v in (0, 1)]
