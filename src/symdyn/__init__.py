@@ -60,7 +60,6 @@ from .groups import (
     FiniteSubset,
     GroupContext,
     GroupParseError,
-    interior,
     is_separated,
     is_small,
     maximal_separated,

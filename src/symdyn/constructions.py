@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Optional
@@ -54,6 +55,7 @@ from .subshifts import (
     SubshiftError,
     _normalized_forbidden,
     _require_exact_ctx,
+    check_level,
     essential_freeness_check,
     hull_interval,
     is_admissible,
@@ -290,6 +292,7 @@ def build_phi(
         raise SubshiftError("densification needs a finite-type presentation")
     if len(f) == 0:
         raise ValueError("the window must be non-empty")
+    check_level(spec.stack, level)
     core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
     r = core["v_radius"]
     marker_spec, marker_witness = max_separated_subshift(ctx, core["v5"])
@@ -451,7 +454,8 @@ def verify_phi(
     every admissible window pattern, and the scanned stretch as a whole
     shows exactly the expected pattern set.  The marker point is the same
     for every sample, so each cell's marker hit is found once; each
-    sample then reads one collar per marker.
+    sample then reads one collar per marker.  The stretches are one
+    window slid across the scan, with a count per pattern placed in it.
 
     ``marker_window_ok``: the marker point's window on ``[-3s, 3s]`` is
     an admissible window of the marker system.  Lemma: an ``s``-periodic
@@ -514,23 +518,31 @@ def verify_phi(
                         "pattern": p.to_json(ctx),
                     }
                 )
+        # Stretch a reads the placements a - flo <= t < a + bound - fhi that
+        # the scan has; seen counts the patterns placed there as it slides.
+        seen: Counter = Counter(
+            pat_at[t] for t in range(-scale - flo, -scale + bound - fhi - 1)
+            if t in pat_at
+        )
         for a in range(-scale, scale - bound + 2):
             stretches += 1
-            seen = {
-                pat_at[t]
-                for t in range(a - flo, a + bound - fhi)
-                if t in pat_at
-            }
-            missing = expected - seen
-            if missing:
+            enter, leave = a + bound - fhi - 1, a - flo
+            if enter >= leave and enter in pat_at:
+                seen[pat_at[enter]] += 1
+            if not expected <= seen.keys():
+                missing = sorted_patterns(expected - seen.keys())[0]
                 violations.append(
                     {
                         "kind": "stretch-missing",
                         "sample": idx,
                         "at": a,
-                        "missing": sorted_patterns(missing)[0].to_json(ctx),
+                        "missing": missing.to_json(ctx),
                     }
                 )
+            if enter >= leave and leave in pat_at:
+                seen[pat_at[leave]] -= 1
+                if not seen[pat_at[leave]]:
+                    del seen[pat_at[leave]]
         whole = set(pat_at.values())
         if whole != expected:
             violations.append(

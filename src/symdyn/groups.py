@@ -473,23 +473,9 @@ def symmetric_closure(ctx: GroupContext, a: FiniteSubset) -> FiniteSubset:
     return FiniteSubset.of(ctx, itertools.chain(a, (ctx.inv(x) for x in a)))
 
 
-def interior(ctx: GroupContext, region: FiniteSubset, d: FiniteSubset) -> FiniteSubset:
-    """Elements of ``region`` whose whole ``d``-translate stays inside it."""
-    rset = region.as_set()
-    return FiniteSubset.of(
-        ctx, (g for g in region if all(ctx.mul(x, g) in rset for x in d))
-    )
-
-
 # ---------------------------------------------------------------------------
 # separation
 # ---------------------------------------------------------------------------
-
-def are_apart(ctx: GroupContext, d: FiniteSubset, e1: FiniteSubset, e2: FiniteSubset) -> bool:
-    """True iff the ``d``-translates of ``e1`` and ``e2`` do not meet."""
-    d1 = {ctx.mul(x, g) for x in d for g in e1}
-    return all(ctx.mul(x, g) not in d1 for x in d for g in e2)
-
 
 def separation_conflict(
     ctx: GroupContext, d: FiniteSubset, s: Iterable
@@ -534,6 +520,28 @@ def maximal_separated(
 # syndeticity and smallness
 # ---------------------------------------------------------------------------
 
+def _layers(ctx: GroupContext, sources: Iterable, inside=None) -> Iterator[set]:
+    """Layer ``rho`` is ``ball(rho)*sources`` minus ``ball(rho-1)*sources``.
+
+    Steps by ``ball(1)`` minus the identity, since every context's balls
+    are powers of ``ball(1)``.  With ``inside`` given, the walk enters no
+    cell outside it.  Stops after the last non-empty layer.
+    """
+    steps = [x for x in ctx.ball(1) if x != ctx.identity]
+    layer = set(sources)
+    seen = set(layer)
+    while layer:
+        yield layer
+        nxt = set()
+        for g in layer:
+            for x in steps:
+                h = ctx.mul(x, g)
+                if h not in seen and (inside is None or h in inside):
+                    nxt.add(h)
+        seen |= nxt
+        layer = nxt
+
+
 @dataclass(frozen=True)
 class SyndeticityResult:
     found: bool
@@ -557,20 +565,18 @@ def syndeticity_witness(
 ) -> SyndeticityResult:
     """Smallest ``r <= max_radius`` with ``ball(r) * s`` covering ``region``.
 
-    On failure the result carries the first uncovered element at the cap.
+    Walks outward from ``s`` one layer per radius.  On failure the result
+    carries the first uncovered element at the cap.
     """
-    covered: set = set(s.as_set())
-    uncovered = [g for g in region if g not in covered]
-    if not uncovered:
-        return SyndeticityResult(True, 0, None, 0)
-    for r in range(1, max_radius + 1):
-        ring = [g for g in ctx.ball(r) if ctx.word_length(g) == r] or list(ctx.ball(r))
-        for x in ring:
-            covered.update(ctx.mul(x, g) for g in s)
-        uncovered = [g for g in uncovered if g not in covered]
+    walk = _layers(ctx, s)
+    uncovered = list(region)
+    for r in itertools.count():
+        layer = next(walk, ())
+        uncovered = [g for g in uncovered if g not in layer]
         if not uncovered:
             return SyndeticityResult(True, r, None, r)
-    return SyndeticityResult(False, None, uncovered[0], max_radius)
+        if r >= max_radius:
+            return SyndeticityResult(False, None, uncovered[0], max_radius)
 
 
 @dataclass(frozen=True)
@@ -620,55 +626,45 @@ def is_small(
     radius verdict is ``small`` (with the covering gap), ``not-small``
     (avoidance fails syndeticity at the cap, witness element attached) or
     ``inconclusive`` (region too small to certify either way).
+
+    The cover ``ball(rho)*avoid`` grows by one layer of a walk per
+    ``rho``, and interiors come from one walk inward from the region's edge.
     """
     if syndetic_cap < 0 and max_f_radius >= 0:
         raise ValueError("ball radius must be >= 0")
-    # rings[rho] = ball(rho) minus ball(rho-1), with rings[0] = ball(0).
-    # Both families below nest through them, in region order:
-    # interiors[rho] = interior(region, ball(rho)) keeps the elements of
-    # interiors[rho-1] whose rings[rho] translate stays in the region, and
-    # the avoidance set at radius r keeps the elements of the one at r-1
-    # whose rings[r] translate misses the set.  Each ring and interior is
-    # built once, by the first radius that reaches it.
+    # depth[g]: the largest rho <= cap with ball(rho)*g inside the region; a
+    # cell at depth rho < cap is in layer rho + 1 of the walk inward from the
+    # cells just outside (a whole finite group has none, so all stay at cap).
     rset = region.as_set()
-    interiors = [list(region)]
-    rings = [list(ctx.ball(0))]
-
-    def ring(rho: int) -> list:
-        while len(rings) <= rho:
-            inner = ctx.ball(len(rings) - 1)
-            rings.append([x for x in ctx.ball(len(rings)) if x not in inner])
-        return rings[rho]
-
+    depth = dict.fromkeys(region, syndetic_cap)
+    outside = next(itertools.islice(_layers(ctx, rset), 1, None), ())
+    inward = itertools.islice(_layers(ctx, outside, rset), 1, syndetic_cap + 1)
+    for rho, layer in enumerate(inward):
+        depth.update(dict.fromkeys(layer, rho))
+    deepest = max(depth.values(), default=-1)
+    shells = _layers(ctx, [ctx.identity])
     verdicts = []
     avoid = list(region)
     for r in range(max_f_radius + 1):
-        shell = ring(r)
+        shell = next(shells, ())  # ball(r) minus ball(r-1)
         avoid = [
             g for g in avoid if not any(member(ctx.mul(x, g)) for x in shell)
         ]
+        # interiors shrink and covers grow, so the uncovered list only shrinks
         verdict: Optional[RadiusVerdict] = None
-        covered: set = set(avoid)
+        cover = _layers(ctx, avoid)
+        uncovered = list(region)
         for rho in range(syndetic_cap + 1):
-            if rho == len(interiors):
-                shell = ring(rho)
-                interiors.append([
-                    g for g in interiors[-1]
-                    if all(ctx.mul(x, g) in rset for x in shell)
-                ])
-            if rho > 0:
-                for x in ring(rho):
-                    covered.update(ctx.mul(x, g) for g in avoid)
-            target = interiors[rho]
-            if not target:
+            if rho > deepest:
                 verdict = RadiusVerdict(r, "inconclusive", None, None, len(avoid))
                 break
-            missing = [g for g in target if g not in covered]
-            if not missing:
+            layer = next(cover, ())
+            uncovered = [g for g in uncovered if depth[g] >= rho and g not in layer]
+            if not uncovered:
                 verdict = RadiusVerdict(r, "small", rho, None, len(avoid))
                 break
         if verdict is None:
-            verdict = RadiusVerdict(r, "not-small", None, missing[0], len(avoid))
+            verdict = RadiusVerdict(r, "not-small", None, uncovered[0], len(avoid))
         verdicts.append(verdict)
     if any(v.verdict == "not-small" for v in verdicts):
         overall = "not-small"

@@ -48,6 +48,7 @@ from .subshifts import (
     _LocalRegion,
     _bitrow_mul,
     _require_exact_ctx,
+    check_level,
     pattern_set,
     project_letter,
     project_pattern,
@@ -59,8 +60,7 @@ from .subshifts import (
 
 def level_preimages(spec: SftSpec, level: int) -> dict:
     """Full letters grouped by their truncation to the first ``level`` levels."""
-    if not 1 <= level <= spec.stack:
-        raise SubshiftError(f"level must lie in 1..{spec.stack}, got {level}")
+    check_level(spec.stack, level)
     groups: dict = {}
     for a in spec.letters():
         groups.setdefault(project_letter(a, level, spec.stack), set()).add(a)

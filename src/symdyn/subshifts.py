@@ -365,6 +365,12 @@ class ImageSpec:
 SpecLike = Union[SftSpec, SubstitutionSpec, ImageSpec]
 
 
+def check_level(stack: int, level: int) -> None:
+    """Reject a level outside ``1..stack``, the levels a stacked letter has."""
+    if not 1 <= level <= stack:
+        raise SubshiftError(f"level must lie in 1..{stack}, got {level}")
+
+
 def project_letter(v: Letter, n: int, stack: int) -> Letter:
     """Truncate a stacked letter to its first ``n`` levels."""
     if stack == 1:
@@ -909,6 +915,7 @@ def is_minimal_at(
     some ``f``-pattern, together with the first missing pattern.
     """
     stack = spec.stack
+    check_level(stack, n)
     targets = sorted_patterns(
         project_pattern_set(ctx, pattern_set(ctx, spec, f, sem), n, stack)
     )

@@ -217,8 +217,10 @@ HARD_SQUARE = (
     [
         ["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "2", "--sem", "local:1"],
         ["conf", "golden_mean", "--f", "0..3", "--a", "0=1", "--b", "3=1"],
+        ["minimal-check", "period2", "--probe", "0..1", "--window", "0..5"],
+        ["densify", "full_shift", "--window", "0,1", "--scale", "10"],
     ],
-    ids=["irreducible", "conf"],
+    ids=["irreducible", "conf", "minimal-check", "densify"],
 )
 def test_level_outside_the_stack_is_a_usage_error(argv, level, capsys):
     # --level 0 is a level like any other, not "no level given"

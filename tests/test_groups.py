@@ -20,7 +20,6 @@ from symdyn.groups import (
     GroupParseError,
     LatticeContext,
     ball_cap,
-    interior,
     is_separated,
     is_small,
     maximal_separated,
@@ -212,13 +211,6 @@ def test_syndeticity_witness_on_arithmetic_progression():
     sparse = FiniteSubset.of(ctx, [(0,)])
     res2 = syndeticity_witness(ctx, sparse, region, 2)
     assert not res2.found and res2.uncovered is not None
-
-
-def test_interior_shrinks_region():
-    ctx = parse_group("Z")
-    region = FiniteSubset.of(ctx, [(n,) for n in range(-5, 6)])
-    inner = interior(ctx, region, ctx.ball(2))
-    assert inner.elements == tuple((n,) for n in sorted(range(-3, 4), key=abs))
 
 
 def squares(g):

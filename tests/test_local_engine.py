@@ -12,7 +12,8 @@ admissibility verdicts and glued patterns (both asked through
 independence of each translation class by membership and compiles a
 region only for classes a forbidden occurrence can join, so its tests also
 count the regions it builds and pin failing specs whose counterexample
-lies off the identity.
+lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
+``test_stamp_engine`` whether two domains are apart.
 """
 
 import gc
@@ -25,7 +26,6 @@ from symdyn import irreducibility
 from symdyn.groups import (
     FiniteSubset,
     LatticeContext,
-    are_apart,
     parse_group,
     set_mul,
 )
@@ -49,6 +49,8 @@ from symdyn.subshifts import (
     sorted_patterns,
     window_patterns,
 )
+
+from test_stamp_engine import oracle_are_apart
 
 Z2 = parse_group("Z^2")
 F2 = parse_group("F2")
@@ -130,7 +132,7 @@ def oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, domain_radii
         e1 = set_mul(ctx, ctx.ball(r1), FiniteSubset.of(ctx, [c1]))
         for r2, c2 in domains[i:]:
             e2 = set_mul(ctx, ctx.ball(r2), FiniteSubset.of(ctx, [c2]))
-            if not are_apart(ctx, d, e1, e2):
+            if not oracle_are_apart(ctx, d, e1, e2):
                 continue
             pairs += 1
             region = set_mul(

@@ -3,9 +3,14 @@
 The oracles below are the original routines, kept here and nowhere else:
 ``oracle_elements_in_order`` builds every ball and drops what it has seen,
 ``oracle_free_dense_point`` restarts its site search from the identity on
-every placement, ``oracle_is_small`` recomputes ``interior(region,
-ball(rho))`` for every pair (r, rho), and ``oracle_tail_ok`` loops over the
-forbidden patterns at every transfer-graph extension.  The library must
+every placement, ``oracle_is_small`` recomputes ``oracle_interior(region,
+ball(rho))`` and the cover ``ball(rho)*avoid`` for every pair (r, rho),
+``oracle_syndeticity_witness`` adds the translate of one word-length ring
+at a time, and ``oracle_tail_ok`` loops over the forbidden patterns at
+every transfer-graph extension.  ``oracle_interior`` and
+``oracle_are_apart`` are the group geometry routines the library replaced
+by breadth-first walks and by membership tests; ``test_local_engine``
+asks ``oracle_are_apart`` too.  The library must
 agree with them exactly.  ``oracle_mixing_gap`` is the transfer graph's old
 path-length scan, which the exact gluing check now reads off the graph's
 bit-matrix powers.  The transfer graph's bit rows replaced three walks kept
@@ -15,7 +20,7 @@ own state index, adjacency and level rows; ``oracle_reach`` gives the
 states reachable in exactly ``n`` steps as sets.  The exact gluing scan
 reads interval apartness off ``D - D`` and memoises class verdicts;
 ``oracle_check_irreducible_exact`` is the scan it replaced, which builds
-both intervals and asks ``are_apart`` for every class and scans the words
+both intervals and asks ``oracle_are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
 singleton-apartness loop.  The densification re-check finds each
 cell's marker once, reads one collar per marker, and decides the marker
@@ -71,6 +76,7 @@ from symdyn.constructions import (
 )
 from symdyn.corpus import builtin_spec
 from symdyn.groups import (
+    FINITE_TABLES,
     BallCapExceeded,
     FiniteGroupContext,
     FiniteSubset,
@@ -78,10 +84,11 @@ from symdyn.groups import (
     LatticeContext,
     RadiusVerdict,
     SmallnessReport,
-    are_apart,
-    interior,
+    SyndeticityResult,
     is_small,
     parse_group,
+    set_pow,
+    syndeticity_witness,
 )
 from symdyn.irreducibility import (
     GluingCounterexample,
@@ -170,6 +177,34 @@ def oracle_free_dense_point(ctx, depth):
     return FreeDensePoint(mapping_configuration(ctx, assigned, 0), tuple(stages), radius), assigned
 
 
+def oracle_interior(ctx, region, d):
+    """Elements of ``region`` whose whole ``d``-translate stays inside it."""
+    rset = region.as_set()
+    return FiniteSubset.of(ctx, (g for g in region if all(ctx.mul(x, g) in rset for x in d)))
+
+
+def oracle_are_apart(ctx, d, e1, e2):
+    """True iff the ``d``-translates of ``e1`` and ``e2`` do not meet."""
+    d1 = {ctx.mul(x, g) for x in d for g in e1}
+    return all(ctx.mul(x, g) not in d1 for x in d for g in e2)
+
+
+def oracle_syndeticity_witness(ctx, s, region, max_radius):
+    """``syndeticity_witness`` adding each word-length ring's translate of ``s``."""
+    covered = set(s.as_set())
+    uncovered = [g for g in region if g not in covered]
+    if not uncovered:
+        return SyndeticityResult(True, 0, None, 0)
+    for r in range(1, max_radius + 1):
+        ring = [g for g in ctx.ball(r) if ctx.word_length(g) == r] or list(ctx.ball(r))
+        for x in ring:
+            covered.update(ctx.mul(x, g) for g in s)
+        uncovered = [g for g in uncovered if g not in covered]
+        if not uncovered:
+            return SyndeticityResult(True, r, None, r)
+    return SyndeticityResult(False, None, uncovered[0], max_radius)
+
+
 def oracle_is_small(ctx, member, max_f_radius, region, syndetic_cap):
     verdicts = []
     for r in range(max_f_radius + 1):
@@ -181,7 +216,7 @@ def oracle_is_small(ctx, member, max_f_radius, region, syndetic_cap):
             if rho > 0:
                 for x in ctx.ball(rho):
                     covered.update(ctx.mul(x, g) for g in avoid)
-            target = interior(ctx, region, ctx.ball(rho))
+            target = oracle_interior(ctx, region, ctx.ball(rho))
             if len(target) == 0:
                 verdict = RadiusVerdict(r, "inconclusive", None, None, len(avoid))
                 break
@@ -190,7 +225,7 @@ def oracle_is_small(ctx, member, max_f_radius, region, syndetic_cap):
                 verdict = RadiusVerdict(r, "small", rho, None, len(avoid))
                 break
         if verdict is None:
-            target = interior(ctx, region, ctx.ball(syndetic_cap))
+            target = oracle_interior(ctx, region, ctx.ball(syndetic_cap))
             missing = [g for g in target if g not in covered]
             verdict = RadiusVerdict(r, "not-small", None, missing[0] if missing else None,
                                     len(avoid))
@@ -351,13 +386,14 @@ def oracle_min_apart_gap(ctx, d):
     lo = min(g[0] for g in d)
     hi = max(g[0] for g in d)
     for gap in range(hi - lo + 2):
-        if are_apart(ctx, d, FiniteSubset.of(ctx, [(0,)]), FiniteSubset.of(ctx, [(gap + 1,)])):
+        e2 = FiniteSubset.of(ctx, [(gap + 1,)])
+        if oracle_are_apart(ctx, d, FiniteSubset.of(ctx, [(0,)]), e2):
             return gap
     raise RuntimeError("translates of distant singletons must separate")
 
 
 def oracle_check_irreducible_exact(ctx, spec, level, d, scale):
-    """The exact interval scan with ``are_apart`` per class and no verdict memo."""
+    """The exact interval scan with ``oracle_are_apart`` per class and no verdict memo."""
     engine = _IntervalGluer(spec, level)
     tg = engine.tg
 
@@ -382,7 +418,7 @@ def oracle_check_irreducible_exact(ctx, spec, level, d, scale):
     for l1, gap, l2 in classes:
         e1 = FiniteSubset.of(ctx, [(i,) for i in range(l1)])
         e2 = FiniteSubset.of(ctx, [(l1 + gap + i,) for i in range(l2)])
-        if not are_apart(ctx, d, e1, e2):
+        if not oracle_are_apart(ctx, d, e1, e2):
             continue
         pairs += 1
         bad = class_counterexample(l1, gap, l2)
@@ -685,22 +721,40 @@ def test_free_dense_point_on_f2_stops_at_the_ball_cap(monkeypatch):
 
 # --- smallness -------------------------------------------------------------------
 
-SMALL_GROUPS = {"Z": Z, "Z^2": Z2, "F2": F2, "finite:s3": parse_group("finite:s3")}
+Z3 = parse_group("Z^3")
+SMALL_GROUPS = {"Z": Z, "Z^2": Z2, "Z^3": Z3, "F2": F2,
+                "finite:s3": parse_group("finite:s3"), "finite:z6": parse_group("finite:z6")}
+
+
+@pytest.mark.parametrize("group", ["Z", "Z^2", "F2", *(f"finite:{n}" for n in FINITE_TABLES)])
+def test_balls_are_powers_of_the_unit_ball(group):
+    # the breadth-first walks behind is_small and syndeticity_witness step
+    # by ball(1), so their layer rho is ball(rho)*sources minus ball(rho-1)*sources
+    ctx = parse_group(group)
+    for rho in range(4):
+        assert ctx.ball(rho) == set_pow(ctx, ctx.ball(1), rho)
 
 
 @st.composite
 def smallness_cases(draw):
     ctx = SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))]
     pool = ctx.ball(4 if ctx is Z else 2).elements
-    if ctx is Z and draw(st.booleans()):
+    shape = draw(st.sampled_from(["interval", "ball", "scatter"]))
+    if shape == "interval" and ctx is Z:
         lo = draw(st.integers(-12, 0))
         region = FiniteSubset.of(ctx, [(n,) for n in range(lo, lo + draw(st.integers(0, 30)))])
+    elif shape == "ball":
+        # a ball with a few holes; ball(1) of a finite table is the whole group
+        cells = ctx.ball(draw(st.integers(0, 9 if ctx is Z else 2))).elements
+        holes = draw(st.lists(st.sampled_from(cells), max_size=3))
+        region = FiniteSubset.of(ctx, [g for g in cells if g not in holes])
     else:
         region = FiniteSubset.of(ctx, draw(st.lists(st.sampled_from(pool), max_size=40)))
     if draw(st.booleans()):
         period = draw(st.integers(2, 7))
         marks = frozenset(draw(st.lists(st.integers(0, period - 1), max_size=3)))
-        key = {Z: lambda g: g[0], Z2: lambda g: g[0] + 3 * g[1], F2: len}.get(ctx, lambda g: g)
+        key = {Z: lambda g: g[0], Z2: lambda g: g[0] + 3 * g[1],
+               Z3: lambda g: g[0] + 3 * g[1] + 5 * g[2], F2: len}.get(ctx, lambda g: g)
 
         def member(g):
             return key(g) % period in marks
@@ -710,7 +764,7 @@ def smallness_cases(draw):
 
         def member(g):
             return g in hits
-    return ctx, member, draw(st.integers(0, 2)), region, draw(st.integers(0, 6))
+    return ctx, member, draw(st.integers(0, 2)), region, draw(st.integers(0, 7))
 
 
 @settings(max_examples=200, deadline=None)
@@ -742,6 +796,37 @@ def test_is_small_draws_every_verdict_like_the_oracle(member, radius, lo, hi, ca
     got = is_small(Z, member, radius, region, cap)
     assert got == oracle_is_small(Z, member, radius, region, cap)
     assert got.overall == overall
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_TABLES))
+@pytest.mark.parametrize("hits", [(), (0,), (1, 2), (0, 1, 2, 3)])
+def test_is_small_on_a_whole_finite_group_matches_oracle(name, hits):
+    # no cell lies outside the region, so every interior is the whole group
+    ctx = parse_group(f"finite:{name}")
+    for radius, cap in [(0, 0), (1, 0), (0, 3), (2, 3)]:
+        got = is_small(ctx, lambda g: g in hits, radius, ctx.ball(1), cap)
+        assert got == oracle_is_small(ctx, lambda g: g in hits, radius, ctx.ball(1), cap)
+
+
+def test_interior_oracle_shrinks_region():
+    region = FiniteSubset.of(Z, [(n,) for n in range(-5, 6)])
+    inner = oracle_interior(Z, region, Z.ball(2))
+    assert inner.elements == tuple((n,) for n in sorted(range(-3, 4), key=abs))
+
+
+@st.composite
+def syndeticity_cases(draw):
+    ctx = SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))]
+    pool = ctx.ball(6 if ctx is Z else 2).elements
+    s = FiniteSubset.of(ctx, draw(st.lists(st.sampled_from(pool), max_size=6)))
+    region = FiniteSubset.of(ctx, draw(st.lists(st.sampled_from(pool), max_size=30)))
+    return ctx, s, region, draw(st.integers(-1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(syndeticity_cases())
+def test_syndeticity_witness_matches_ring_oracle(case):
+    assert syndeticity_witness(*case) == oracle_syndeticity_witness(*case)
 
 
 def test_is_small_rejects_a_negative_cap_like_the_ball():
@@ -917,7 +1002,7 @@ def test_apart_span_matches_are_apart_on_every_class(d):
             e1 = FiniteSubset.of(Z, [(i,) for i in range(l1)])
             e2 = FiniteSubset.of(Z, [(l1 + gap + i,) for i in range(l2)])
             apart = span is None or l1 + l2 <= span
-            assert apart == are_apart(Z, d, e1, e2), (gap, l1, l2)
+            assert apart == oracle_are_apart(Z, d, e1, e2), (gap, l1, l2)
 
 
 @pytest.mark.parametrize(
@@ -1099,6 +1184,20 @@ def test_verify_phi_matches_oracle_where_collar_fills_differ(spec, cells):
     want = oracle_verify_phi(sys, scale, 3, 1)
     assert want["verdict"]
     assert canonical_json(verify_phi(sys, scale, 3, 1)) == canonical_json(want)
+
+
+@pytest.mark.parametrize(
+    "name,cells", [("full_shift", [-1, 0]), ("golden_mean", [1, 2]), ("full_shift", [0, 1, 2])]
+)
+def test_verify_phi_short_bounds_miss_patterns_like_the_oracle(name, cells):
+    # a shrunk syndetic bound leaves stretches missing patterns; at bound 1 a
+    # stretch of a two- or three-cell window holds no placement at all
+    sys = build_phi(Z, builtin_spec(name), 1, FiniteSubset.of(Z, [(c,) for c in cells]))
+    for bound in (1, 2, 3, 5, 9):
+        short = dataclasses.replace(sys, syndetic_bound=bound)
+        got = verify_phi(short, 12, 2, 3)
+        assert any(v["kind"] == "stretch-missing" for v in got["evidence"]["violations"])
+        assert canonical_json(got) == canonical_json(oracle_verify_phi(short, 12, 2, 3))
 
 
 @functools.lru_cache(maxsize=None)
