@@ -9,7 +9,6 @@ from .certificates import (
     CertificateError,
     RunManifest,
     canonical_json,
-    envelope_digest,
     known_claims,
     load_certificate,
     load_manifest,
@@ -27,7 +26,6 @@ from .configurations import (
     mapping_configuration,
     minimal_point_in_cylinder,
     periodic_lattice_configuration,
-    verify_free_dense_point,
 )
 from .constructions import (
     ConstructionError,
@@ -42,7 +40,6 @@ from .constructions import (
     gamma_point,
     least_periodic_point,
     pad_free,
-    phi_eval,
     phi_point,
     product_spec,
     shatter_small,
@@ -53,7 +50,6 @@ from .corpus import (
     BUILTIN_NAMES,
     builtin_factor,
     builtin_spec,
-    canonical_point,
     load_spec,
 )
 from .groups import (
@@ -92,7 +88,6 @@ from .scp import (
     lift_scp_witness,
     scp_witness,
     verify_scp_witness,
-    visit_times,
 )
 from .subshifts import (
     EXACT,

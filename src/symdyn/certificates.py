@@ -47,10 +47,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def envelope_digest(env: dict) -> str:
-    return hashlib.sha256(canonical_json(env).encode("utf-8")).hexdigest()
-
-
 def make_envelope(
     claim: str,
     module: str,

@@ -277,36 +277,3 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     cfg = mapping_configuration(ctx, assigned, 0)
     cfg.label = f"free-dense-point[depth={depth}]"
     return FreeDensePoint(cfg, tuple(stages), radius)
-
-
-def verify_free_dense_point(ctx: GroupContext, point: FreeDensePoint) -> dict:
-    """Independent recheck of the staged guarantees, by evaluation."""
-    z = point.config
-    pattern_hits = 0
-    freeness_hits = 0
-    for st in point.stages:
-        for values, site in st.placements:
-            shifted = z.shift_by(site)
-            got = tuple(shifted.value(x) for x in st.window)
-            if got != values:
-                return {
-                    "ok": False,
-                    "failure": "pattern",
-                    "stage": len(st.window),
-                    "site": ctx.element_to_json(site),
-                }
-            pattern_hits += 1
-        h = st.probe_site
-        if z.value(h) != 0 or z.value(ctx.mul(h, st.free_target)) != 1:
-            return {
-                "ok": False,
-                "failure": "freeness",
-                "target": ctx.element_to_json(st.free_target),
-            }
-        freeness_hits += 1
-    return {
-        "ok": True,
-        "pattern_hits": pattern_hits,
-        "freeness_hits": freeness_hits,
-        "support_radius": point.support_radius,
-    }

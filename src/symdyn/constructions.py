@@ -388,18 +388,6 @@ def _phi_letter(
     return q.value_at(k)
 
 
-def phi_eval(
-    sys: PhiSystem, zprime: Configuration, y: Configuration, m: int, g
-) -> int:
-    """Level-``m`` coordinate of the rewritten point at ``g``."""
-    if m < 0:
-        raise ValueError("level index must be non-negative")
-    if m >= sys.level:
-        return 0
-    letter = _phi_letter(sys, zprime, _marker_hit(sys, y, g), g, {})
-    return letter_coords(letter, sys.level)[m]
-
-
 def phi_point(
     sys: PhiSystem, zprime: Configuration, y: Configuration
 ) -> Configuration:

@@ -5,12 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .configurations import (
-    Configuration,
-    constant_configuration,
-    fibonacci_configuration,
-    periodic_lattice_configuration,
-)
 from .groups import FiniteSubset, GroupContext, parse_group
 from .subshifts import (
     BlockMap,
@@ -89,18 +83,6 @@ def builtin_factor(name: str) -> ImageSpec:
     raise SubshiftError(
         f"unknown builtin factor {name!r}; have {BUILTIN_FACTOR_NAMES}"
     )
-
-
-def canonical_point(name: str) -> Configuration:
-    """A concrete admissible point of the named builtin, for visit tests."""
-    ctx = _z()
-    if name in ("full_shift", "golden_mean"):
-        return constant_configuration(ctx, 0)
-    if name == "period2":
-        return periodic_lattice_configuration(ctx, (2,), {(0,): 0, (1,): 1})
-    if name == "fibonacci_substitution":
-        return fibonacci_configuration(ctx)
-    raise SubshiftError(f"no canonical point for {name!r}")
 
 
 def load_spec(source: str) -> tuple[GroupContext, SpecLike]:

@@ -22,6 +22,7 @@ value that is not a positive integer is rejected with ``ValueError``).
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -139,10 +140,10 @@ class LatticeContext(GroupContext):
         return (0,) * self.rank
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def generators(self) -> tuple:
         gens = []

@@ -8,9 +8,11 @@ the rank-1 lattice the scan runs over interval domains through the
 sliding-window automaton.  Apartness of two intervals is arithmetic:
 ``[0, l1)`` and ``[l1+gap, l1+gap+l2)`` are D-apart exactly when no
 positive element of ``D - D`` lies in ``[gap+1, gap+l1+l2-1]``, so the
-scan reads ``D - D`` once and bounds ``l1 + l2`` per gap.  Grouping
-patterns by their reachability behavior keeps the scan polynomial in the
-scale, a class verdict is computed once per behavior key, and a uniform
+scan reads ``D - D`` once and bounds ``l1 + l2`` per gap.  A class
+verdict depends only on the reachability behavior sets of its two
+lengths and the gap, and few distinct sets occur; each gap decides every
+pair of sets that co-occurs there once and counts its classes by
+arithmetic, which keeps the scan quadratic in the scale.  A uniform
 reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
@@ -85,11 +87,10 @@ class _IntervalGluer:
     The level rows merge the transfer graph's per-letter rows, and gap
     reachability reads the graph's cached powers.
 
-    Whether a class holds depends only on the set of forward bits at
-    ``l1``, the gap and the set of entry bits at ``l2``, so holding
-    verdicts are memoised under that key and the word scan runs only on
-    a miss.  A failing class never enters the memo: its counterexample
-    is found by the scan at its own ``(l1, gap, l2)``.
+    Whether a class holds depends only on its key: the set of forward
+    bits at ``l1``, the gap and the set of entry bits at ``l2``.  The two
+    sets do not depend on the gap, so each direction records once, and
+    lazily, the first length at which each distinct set occurs.
     """
 
     def __init__(self, spec: SftSpec, level: int):
@@ -104,14 +105,12 @@ class _IntervalGluer:
         self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
-        # length -> the set of behavior bits at that length, per direction
-        self._er_bits: dict[int, frozenset] = {}
-        self._en_bits: dict[int, frozenset] = {}
-        self._holds: set = set()
+        self._er_firsts = _FirstLengths()
+        self._en_firsts = _FirstLengths()
 
     def er_groups(self, length: int) -> tuple:
         """(forward bits, least word) per behavior class, words ascending."""
-        top = max(self._er)
+        top = len(self._er) - 1
         while top < length:
             new: dict[int, tuple] = {}
             for bits, rep in self._er[top]:
@@ -132,7 +131,7 @@ class _IntervalGluer:
 
     def en_groups(self, length: int) -> tuple:
         """(entry bits, least word) per behavior class, words ascending."""
-        top = max(self._en)
+        top = len(self._en) - 1
         while top < length:
             new: dict[int, tuple] = {}
             for v in self.level_letters:
@@ -150,29 +149,31 @@ class _IntervalGluer:
             self._rows[key] = _bitrow_mul(er_bits, self.tg.power(gap))
         return self._rows[key]
 
-    @staticmethod
-    def _bit_set(cache: dict, groups, length: int) -> frozenset:
-        if length not in cache:
-            cache[length] = frozenset(bits for bits, _ in groups(length))
-        return cache[length]
-
     def class_counterexample(
         self, l1: int, gap: int, l2: int
     ) -> Optional[tuple[tuple, tuple]]:
         """Least ungluable word pair for this domain class, if any."""
-        key = (
-            self._bit_set(self._er_bits, self.er_groups, l1),
-            gap,
-            self._bit_set(self._en_bits, self.en_groups, l2),
-        )
-        if key in self._holds:
-            return None
         for er_bits, rep1 in self.er_groups(l1):
             row = self.reach_row(er_bits, gap)
             for en_bits, rep2 in self.en_groups(l2):
                 if row & en_bits == 0:
                     return rep1, rep2
-        self._holds.add(key)
+        return None
+
+    def first_failure(self, gap: int, span: int) -> Optional[tuple]:
+        """First failing class ``(l1, l2, words)`` at ``gap`` with ``l1 + l2 <= span``.
+
+        Each key pair that co-occurs at this gap is decided once, at the
+        first lengths of its two sets, in ascending ``l1`` and then ``l2``.
+        Every class before the first failing pair in scan order repeats a
+        pair already decided, so that pair's lengths are the first failing
+        class in scan order.
+        """
+        for l1 in self._er_firsts.upto(self.er_groups, span - 1):
+            for l2 in self._en_firsts.upto(self.en_groups, span - l1):
+                bad = self.class_counterexample(l1, gap, l2)
+                if bad is not None:
+                    return l1, l2, bad
         return None
 
     def joint_feasible(self, l1: int, gap: int, l2: int, w1, w2) -> bool:
@@ -180,6 +181,41 @@ class _IntervalGluer:
         allowed = {i: self.pre[a] for i, a in enumerate(w1)}
         allowed.update({l1 + gap + i: self.pre[a] for i, a in enumerate(w2)})
         return self.tg.feasible(l1 + gap + l2, allowed)
+
+
+class _FirstLengths:
+    """The first length at which each distinct behavior bit set occurs.
+
+    ``groups`` maps a length to its (bits, word) classes.  Lengths are
+    read in ascending order and only as far as a caller iterates, so a
+    scan that stops early builds no longer words.  ``groups`` is passed
+    per call rather than kept, so that the gluer holding this record
+    forms no reference cycle and is freed as soon as its scan ends.
+    """
+
+    def __init__(self):
+        self.found: list[int] = []  # first lengths, ascending
+        self.seen: set = set()
+        self.top = 0  # lengths 1..top are read
+
+    def _grow(self, groups, limit: int) -> bool:
+        """Read lengths up to ``limit`` until a new bit set occurs."""
+        while self.top < limit:
+            self.top += 1
+            bits = frozenset(b for b, _ in groups(self.top))
+            if bits not in self.seen:
+                self.seen.add(bits)
+                self.found.append(self.top)
+                return True
+        return False
+
+    def upto(self, groups, limit: int):
+        i = 0
+        while i < len(self.found) or self._grow(groups, limit):
+            if self.found[i] > limit:
+                return
+            yield self.found[i]
+            i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +311,21 @@ def _check_irreducible_exact(
     min_gap = _min_apart_gap(diffs)
     pairs = 0
     found = None
+    # The apart classes at a gap are those with l1 + l2 <= span.  A gap
+    # decides only its distinct key pairs and counts its classes by
+    # arithmetic, so the scan is quadratic in the scale.
     for gap in range(width - 1):
-        # the apart classes at this gap are those with l1 + l2 <= span
         span = _apart_span(diffs, gap)
         span = width - gap if span is None else min(span, width - gap)
-        for l1 in range(1, span):
-            for l2 in range(1, span - l1 + 1):
-                pairs += 1
-                bad = engine.class_counterexample(l1, gap, l2)
-                if bad is not None:
-                    found = (l1, gap, l2, bad)
-                    break
-            if found:
-                break
-        if found:
-            break
+        bad = engine.first_failure(gap, span)
+        if bad is None:
+            pairs += span * (span - 1) // 2
+            continue
+        l1, l2, words = bad
+        # rows 1..l1-1 hold span - l1' classes each, then l2 in row l1
+        pairs += (l1 - 1) * span - l1 * (l1 - 1) // 2 + l2
+        found = (l1, gap, l2, words)
+        break
 
     counterexample = None
     if found:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import register_claim
-from .configurations import Configuration, elements_in_order, free_dense_point
+from .configurations import elements_in_order, free_dense_point
 from .constructions import ConstructionError, least_periodic_point
 from .groups import FiniteSubset, GroupContext, is_separated
 from .irreducibility import conf, irreducibility_witness_search
@@ -40,18 +40,6 @@ from .subshifts import (
     sorted_patterns,
     window_patterns,
 )
-
-
-def visit_times(
-    ctx: GroupContext, config: Configuration, alpha: Pattern, region: FiniteSubset
-) -> FiniteSubset:
-    """Positions in ``region`` where the translated point matches ``alpha``."""
-    hits = [
-        g
-        for g in region
-        if all(config.value(ctx.mul(h, g)) == v for h, v in alpha.items())
-    ]
-    return FiniteSubset.of(ctx, hits)
 
 
 @dataclass(frozen=True)

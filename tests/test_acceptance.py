@@ -14,7 +14,7 @@ import pytest
 
 from symdyn.certificates import verify_envelope
 from symdyn.cli import main
-from symdyn.configurations import free_dense_point
+from symdyn.configurations import free_dense_point, periodic_lattice_configuration
 from symdyn.constructions import (
     SmallnessRejected,
     build_phi,
@@ -25,7 +25,7 @@ from symdyn.constructions import (
     shatter_small,
     verify_phi,
 )
-from symdyn.corpus import builtin_spec, canonical_point
+from symdyn.corpus import builtin_spec
 from symdyn.groups import (
     FiniteSubset,
     is_separated,
@@ -258,7 +258,7 @@ def test_criterion_8_padding_restores_essential_freeness():
     rep = essential_freeness_check(Z, PERIOD2, (2,), bare_probes, EXACT)
     assert not rep.holds
     assert rep.failed_probe is not None
-    p2 = canonical_point("period2")
+    p2 = periodic_lattice_configuration(Z, (2,), {(0,): 0, (1,): 1})
     assert all(p2.value((n,)) == p2.value((n + 2,)) for n in range(-20, 21))
     print(
         "criterion 8: PASS - padded system free for all g in ball(2)\\{e}, "
@@ -322,4 +322,22 @@ def test_criterion_10_exact_gluing_at_scale_100():
     print(
         f"criterion 10: PASS - golden mean glues over ball(2) on all {apart} "
         f"interval classes at scale 100 in {elapsed:.1f}s"
+    )
+
+
+def test_criterion_10_exact_gluing_at_scale_200():
+    # the scan decides each gap's few behaviour-set pairs and counts its
+    # classes by arithmetic, so doubling the scale stays well inside 2 s
+    start = time.monotonic()
+    rep = check_irreducible(Z, GOLDEN, 1, Z.ball(2), 200)
+    elapsed = time.monotonic() - start
+    width = 401
+    apart = sum((width - gap) * (width - gap - 1) // 2 for gap in range(4, width - 1))
+    assert rep.holds, rep.counterexample
+    assert (rep.pairs_checked, rep.min_gap, rep.mixing_gap) == (apart, 4, 2)
+    assert rep.unconditional
+    assert elapsed < 2.0, f"budget exceeded: {elapsed:.2f}s"
+    print(
+        f"criterion 10: PASS - golden mean glues over ball(2) on all {apart} "
+        f"interval classes at scale 200 in {elapsed:.2f}s"
     )

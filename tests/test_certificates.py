@@ -1,6 +1,7 @@
 """Envelope shape, canonical serialization, the rebuild-and-compare
 verifier, and run manifests."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from symdyn.certificates import (
     RunManifest,
     canonical_json,
     check_envelope_shape,
-    envelope_digest,
     file_digest,
     known_claims,
     load_certificate,
@@ -26,6 +26,10 @@ from symdyn.groups import parse_group
 from symdyn.irreducibility import irreducibility_envelope
 
 Z = parse_group("Z")
+
+
+def envelope_digest(env):
+    return hashlib.sha256(canonical_json(env).encode("utf-8")).hexdigest()
 
 
 def sample_envelope():
@@ -213,8 +217,6 @@ def test_load_certificate_rejects_bad_shape(tmp_path):
 def test_file_digest_matches_content(tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("hello\n")
-    import hashlib
-
     assert file_digest(str(p)) == hashlib.sha256(b"hello\n").hexdigest()
 
 

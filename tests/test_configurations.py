@@ -13,7 +13,6 @@ from symdyn.configurations import (
     mapping_configuration,
     minimal_point_in_cylinder,
     periodic_lattice_configuration,
-    verify_free_dense_point,
 )
 from symdyn.corpus import builtin_spec
 from symdyn.groups import FiniteSubset, parse_group
@@ -104,8 +103,41 @@ def test_free_dense_point_shows_all_small_patterns(depth):
     assert want <= seen
 
 
+def oracle_verify_free_dense_point(ctx, point):
+    """Independent recheck of the staged guarantees, by evaluation."""
+    z = point.config
+    pattern_hits = 0
+    freeness_hits = 0
+    for st in point.stages:
+        for values, site in st.placements:
+            shifted = z.shift_by(site)
+            got = tuple(shifted.value(x) for x in st.window)
+            if got != values:
+                return {
+                    "ok": False,
+                    "failure": "pattern",
+                    "stage": len(st.window),
+                    "site": ctx.element_to_json(site),
+                }
+            pattern_hits += 1
+        h = st.probe_site
+        if z.value(h) != 0 or z.value(ctx.mul(h, st.free_target)) != 1:
+            return {
+                "ok": False,
+                "failure": "freeness",
+                "target": ctx.element_to_json(st.free_target),
+            }
+        freeness_hits += 1
+    return {
+        "ok": True,
+        "pattern_hits": pattern_hits,
+        "freeness_hits": freeness_hits,
+        "support_radius": point.support_radius,
+    }
+
+
 def test_free_dense_point_recheck():
     fdp = free_dense_point(Z, 3)
-    res = verify_free_dense_point(Z, fdp)
+    res = oracle_verify_free_dense_point(Z, fdp)
     assert res["ok"] is True
     assert res["pattern_hits"] > 0

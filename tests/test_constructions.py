@@ -25,7 +25,6 @@ from symdyn.constructions import (
     gamma_point,
     least_periodic_point,
     pad_free,
-    phi_eval,
     phi_point,
     product_spec,
     shatter_small,
@@ -234,16 +233,6 @@ def test_build_phi_rejects_single_pattern_window():
         build_phi(Z, one_letter, 1, interval(0, 0))
 
 
-def test_phi_eval_truncates_above_level():
-    sys = build_phi(Z, FULL, 1, interval(0, 0))
-    zp = Configuration(Z, lambda g: 0, "zeros")
-    y = canonical_marker_point(sys)
-    assert phi_eval(sys, zp, y, sys.level, (0,)) == 0
-    assert phi_eval(sys, zp, y, sys.level + 3, (5,)) == 0
-    with pytest.raises(ValueError):
-        phi_eval(sys, zp, y, -1, (0,))
-
-
 def test_phi_point_stamps_at_markers_and_keeps_far_cells():
     sys = build_phi(Z, FULL, 1, interval(0, 0))
     zp = Configuration(Z, lambda g: 0, "zeros")
@@ -271,8 +260,8 @@ def test_phi_point_reports_colliding_markers_at_the_first_shared_cell():
                        r"set is not V\^5-separated$"):
         point.value((1,))
     with pytest.raises(ConstructionError, match="markers collide near 4:"):
-        phi_eval(sys, Configuration(Z, lambda g: 1, "ones"), y, 0, (4,))
-    assert phi_eval(sys, Configuration(Z, lambda g: 1, "ones"), y, 0, (10,)) == 0
+        point.value((4,))
+    assert point.value((10,)) == 0
 
 
 def test_verify_phi_passes_on_full_and_golden():

@@ -86,6 +86,17 @@ def test_group_axioms_on_samples():
             assert ctx.mul(a, ctx.inv(a)) == ctx.identity
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_lattice_product_and_inverse_match_generator_form(rank, data):
+    ctx = LatticeContext(rank)
+    vectors = st.tuples(*[st.integers(-10**6, 10**6)] * rank)
+    a, b = data.draw(vectors), data.draw(vectors)
+    assert ctx.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert ctx.inv(a) == tuple(-x for x in a)
+    assert type(ctx.mul(a, b)) is tuple and type(ctx.inv(a)) is tuple
+
+
 def test_element_text_and_json_round_trip():
     for desc in ("Z", "Z^2", "F2", "finite:s3"):
         ctx = parse_group(desc)

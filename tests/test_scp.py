@@ -23,7 +23,6 @@ from symdyn.scp import (
     lift_scp_witness,
     scp_witness,
     verify_scp_witness,
-    visit_times,
 )
 from symdyn.subshifts import (
     EXACT,
@@ -46,27 +45,6 @@ def two_periodic(phase: int):
     return periodic_lattice_configuration(
         Z, (2,), {(0,): phase % 2, (1,): (phase + 1) % 2}
     )
-
-
-# --- visit times -------------------------------------------------------------
-
-
-def test_visit_times_matches_direct_evaluation():
-    cfg = two_periodic(0)
-    region = Z.ball(4)
-    hits = visit_times(Z, cfg, ZERO_CYL, region)
-    assert [g[0] for g in hits] == [0, -2, 2, -4, 4]
-    for g in region:
-        expect = cfg.value(g) == 0
-        assert (g in hits) == expect
-
-
-def test_visit_times_multicell_pattern():
-    cfg = two_periodic(0)
-    alpha = Pattern.of(Z, {(0,): 0, (1,): 1})
-    hits = visit_times(Z, cfg, alpha, Z.ball(3))
-    assert all(cfg.value(g) == 0 and cfg.value((g[0] + 1,)) == 1 for g in hits)
-    assert {g[0] for g in hits} == {-2, 0, 2}
 
 
 # --- covering witnesses -------------------------------------------------------

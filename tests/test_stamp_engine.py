@@ -18,8 +18,9 @@ here: ``oracle_feasible`` steps sets of state words, ``oracle_contains``
 follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
 own state index, adjacency and level rows; ``oracle_reach`` gives the
 states reachable in exactly ``n`` steps as sets.  The exact gluing scan
-reads interval apartness off ``D - D`` and memoises class verdicts;
-``oracle_check_irreducible_exact`` is the scan it replaced, which builds
+reads interval apartness off ``D - D`` and decides each gap's co-occurring
+pairs of behavior sets once;
+``oracle_check_irreducible_exact`` is the per-class scan, which builds
 both intervals and asks ``oracle_are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
 singleton-apartness loop.  The densification re-check finds each
@@ -40,11 +41,13 @@ marker by arithmetic and glues a group-translated stamp for every cell.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import operator
 import random
 import re
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -1022,18 +1025,96 @@ def test_exact_scan_matches_oracle_on_builtins(name, d, scale):
     )
 
 
+# no 000 and no two 0s three apart: single 0s glue at gap 0 but not at
+# gap 2, with the same behavior sets on both sides
+NO_FAR_ZEROS = SftSpec(
+    "Z", (2,),
+    (Pattern.of(Z, {(0,): 0, (1,): 0, (2,): 0}), Pattern.of(Z, {(0,): 0, (3,): 0})),
+    "no_far_zeros",
+)
+
+
 def test_exact_scan_memo_keeps_the_gap_in_its_key():
-    # no 000 and no two 0s three apart: single 0s glue at gap 0 but not at
-    # gap 2, with the same behavior sets on both sides
-    spec = SftSpec(
-        "Z", (2,),
-        (Pattern.of(Z, {(0,): 0, (1,): 0, (2,): 0}), Pattern.of(Z, {(0,): 0, (3,): 0})),
-        "no_far_zeros",
-    )
     d = FiniteSubset.of(Z, [(0,), (2,)])
-    report = check_irreducible(Z, spec, 1, d, 2)
-    assert report == oracle_check_irreducible_exact(Z, spec, 1, d, 2)
+    report = check_irreducible(Z, NO_FAR_ZEROS, 1, d, 2)
+    assert report == oracle_check_irreducible_exact(Z, NO_FAR_ZEROS, 1, d, 2)
     assert (report.pairs_checked, report.counterexample.gap) == (2, 2)
+
+
+def test_exact_scan_decides_only_key_pairs_that_co_occur():
+    # no two 0s three apart, D = {0, 3}: at gap 0 only l1 + l2 <= 3 is apart;
+    # 0|0, 0|?0 and ?0|0 glue there, while the longer 0?|?0 would not
+    spec = SftSpec("Z", (2,), (Pattern.of(Z, {(0,): 0, (3,): 0}),), "no_zeros_three_apart")
+    d = FiniteSubset.of(Z, [(0,), (3,)])
+    report = check_irreducible(Z, spec, 1, d, 4)
+    assert report == oracle_check_irreducible_exact(Z, spec, 1, d, 4)
+    assert report.holds
+
+
+def _asymmetric(xs):
+    return {-x for x in xs} != set(xs)
+
+
+# stacked alphabets, so that levels below the top merge letters
+STACKED = st.sampled_from([(2, 2), (1, 3), (2, 1), (1, 1, 2), (2, 1, 2)])
+ASYMMETRIC_DOMAINS = (
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True)
+    .filter(_asymmetric)
+    .map(lambda xs: FiniteSubset.of(Z, [(x,) for x in xs]))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(z_sft_specs(sizes=STACKED), ASYMMETRIC_DOMAINS, st.integers(8, 14))
+def test_exact_scan_matches_oracle_on_stacked_specs_at_every_level(spec, d, scale):
+    # at these scales each behavior set recurs over many lengths, so the
+    # scan decides a gap's key pairs far fewer times than it has classes
+    for level in range(1, spec.stack + 1):
+        got = check_irreducible(Z, spec, level, d, scale)
+        assert got == oracle_check_irreducible_exact(Z, spec, level, d, scale), level
+
+
+@pytest.mark.parametrize(
+    "spec,d,scale,decided",
+    [
+        # fails at its first apart class: one class decided, one length read
+        (builtin_spec("period2"), [-2, -1, 0, 1, 2], 24, [(1, 4, 1)]),
+        # the per-class scan decided both of its classes too
+        (NO_FAR_ZEROS, [0, 2], 2, [(1, 0, 1), (1, 2, 1)]),
+    ],
+)
+def test_exact_scan_decides_classes_lazily_in_scan_order(monkeypatch, spec, d, scale, decided):
+    seen, lengths = [], []
+
+    def counting(name, log):
+        original = getattr(_IntervalGluer, name)
+
+        def wrapped(self, *args):
+            log.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(_IntervalGluer, name, wrapped)
+
+    counting("class_counterexample", seen)
+    counting("er_groups", lengths)
+    counting("en_groups", lengths)
+    check_irreducible(Z, spec, 1, FiniteSubset.of(Z, [(x,) for x in d]), scale)
+    assert seen == decided
+    assert max(n for n, in lengths) == max(max(l1, l2) for l1, _, l2 in decided)
+
+
+def test_interval_gluer_is_freed_without_the_cycle_collector():
+    # a verify run scans many certificates in one process; a gluer kept
+    # alive by a reference cycle would hold its words until a collection
+    engine = _IntervalGluer(builtin_spec("golden_mean"), 1)
+    assert engine.first_failure(4, 30) is None
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- exact against local semantics --------------------------------------------------
