@@ -20,7 +20,6 @@ from .certificates import (
 from .configurations import (
     Configuration,
     FreeDensePoint,
-    constant_configuration,
     free_dense_point,
     indicator_configuration,
     mapping_configuration,
@@ -76,7 +75,6 @@ from .irreducibility import (
     conf,
     irreducibility_envelope,
     irreducibility_witness_search,
-    level_pattern_list,
     max_separated_subshift,
 )
 from .scp import (
@@ -101,6 +99,7 @@ from .subshifts import (
     essential_freeness_check,
     is_admissible,
     is_minimal_at,
+    level_pattern_list,
     local,
     parse_semantics,
     pattern_set,

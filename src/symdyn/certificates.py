@@ -24,7 +24,6 @@ envelope into a different claim that is re-checked on its own terms.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -191,12 +190,6 @@ class Claim:
 
 _CLAIMS: dict[str, Claim] = {}
 
-_CLAIM_MODULES = (
-    "symdyn.irreducibility",
-    "symdyn.constructions",
-    "symdyn.scp",
-)
-
 
 def register_claim(name: str, module: str, fields: tuple, run: Callable) -> Claim:
     """Declare a claim for :func:`known_claims` and :func:`verify_envelope`."""
@@ -206,13 +199,7 @@ def register_claim(name: str, module: str, fields: tuple, run: Callable) -> Clai
     return _CLAIMS[name]
 
 
-def _load_claim_modules() -> None:
-    for mod in _CLAIM_MODULES:
-        importlib.import_module(mod)
-
-
 def known_claims() -> tuple[str, ...]:
-    _load_claim_modules()
     return tuple(sorted(_CLAIMS))
 
 
@@ -241,7 +228,6 @@ def verify_envelope(env: dict) -> VerificationResult:
         check_envelope_shape(env)
     except CertificateError as exc:
         return VerificationResult(False, f"malformed envelope: {exc}")
-    _load_claim_modules()
     claim = _CLAIMS.get(env["claim"])
     if claim is None:
         return VerificationResult(False, f"unknown claim {env['claim']!r}")

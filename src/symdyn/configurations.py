@@ -54,10 +54,6 @@ class Configuration:
         return f"<Configuration {self.label or hex(id(self))}>"
 
 
-def constant_configuration(ctx: GroupContext, letter) -> Configuration:
-    return Configuration(ctx, lambda g: letter, f"const:{letter}")
-
-
 def mapping_configuration(
     ctx: GroupContext, mapping: dict, default
 ) -> Configuration:

@@ -44,7 +44,6 @@ from .irreducibility import (
     IrreducibilityReport,
     check_irreducible,
     conf,
-    level_pattern_list,
     max_separated_subshift,
 )
 from .subshifts import (
@@ -60,6 +59,7 @@ from .subshifts import (
     hull_interval,
     is_admissible,
     letter_coords,
+    level_pattern_list,
     make_letter,
     project_letter,
     sorted_patterns,
@@ -264,7 +264,6 @@ class PhiSystem:
     u: Pattern  # displaying stamp on V
     witness_report: IrreducibilityReport
     marker_spec: SftSpec  # indicators of maximal V^5-separated sets
-    marker_witness: FiniteSubset
     marker_spacing: int  # canonical marker period (0 off the rank-1 lattice)
     syndetic_bound: int  # stretch length that must contain a full stamp
     build_scale: int
@@ -295,7 +294,7 @@ def build_phi(
     check_level(spec.stack, level)
     core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
     r = core["v_radius"]
-    marker_spec, marker_witness = max_separated_subshift(ctx, core["v5"])
+    marker_spec, _ = max_separated_subshift(ctx, core["v5"])
     if isinstance(ctx, LatticeContext) and ctx.rank == 1:
         # Maximal separation forbids all-zero stretches on ball(10r), so
         # markers are at most 20r+1 apart and every stretch of length
@@ -312,7 +311,6 @@ def build_phi(
         window=f,
         sem=sem,
         marker_spec=marker_spec,
-        marker_witness=marker_witness,
         marker_spacing=spacing,
         syndetic_bound=bound,
         build_scale=witness_scale,

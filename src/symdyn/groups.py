@@ -550,16 +550,6 @@ class SyndeticityResult:
     uncovered: Optional[object]
     checked_radius: int
 
-    def to_json(self, ctx: GroupContext) -> dict:
-        return {
-            "found": self.found,
-            "radius": self.radius,
-            "uncovered": None
-            if self.uncovered is None
-            else ctx.element_to_json(self.uncovered),
-            "checked_radius": self.checked_radius,
-        }
-
 
 def syndeticity_witness(
     ctx: GroupContext, s: FiniteSubset, region: FiniteSubset, max_radius: int

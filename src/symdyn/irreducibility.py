@@ -10,9 +10,11 @@ sliding-window automaton.  Apartness of two intervals is arithmetic:
 positive element of ``D - D`` lies in ``[gap+1, gap+l1+l2-1]``, so the
 scan reads ``D - D`` once and bounds ``l1 + l2`` per gap.  A class
 verdict depends only on the reachability behavior sets of its two
-lengths and the gap, and few distinct sets occur; each gap decides every
-pair of sets that co-occurs there once and counts its classes by
-arithmetic, which keeps the scan quadratic in the scale.  A uniform
+lengths and the gap.  Each direction's family of sets at one length
+determines the family at the next, so the scan reads lengths only up to
+the first repeated family; each gap decides every pair of sets that
+co-occurs there once and counts its classes by arithmetic, which keeps
+the scan linear in the scale.  A uniform
 reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
@@ -51,10 +53,8 @@ from .subshifts import (
     _bitrow_mul,
     _require_exact_ctx,
     check_level,
-    pattern_set,
+    level_pattern_list,
     project_letter,
-    project_pattern,
-    sorted_patterns,
     transfer_graph,
     window_test,
 )
@@ -89,8 +89,9 @@ class _IntervalGluer:
 
     Whether a class holds depends only on its key: the set of forward
     bits at ``l1``, the gap and the set of entry bits at ``l2``.  The two
-    sets do not depend on the gap, so each direction records once, and
-    lazily, the first length at which each distinct set occurs.
+    sets do not depend on the gap, and each direction's distinct families
+    first occur at lengths ``1..K``, where ``K + 1`` is the first length
+    whose family repeats, so a gap's work does not grow with the scale.
     """
 
     def __init__(self, spec: SftSpec, level: int):
@@ -105,8 +106,6 @@ class _IntervalGluer:
         self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
-        self._er_firsts = _FirstLengths()
-        self._en_firsts = _FirstLengths()
 
     def er_groups(self, length: int) -> tuple:
         """(forward bits, least word) per behavior class, words ascending."""
@@ -169,8 +168,8 @@ class _IntervalGluer:
         pair already decided, so that pair's lengths are the first failing
         class in scan order.
         """
-        for l1 in self._er_firsts.upto(self.er_groups, span - 1):
-            for l2 in self._en_firsts.upto(self.en_groups, span - l1):
+        for l1 in _new_lengths(self.er_groups, span - 1):
+            for l2 in _new_lengths(self.en_groups, span - l1):
                 bad = self.class_counterexample(l1, gap, l2)
                 if bad is not None:
                     return l1, l2, bad
@@ -183,39 +182,23 @@ class _IntervalGluer:
         return self.tg.feasible(l1 + gap + l2, allowed)
 
 
-class _FirstLengths:
-    """The first length at which each distinct behavior bit set occurs.
+def _new_lengths(groups, limit: int):
+    """Lengths ``1..limit`` before the first whose family repeats.
 
-    ``groups`` maps a length to its (bits, word) classes.  Lengths are
-    read in ascending order and only as far as a caller iterates, so a
-    scan that stops early builds no longer words.  ``groups`` is passed
-    per call rather than kept, so that the gluer holding this record
-    forms no reference cycle and is freed as soon as its scan ends.
+    ``groups`` maps a length to its (bits, word) classes, and a length's
+    family is its set of bit sets.  The family at ``l + 1`` is a function
+    of the family at ``l``, so once a family repeats an earlier one no new
+    family occurs: the lengths yielded are exactly the first lengths of
+    the distinct families.  A length is read only when the caller's loop
+    reaches it.
     """
-
-    def __init__(self):
-        self.found: list[int] = []  # first lengths, ascending
-        self.seen: set = set()
-        self.top = 0  # lengths 1..top are read
-
-    def _grow(self, groups, limit: int) -> bool:
-        """Read lengths up to ``limit`` until a new bit set occurs."""
-        while self.top < limit:
-            self.top += 1
-            bits = frozenset(b for b, _ in groups(self.top))
-            if bits not in self.seen:
-                self.seen.add(bits)
-                self.found.append(self.top)
-                return True
-        return False
-
-    def upto(self, groups, limit: int):
-        i = 0
-        while i < len(self.found) or self._grow(groups, limit):
-            if self.found[i] > limit:
-                return
-            yield self.found[i]
-            i += 1
+    seen = set()
+    for length in range(1, limit + 1):
+        family = frozenset(bits for bits, _ in groups(length))
+        if family in seen:
+            return
+        seen.add(family)
+        yield length
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +296,7 @@ def _check_irreducible_exact(
     found = None
     # The apart classes at a gap are those with l1 + l2 <= span.  A gap
     # decides only its distinct key pairs and counts its classes by
-    # arithmetic, so the scan is quadratic in the scale.
+    # arithmetic, so the scan is linear in the scale.
     for gap in range(width - 1):
         span = _apart_span(diffs, gap)
         span = width - gap if span is None else min(span, width - gap)
@@ -361,22 +344,6 @@ def _check_irreducible_exact(
         mixing_gap=mixing,
         unconditional=unconditional,
         counterexample=counterexample,
-    )
-
-
-def level_pattern_list(
-    ctx: GroupContext,
-    spec: SftSpec,
-    dom: FiniteSubset,
-    level: int,
-    sem: Semantics,
-) -> list[Pattern]:
-    """Admissible ``dom``-patterns truncated to ``level``, canonically sorted."""
-    pats = sorted_patterns(pattern_set(ctx, spec, dom, sem))
-    if level == spec.stack:
-        return pats
-    return sorted_patterns(
-        {project_pattern(ctx, p, level, spec.stack) for p in pats}
     )
 
 
@@ -539,15 +506,6 @@ class WitnessSearch:
     witness: Optional[FiniteSubset]
     trail: tuple  # (radius, holds) in scan order
     final: IrreducibilityReport
-
-    def to_json(self, ctx: GroupContext) -> dict:
-        return {
-            "found": self.found,
-            "radius": self.radius,
-            "witness": None if self.witness is None else self.witness.to_json(ctx),
-            "trail": [list(t) for t in self.trail],
-            "final": self.final.to_json(ctx),
-        }
 
 
 def irreducibility_witness_search(

@@ -396,12 +396,6 @@ def project_pattern(ctx: GroupContext, p: Pattern, n: int, stack: int) -> Patter
     return Pattern.on(p.domain, tuple(project_letter(v, n, stack) for v in p.values))
 
 
-def project_pattern_set(
-    ctx: GroupContext, pats: Iterable[Pattern], n: int, stack: int
-) -> frozenset:
-    return frozenset(project_pattern(ctx, p, n, stack) for p in pats)
-
-
 # ---------------------------------------------------------------------------
 # transfer graph (exact semantics on Z)
 # ---------------------------------------------------------------------------
@@ -426,6 +420,16 @@ def _normalized_forbidden(spec: SftSpec) -> list[tuple[tuple, tuple]]:
 def _no_cells(vals: list) -> tuple:
     """Getter of a one-cell occurrence: nothing else to match."""
     return ()
+
+
+def _matcher(cells: list, letters) -> tuple:
+    """``(getter, want)``: ``getter(word) == want`` when the word holds
+    ``letters`` at the indices ``cells``."""
+    if not cells:
+        return _no_cells, ()
+    if len(cells) == 1:
+        return itemgetter(cells[0]), letters[0]
+    return itemgetter(*cells), tuple(letters)
 
 
 class TransferGraph:
@@ -455,12 +459,7 @@ class TransferGraph:
         self._tails: dict = {}
         for offs, vals in norm:
             back = [o - offs[-1] - 1 for o in offs[:-1]]
-            if not back:
-                check = (1, _no_cells, ())
-            elif len(back) == 1:
-                check = (offs[-1] + 1, itemgetter(back[0]), vals[0])
-            else:
-                check = (offs[-1] + 1, itemgetter(*back), vals[:-1])
+            check = (offs[-1] + 1, *_matcher(back, vals[:-1]))
             self._tails.setdefault(vals[-1], []).append(check)
         states = self._enumerate_states()
         edges = {
@@ -697,15 +696,7 @@ class _LocalRegion:
                 else:
                     occ.sort()  # cells are distinct: sorts by index
                     last, a = occ.pop()
-                    if not occ:
-                        check = (_no_cells, ())
-                    elif len(occ) == 1:
-                        check = (itemgetter(occ[0][0]), occ[0][1])
-                    else:
-                        check = (
-                            itemgetter(*(j for j, _ in occ)),
-                            tuple(v for _, v in occ),
-                        )
+                    check = _matcher([j for j, _ in occ], [v for _, v in occ])
                     watch[last].setdefault(a, []).append(check)
         self.watch = watch
 
@@ -865,6 +856,22 @@ def pattern_set(
     return _PATTERN_SET_CACHE[key]
 
 
+def level_pattern_list(
+    ctx: GroupContext,
+    spec: SpecLike,
+    dom: FiniteSubset,
+    level: int,
+    sem: Semantics,
+) -> list[Pattern]:
+    """Admissible ``dom``-patterns truncated to ``level``, canonically sorted."""
+    pats = sorted_patterns(pattern_set(ctx, spec, dom, sem))
+    if level == spec.stack:
+        return pats
+    return sorted_patterns(
+        {project_pattern(ctx, p, level, spec.stack) for p in pats}
+    )
+
+
 def push_forward(
     ctx: GroupContext, bmap: BlockMap, beta: Pattern, f: FiniteSubset
 ) -> Pattern:
@@ -916,9 +923,7 @@ def is_minimal_at(
     """
     stack = spec.stack
     check_level(stack, n)
-    targets = sorted_patterns(
-        project_pattern_set(ctx, pattern_set(ctx, spec, f, sem), n, stack)
-    )
+    targets = level_pattern_list(ctx, spec, f, n, sem)
     placements = []
     vset = v.as_set()
     for g in v:

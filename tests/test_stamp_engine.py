@@ -19,7 +19,9 @@ follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
 own state index, adjacency and level rows; ``oracle_reach`` gives the
 states reachable in exactly ``n`` steps as sets.  The exact gluing scan
 reads interval apartness off ``D - D`` and decides each gap's co-occurring
-pairs of behavior sets once;
+pairs of behavior sets once, reading lengths only up to the first repeated
+family of behavior sets; ``oracle_first_lengths`` reads every length up to
+a limit instead;
 ``oracle_check_irreducible_exact`` is the per-class scan, which builds
 both intervals and asks ``oracle_are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
@@ -99,6 +101,7 @@ from symdyn.irreducibility import (
     _apart_span,
     _IntervalGluer,
     _min_apart_gap,
+    _new_lengths,
     _positive_differences,
     check_irreducible,
     conf,
@@ -1101,6 +1104,51 @@ def test_exact_scan_decides_classes_lazily_in_scan_order(monkeypatch, spec, d, s
     check_irreducible(Z, spec, 1, FiniteSubset.of(Z, [(x,) for x in d]), scale)
     assert seen == decided
     assert max(n for n, in lengths) == max(max(l1, l2) for l1, _, l2 in decided)
+
+
+def test_exact_scan_reads_lengths_only_to_the_first_repeated_family(monkeypatch):
+    # golden mean's families first repeat at length 2, so a scan whose
+    # intervals reach length 400 reads lengths 1 and 2 and no others
+    lengths = set()
+    for name in ("er_groups", "en_groups"):
+        original = getattr(_IntervalGluer, name)
+
+        def wrapped(self, length, original=original):
+            lengths.add(length)
+            return original(self, length)
+
+        monkeypatch.setattr(_IntervalGluer, name, wrapped)
+    report = check_irreducible(Z, builtin_spec("golden_mean"), 1, Z.ball(2), 200)
+    assert report.holds
+    assert lengths == {1, 2}
+
+
+def oracle_first_lengths(groups, limit):
+    """First length of each distinct family of bit sets, reading every length."""
+    firsts = {}
+    for length in range(1, limit + 1):
+        firsts.setdefault(frozenset(bits for bits, _ in groups(length)), length)
+    return sorted(firsts.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_sft_specs(sizes=STACKED))
+def test_scan_lengths_are_the_first_lengths_of_distinct_families(spec):
+    # the family at l + 1 is a function of the family at l, so stopping at
+    # the first repeat finds every family's first length
+    for level in range(1, spec.stack + 1):
+        engine = _IntervalGluer(spec, level)
+        for groups in (engine.er_groups, engine.en_groups):
+            assert list(_new_lengths(groups, 40)) == oracle_first_lengths(groups, 40), level
+
+
+def test_scan_lengths_stop_at_a_repeat_of_any_earlier_family():
+    # no Z SFT tried so far has a family sequence of period above 1, so a
+    # stand-in map pins the rule: length 4 repeats length 2, not length 3
+    def groups(length):
+        return ((1 if length == 1 else 2 + length % 2, ()),)
+
+    assert list(_new_lengths(groups, 9)) == oracle_first_lengths(groups, 9) == [1, 2, 3]
 
 
 def test_interval_gluer_is_freed_without_the_cycle_collector():
