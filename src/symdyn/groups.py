@@ -222,7 +222,14 @@ class FreeGroupContext(GroupContext):
         return ""
 
     def mul(self, a, b):
-        return _reduce_word(a + b)
+        # both words are reduced, so letters cancel only at the junction
+        if not (a and b and a[-1] == b[0].swapcase()):
+            return a + b
+        n = min(len(a), len(b))
+        i = 1
+        while i < n and a[-1 - i] == b[i].swapcase():
+            i += 1
+        return a[: len(a) - i] + b[i:]
 
     def inv(self, a):
         return a[::-1].swapcase()

@@ -19,7 +19,11 @@ reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
 translation class is decided by membership tests, and only classes that
-one forbidden occurrence can join are searched.
+one forbidden occurrence can join are searched.  A searched class reads
+each pattern's signature on the interface of the two thickened domains
+(the fills of the shared and crossing cells that extend on its own side),
+computed once per radius and interface, so the regions compiled do not
+grow with the scale.
 
 ``canonical_gluing`` returns the deterministic least joint extension of
 two compatible patterns — the densification pipeline depends on this
@@ -403,6 +407,7 @@ def _check_irreducible_local(
     # class met again has glued: the first failure ends the scan.
     sets: dict = {}
     searched: set = set()
+    sides = _SideSignatures(ctx, spec, narrow, margin, base)
     pairs = 0
     for i, r1 in enumerate(radii):
         for j, c1 in enumerate(centers):
@@ -422,7 +427,7 @@ def _check_irreducible_local(
                     if x not in touch or (r1, r2, x) in searched:
                         continue
                     searched.add((r1, r2, x))
-                    bad = _first_unglued(ctx, spec, narrow, margin, base, (r1, r2, x))
+                    bad = sides.first_unglued((r1, r2, x))
                     if bad is not None:
                         q1, q2 = bad
                         return report(pairs, GluingCounterexample(
@@ -431,37 +436,116 @@ def _check_irreducible_local(
     return report(pairs, None)
 
 
-def _first_unglued(
-    ctx: GroupContext, spec: SftSpec, narrow: dict, margin: FiniteSubset,
-    base: dict, cls: tuple,
-) -> Optional[tuple[Pattern, Pattern]]:
-    """First pattern pair, in scan order, with no joint fill of the class region.
+class _SideSignatures:
+    """Per-scan gluing decisions through the interface of two thickened sides.
 
-    ``cls`` is ``(r1, r2, x)``: the patterns ``base[r1]`` lie on ``ball(r1)``
-    at the origin, ``base[r2]`` on ``ball(r2)`` placed at ``ball(r2) * x``
-    (each pattern's values follow its ball's element order), and the region
-    is the ``margin``-thickened union of the two balls.
-    ``narrow`` maps each level letter to the full letters above it.
+    Class ``(r1, r2, x)`` has sides ``T_r1`` and ``B = T_r2 * x``, with
+    ``T_r = M * ball(r)``.  An occurrence inside ``T_r1 | B`` lies in
+    ``T_r1``, in ``B``, or crosses; the interface holds the crossing cells
+    and ``T_r1 & B``.  A pattern's signature is the set of fills of its
+    side's interface cells (origin coordinates) that extend to an
+    admissible fill of ``T_r``.  Two patterns glue iff some fills of their
+    signatures agree on ``T_r1 & B`` and complete no crossing occurrence.
+    ``narrow`` maps level letters to full letters; ``base[r]`` lists the
+    patterns on ``ball(r)`` in scan order.
     """
-    r1, r2, x = cls
-    at1 = ctx.ball(r1).elements
-    at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
-    region = _LocalRegion(ctx, spec, set_mul(ctx, margin, FiniteSubset.of(ctx, (*at1, *at2))))
-    cells1 = [region.index[g] for g in at1]
-    cells2 = [region.index[g] for g in at2]
-    free = region.choices()
-    vals = [None] * len(region.cells)
-    for q1 in base[r1]:
-        half = list(free)
-        for i, v in zip(cells1, q1.values):
-            half[i] = narrow[v]
-        for q2 in base[r2]:
-            choices = list(half)
-            for i, v in zip(cells2, q2.values):
-                choices[i] = narrow[v]
-            if not region.extends(vals, choices):
-                return q1, q2
-    return None
+
+    def __init__(self, ctx, spec, narrow, margin, base):
+        self.ctx, self.spec, self.narrow, self.margin, self.base = ctx, spec, narrow, margin, base
+        self._sides: dict = {}
+        self._sigs: dict = {}
+
+    def side(self, r: int) -> tuple:
+        """``T_r`` in ball order, as a set, and the (cell, letter) tuples of
+        the occurrences that meet it without lying inside it."""
+        if r not in self._sides:
+            ctx = self.ctx
+            cells = set_mul(ctx, self.margin, ctx.ball(r)).elements
+            inside = set(cells)
+            bound = []
+            for p in self.spec.forbidden:
+                items = tuple(p.items())
+                for t in dict.fromkeys(ctx.mul(ctx.inv(h), c) for h, _ in items for c in cells):
+                    occ = tuple((ctx.mul(h, t), v) for h, v in items)
+                    if any(g not in inside for g, _ in occ):
+                        bound.append(occ)
+            self._sides[r] = (cells, inside, bound)
+        return self._sides[r]
+
+    def signatures(self, r: int, interface: tuple) -> tuple:
+        """Each ``base[r]`` pattern's fills of ``interface`` (cells of ``T_r``)."""
+        key = (r, interface)
+        if key not in self._sigs:
+            first = set(interface)
+            rest = (g for g in self.side(r)[0] if g not in first)
+            region = _LocalRegion(self.ctx, self.spec, (*interface, *rest))
+            at = [region.index[g] for g in self.ctx.ball(r)]
+            n = len(interface)
+            sigs = []
+            for q in self.base[r]:
+                choices = region.choices()
+                for k, v in zip(at, q.values):
+                    choices[k] = self.narrow[v]
+                sigs.append(frozenset(
+                    tuple(vals[:n])
+                    for vals in region.search([None] * len(region.cells), choices, 0, n)
+                    if region.extends(vals, choices, n)
+                ))
+            self._sigs[key] = tuple(sigs)
+        return self._sigs[key]
+
+    def first_unglued(self, cls: tuple) -> Optional[tuple[Pattern, Pattern]]:
+        """First pattern pair, in scan order, with no joint fill of the class region.
+
+        ``cls`` is ``(r1, r2, x)``: ``base[r1]`` lies on ``ball(r1)`` at the
+        origin and ``base[r2]`` on ``ball(r2) * x`` (each pattern's values
+        follow its ball's element order).
+        """
+        r1, r2, x = cls
+        cells1, in1, bound1 = self.side(r1)
+        home = {self.ctx.mul(g, x): g for g in self.side(r2)[0]}  # B -> T_r2
+        crossing = [
+            occ for occ in bound1
+            if all(g in in1 or g in home for g, _ in occ)
+            and not all(g in home for g, _ in occ)
+        ]
+        cut = {g for occ in crossing for g, _ in occ} | in1.intersection(home)
+        j1 = tuple(g for g in cells1 if g in cut)
+        cut2 = {home[h] for h in cut if h in home}
+        j2 = tuple(g for g in self.side(r2)[0] if g in cut2)
+        pos = {g: i for i, g in enumerate(j1)}
+        pos2 = {g: i for i, g in enumerate(j2)}
+        same = [(pos[h], pos2[home[h]]) for h in j1 if h in home]
+        # a crossing cell outside T_r1 reads the second side's fill
+        pos.update((h, len(j1) + pos2[home[h]]) for h in cut if h not in in1)
+        checks = [tuple((pos[g], v) for g, v in occ) for occ in crossing]
+        sigs1 = self.signatures(r1, j1)
+        sigs2 = self.signatures(r2, j2)
+        fails = {
+            (s1, s2) for s1 in set(sigs1) for s2 in set(sigs2)
+            if not _glues(s1, s2, same, checks)
+        }
+        if not fails:
+            return None
+        for q1, s1 in zip(self.base[r1], sigs1):
+            for q2, s2 in zip(self.base[r2], sigs2):
+                if (s1, s2) in fails:
+                    return q1, q2
+        return None
+
+
+def _glues(sig1: frozenset, sig2: frozenset, same: list, checks: list) -> bool:
+    """Do two fills agree at the ``same`` position pairs and, joined, match
+    no occurrence in ``checks`` ((position, letter) pairs)?"""
+    by_shared: dict = {}
+    for b in sig2:
+        by_shared.setdefault(tuple(b[j] for _, j in same), []).append(b)
+    for a in sig1:
+        for b in by_shared.get(tuple(a[i] for i, _ in same), ()):
+            w = a + b
+            if not any(all(w[k] == v for k, v in occ) for occ in checks):
+                return True
+    return False
 
 
 def check_irreducible(

@@ -683,13 +683,14 @@ class _LocalRegion:
         self.letters = tuple(sorted(spec.letters()))
         watch: list[dict] = [{} for _ in self.cells]
         for p in spec.forbidden:
-            items = tuple(p.items())
-            anchor = ctx.inv(items[0][0])
+            # the occurrence anchored at c puts item h at h * anchor * c
+            (h0, v0), *items = p.items()
+            anchor = ctx.inv(h0)
+            items = [(ctx.mul(h, anchor), v) for h, v in items]
             for c in self.cells:
-                t = ctx.mul(anchor, c)
-                occ = []
-                for h, v in items:
-                    j = self.index.get(ctx.mul(h, t))
+                occ = [(self.index[c], v0)]
+                for k, v in items:
+                    j = self.index.get(ctx.mul(k, c))
                     if j is None:
                         break
                     occ.append((j, v))

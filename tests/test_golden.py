@@ -8,11 +8,12 @@ shows up as a failing row.  The rows are the README's certificate-emitting
 commands, one command for each remaining claim (``scp-lift``), a covering
 witness on a substitution system (the one input that is not finite-type),
 the README's failing exact check, and two local-semantics gluing checks (F2
-and Z^2).  Two larger local checks, hard square on Z^2 at scale 5 and
-``f2_hard`` at scale 3, pin the local scan's order and pair count at scales
-where most translation classes are decided without a search.  Two more exact checks pin the interval scan's order and pair
-count: a holding one with an asymmetric D at scale 30, and a failing one
-on a gap shift whose first counterexample comes after 36 apart classes.
+and Z^2).  Four larger local checks, hard square on Z^2 at scales 5 and 7
+and ``f2_hard`` at scales 3 and 4, pin the local scan's order and pair count
+at scales where most translation classes are decided without a search.  Two
+more exact checks pin the interval scan's order and pair count: a holding
+one with an asymmetric D at scale 30, and a failing one on a gap shift
+whose first counterexample comes after 36 apart classes.
 Two stamp rows run at the benchmark's sizes: densification with a
 three-cell window at scale 60 (displaying radius 5, so the marker system
 has forbidden diameter 100), and shattering five squares over ``0..600``.
@@ -81,6 +82,10 @@ GOLDEN = {
                               "--sem", "local:1"], 0),
     "f2-hard-local-s3": (["irreducible", F2_HARD, "--d", "ball:1", "--scale", "3",
                           "--sem", "local:1"], 0),
+    "f2-hard-local-s4": (["irreducible", F2_HARD, "--d", "ball:1", "--scale", "4",
+                          "--sem", "local:1"], 0),
+    "hard-square-local-s7": (["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "7",
+                              "--sem", "local:1"], 0),
 }
 
 

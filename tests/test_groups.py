@@ -19,6 +19,7 @@ from symdyn.groups import (
     FiniteSubset,
     GroupParseError,
     LatticeContext,
+    _reduce_word,
     ball_cap,
     is_separated,
     is_small,
@@ -119,6 +120,18 @@ def test_free_group_reduction():
     assert f2.mul(a, ainv) == f2.identity
     with pytest.raises(GroupParseError):
         f2.element_from_text("aA")  # not reduced
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_free_group_product_cancels_like_a_full_reduction(data):
+    f2 = parse_group("F2")
+    words = st.lists(st.sampled_from("abAB"), max_size=8).map(lambda w: _reduce_word("".join(w)))
+    a = data.draw(words)
+    # a prefix of a^-1 forces cancellation at the junction
+    b = data.draw(st.one_of(words, st.builds(lambda k, w: _reduce_word(f2.inv(a)[:k] + w),
+                                             st.integers(0, 8), words)))
+    assert f2.mul(a, b) == _reduce_word(a + b)
 
 
 def test_finite_tables_are_groups():

@@ -9,9 +9,12 @@ and the gluing scan probes every domain pair afresh.  The library must
 agree with them exactly: same patterns in the same order, same
 admissibility verdicts and glued patterns (both asked through
 ``window_test``), same reports.  The library's scan decides apartness and
-independence of each translation class by membership and compiles a
-region only for classes a forbidden occurrence can join, so its tests also
-count the regions it builds and pin failing specs whose counterexample
+independence of each translation class by membership and decides the
+classes a forbidden occurrence can join by per-side signatures on the
+interface of the two thickened domains, so its tests also count the
+regions it builds, compare each class's verdict with
+``oracle_first_unglued`` (one whole-region search per pattern pair, the
+per-class decision it replaced) and pin failing specs whose counterexample
 lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 ``test_stamp_engine`` whether two domains are apart.
 """
@@ -19,7 +22,7 @@ lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symdyn import irreducibility
@@ -34,15 +37,18 @@ from symdyn.irreducibility import (
     GluingError,
     IrreducibilityReport,
     _check_irreducible_local,
+    _SideSignatures,
     check_irreducible,
     conf,
     level_preimages,
 )
 from symdyn.subshifts import (
     _PATTERN_SET_CACHE,
+    _LocalRegion,
     Pattern,
     SftSpec,
     is_admissible,
+    level_pattern_list,
     local,
     pattern_set,
     project_pattern,
@@ -147,6 +153,30 @@ def oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, domain_radii
                     if next(oracle_fill_completions(ctx, spec, region, {}, allowed), None) is None:
                         return _report(sem, level, scale, pairs, GluingCounterexample(q1, q2, None))
     return _report(sem, level, scale, pairs, None)
+
+
+def oracle_first_unglued(ctx, spec, narrow, margin, base, cls):
+    """First pattern pair of class ``(r1, r2, x)`` with no joint fill of the
+    whole region, one backtracking search per pair."""
+    r1, r2, x = cls
+    at1 = ctx.ball(r1).elements
+    at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
+    region = _LocalRegion(ctx, spec, set_mul(ctx, margin, FiniteSubset.of(ctx, (*at1, *at2))))
+    cells1 = [region.index[g] for g in at1]
+    cells2 = [region.index[g] for g in at2]
+    free = region.choices()
+    vals = [None] * len(region.cells)
+    for q1 in base[r1]:
+        half = list(free)
+        for i, v in zip(cells1, q1.values):
+            half[i] = narrow[v]
+        for q2 in base[r2]:
+            choices = list(half)
+            for i, v in zip(cells2, q2.values):
+                choices[i] = narrow[v]
+            if not region.extends(vals, choices):
+                return q1, q2
+    return None
 
 
 def oracle_conf_local(ctx, spec, level, f, alpha1, alpha2, sem):
@@ -273,6 +303,61 @@ def test_local_gluing_scan_matches_unmemoised_scan(data):
     assert got == oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, radii)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_side_signatures_decide_each_class_like_a_whole_region_search(data):
+    # every class with disjoint domains is apart for D = {e}; under margin 2
+    # the nearest of them have overlapping thickened sides, so the
+    # interface holds their intersection
+    margin = data.draw(st.integers(0, 2))
+    ctx, spec = data.draw(
+        sft_specs(max_letters=2 if margin == 2 else 3, groups=GLUING_GROUPS, offset=True)
+    )
+    level = data.draw(st.integers(1, spec.stack))
+    top = 0 if margin == 2 else 1
+    r1 = data.draw(st.integers(0, top))
+    r2 = data.draw(st.integers(r1, top))
+    reach = ctx.ball(r1 + r2 + 2 * margin + 1).elements
+    x = data.draw(st.sampled_from(reach))
+    assume(ctx.ball(r1).as_set().isdisjoint(ctx.mul(g, x) for g in ctx.ball(r2)))
+    m = local(margin)
+    narrow = {v: tuple(sorted(s)) for v, s in level_preimages(spec, level).items()}
+    base = {r: level_pattern_list(ctx, spec, ctx.ball(r), level, m) for r in {r1, r2}}
+    got = _SideSignatures(ctx, spec, narrow, ctx.ball(margin), base).first_unglued((r1, r2, x))
+    assert got == oracle_first_unglued(ctx, spec, narrow, ctx.ball(margin), base, (r1, r2, x))
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize(
+    "group,pairs",
+    [
+        ("Z^2", [(s, v, v) for s in ((1, 0), (0, 1)) for v in (0, 1)]),  # checkerboard
+        ("F2", [("a", 0, 0), ("a", 1, 1)]),
+        ("finite:s3", [(1, 0, 0), (1, 1, 1)]),
+    ],
+)
+def test_side_signatures_decide_every_nearby_class_of_a_failing_spec(group, pairs, margin):
+    # a two-colouring fixes each cell by its neighbour, so an interface
+    # fill that completes no occurrence may still not extend to its side
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    m = ctx.ball(margin)
+    narrow = {v: (v,) for v in (0, 1)}
+    radii = (0,) if margin == 2 else (0, 1)
+    base = {r: level_pattern_list(ctx, spec, ctx.ball(r), 1, local(margin)) for r in radii}
+    sides = _SideSignatures(ctx, spec, narrow, m, base)
+    fails = 0
+    for r1 in radii:
+        for r2 in radii:
+            at1 = ctx.ball(r1).as_set()
+            for x in ctx.ball(r1 + r2 + 2 * margin + 1):
+                if not at1.isdisjoint(ctx.mul(g, x) for g in ctx.ball(r2)):
+                    continue
+                want = oracle_first_unglued(ctx, spec, narrow, m, base, (r1, r2, x))
+                assert sides.first_unglued((r1, r2, x)) == want
+                fails += want is not None
+    assert fails > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_local_conf_matches_oracle(data):
@@ -343,6 +428,34 @@ def test_local_gluing_scan_compiles_a_region_only_for_interacting_classes(monkey
     # skipping the classes no forbidden occurrence can join must leave at
     # most a third of them
     assert 0 < len(built) <= 152 // 3
+
+
+@pytest.mark.parametrize(
+    "group,pairs,scales",
+    [
+        ("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], (3, 5, 7)),  # hard square
+        ("F2", [("a", 1, 1), ("b", 1, 1)], (2, 3, 4)),  # f2_hard
+    ],
+)
+def test_local_gluing_scan_compiles_as_many_regions_at_every_scale(monkeypatch, group, pairs,
+                                                                   scales):
+    # one region per radius and interface: the interfaces of the classes
+    # that interact repeat from scale to scale, so the count stays put
+    built = []
+
+    class CountingRegion(irreducibility._LocalRegion):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(irreducibility, "_LocalRegion", CountingRegion)
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    counts = []
+    for scale in scales:
+        built.clear()
+        assert check_irreducible(ctx, spec, 1, ctx.ball(1), scale, local(1)).holds
+        counts.append(len(built))
+    assert 0 < counts[0] <= 32 and counts == [counts[0]] * len(scales)
 
 
 CHECKER = [{(0, 0): v, s: v} for s in ((1, 0), (0, 1)) for v in (0, 1)]
