@@ -23,7 +23,8 @@ one forbidden occurrence can join are searched.  A searched class reads
 each pattern's signature on the interface of the two thickened domains
 (the fills of the shared and crossing cells that extend on its own side),
 computed once per radius and interface, so the regions compiled do not
-grow with the scale.
+grow with the scale; a class whose interfaces have too many fills to
+enumerate searches its joint region once per pattern pair instead.
 
 ``canonical_gluing`` returns the deterministic least joint extension of
 two compatible patterns — the densification pipeline depends on this
@@ -407,7 +408,7 @@ def _check_irreducible_local(
     # class met again has glued: the first failure ends the scan.
     sets: dict = {}
     searched: set = set()
-    sides = _SideSignatures(ctx, spec, narrow, margin, base)
+    sides = _SideSignatures(ctx, spec, narrow, sem, base)
     pairs = 0
     for i, r1 in enumerate(radii):
         for j, c1 in enumerate(centers):
@@ -436,6 +437,12 @@ def _check_irreducible_local(
     return report(pairs, None)
 
 
+# signature fills a class may always build: the interfaces of two-letter
+# specs with one-step forbidden domains recur from class to class and hold
+# at most three cells, so a radius-1 side of 17 patterns costs 136 fills
+_FEW_FILLS = 256
+
+
 class _SideSignatures:
     """Per-scan gluing decisions through the interface of two thickened sides.
 
@@ -446,12 +453,14 @@ class _SideSignatures:
     side's interface cells (origin coordinates) that extend to an
     admissible fill of ``T_r``.  Two patterns glue iff some fills of their
     signatures agree on ``T_r1 & B`` and complete no crossing occurrence.
+    A class whose interfaces have too many fills (wide overlaps, large
+    alphabets) is decided by one search of its joint region per pair.
     ``narrow`` maps level letters to full letters; ``base[r]`` lists the
     patterns on ``ball(r)`` in scan order.
     """
 
-    def __init__(self, ctx, spec, narrow, margin, base):
-        self.ctx, self.spec, self.narrow, self.margin, self.base = ctx, spec, narrow, margin, base
+    def __init__(self, ctx, spec, narrow, sem, base):
+        self.ctx, self.spec, self.narrow, self.sem, self.base = ctx, spec, narrow, sem, base
         self._sides: dict = {}
         self._sigs: dict = {}
 
@@ -460,7 +469,7 @@ class _SideSignatures:
         the occurrences that meet it without lying inside it."""
         if r not in self._sides:
             ctx = self.ctx
-            cells = set_mul(ctx, self.margin, ctx.ball(r)).elements
+            cells = set_mul(ctx, ctx.ball(self.sem.margin), ctx.ball(r)).elements
             inside = set(cells)
             bound = []
             for p in self.spec.forbidden:
@@ -513,6 +522,18 @@ class _SideSignatures:
         j1 = tuple(g for g in cells1 if g in cut)
         cut2 = {home[h] for h in cut if h in home}
         j2 = tuple(g for g in self.side(r2)[0] if g in cut2)
+        # A side's signatures cost up to one fill of T_r per pattern and
+        # interface fill, the pair search one fill of the joint region per
+        # pair; take the signatures unless the unbuilt ones cost more than
+        # both the pairs and _FEW_FILLS.
+        letters = len(self.spec.letters())
+        b1, b2 = self.base[r1], self.base[r2]
+        fills = sum(
+            len(self.base[r]) * letters ** len(j)
+            for r, j in {(r1, j1), (r2, j2)} if (r, j) not in self._sigs
+        )
+        if fills > max(_FEW_FILLS, len(b1) * len(b2)):
+            return self._search_pairs(cls)
         pos = {g: i for i, g in enumerate(j1)}
         pos2 = {g: i for i, g in enumerate(j2)}
         same = [(pos[h], pos2[home[h]]) for h in j1 if h in home]
@@ -527,9 +548,32 @@ class _SideSignatures:
         }
         if not fails:
             return None
-        for q1, s1 in zip(self.base[r1], sigs1):
-            for q2, s2 in zip(self.base[r2], sigs2):
+        for q1, s1 in zip(b1, sigs1):
+            for q2, s2 in zip(b2, sigs2):
                 if (s1, s2) in fails:
+                    return q1, q2
+        return None
+
+    def _search_pairs(self, cls: tuple) -> Optional[tuple[Pattern, Pattern]]:
+        """``first_unglued`` by one search of the joint region per pair."""
+        ctx, (r1, r2, x) = self.ctx, cls
+        at1 = ctx.ball(r1).elements
+        at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
+        joint = set_mul(ctx, ctx.ball(self.sem.margin), FiniteSubset.of(ctx, (*at1, *at2)))
+        region = _LocalRegion(ctx, self.spec, joint)
+        cells1 = [region.index[g] for g in at1]
+        cells2 = [region.index[g] for g in at2]
+        free = region.choices()
+        vals = [None] * len(region.cells)
+        for q1 in self.base[r1]:
+            half = list(free)
+            for i, v in zip(cells1, q1.values):
+                half[i] = self.narrow[v]
+            for q2 in self.base[r2]:
+                choices = list(half)
+                for i, v in zip(cells2, q2.values):
+                    choices[i] = self.narrow[v]
+                if not region.extends(vals, choices):
                     return q1, q2
         return None
 

@@ -20,6 +20,8 @@ lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 """
 
 import gc
+import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -323,7 +325,9 @@ def test_side_signatures_decide_each_class_like_a_whole_region_search(data):
     m = local(margin)
     narrow = {v: tuple(sorted(s)) for v, s in level_preimages(spec, level).items()}
     base = {r: level_pattern_list(ctx, spec, ctx.ball(r), level, m) for r in {r1, r2}}
-    got = _SideSignatures(ctx, spec, narrow, ctx.ball(margin), base).first_unglued((r1, r2, x))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irreducibility, "_FEW_FILLS", math.inf)  # never fall back to pairs
+        got = _SideSignatures(ctx, spec, narrow, m, base).first_unglued((r1, r2, x))
     assert got == oracle_first_unglued(ctx, spec, narrow, ctx.ball(margin), base, (r1, r2, x))
 
 
@@ -336,15 +340,18 @@ def test_side_signatures_decide_each_class_like_a_whole_region_search(data):
         ("finite:s3", [(1, 0, 0), (1, 1, 1)]),
     ],
 )
-def test_side_signatures_decide_every_nearby_class_of_a_failing_spec(group, pairs, margin):
+def test_side_signatures_decide_every_nearby_class_of_a_failing_spec(
+    monkeypatch, group, pairs, margin
+):
     # a two-colouring fixes each cell by its neighbour, so an interface
     # fill that completes no occurrence may still not extend to its side
+    monkeypatch.setattr(irreducibility, "_FEW_FILLS", math.inf)  # never fall back to pairs
     ctx, spec = _domino_spec(group, pairs, "domino")
     m = ctx.ball(margin)
     narrow = {v: (v,) for v in (0, 1)}
     radii = (0,) if margin == 2 else (0, 1)
     base = {r: level_pattern_list(ctx, spec, ctx.ball(r), 1, local(margin)) for r in radii}
-    sides = _SideSignatures(ctx, spec, narrow, m, base)
+    sides = _SideSignatures(ctx, spec, narrow, local(margin), base)
     fails = 0
     for r1 in radii:
         for r2 in radii:
@@ -456,6 +463,36 @@ def test_local_gluing_scan_compiles_as_many_regions_at_every_scale(monkeypatch, 
         assert check_irreducible(ctx, spec, 1, ctx.ball(1), scale, local(1)).holds
         counts.append(len(built))
     assert 0 < counts[0] <= 32 and counts == [counts[0]] * len(scales)
+
+
+def test_local_gluing_scan_searches_pairs_where_interfaces_are_wide():
+    # four full letters under margin 2: the thickened sides overlap and
+    # interfaces hold up to seven cells, 4^7 fills per pattern, where one
+    # search per pair is cheap
+    ctx = Z2
+    spec = SftSpec("Z^2", (2, 2), (
+        Pattern.of(ctx, {(0, 0): (1, 1), (1, 0): (1, 1)}),
+        Pattern.of(ctx, {(0, 0): (0, 1), (0, 1): (1, 0)}),
+    ), "stacked")
+    start = time.monotonic()
+    got = check_irreducible(ctx, spec, 1, ctx.ball(1), 2, local(2))
+    elapsed = time.monotonic() - start
+    assert got.holds and got.pairs_checked == 68
+    assert elapsed < 5.0, f"budget exceeded: {elapsed:.1f}s"
+
+
+def test_local_gluing_scan_reports_the_same_when_every_class_reads_signatures(monkeypatch):
+    # the first level must alternate along both axes; under margin 2 the
+    # first apart class has interfaces too wide for signatures and fails
+    ctx = Z2
+    spec = SftSpec("Z^2", (2, 2), tuple(
+        Pattern.of(ctx, {(0, 0): (v, w), s: (v, w2)})
+        for s in ((1, 0), (0, 1)) for v in (0, 1) for w in (0, 1) for w2 in (0, 1)
+    ), "stacked_checkerboard")
+    got = check_irreducible(ctx, spec, 1, ctx.ball(1), 2, local(2))
+    assert not got.holds and got.pairs_checked == 1
+    monkeypatch.setattr(irreducibility, "_FEW_FILLS", math.inf)
+    assert check_irreducible(ctx, spec, 1, ctx.ball(1), 2, local(2)) == got
 
 
 CHECKER = [{(0, 0): v, s: v} for s in ((1, 0), (0, 1)) for v in (0, 1)]
