@@ -19,12 +19,9 @@ reachability certificate (``unconditional``) extends the verdict beyond
 the scanned window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
 translation class is decided by membership tests, and only classes that
-one forbidden occurrence can join are searched.  A searched class reads
-each pattern's signature on the interface of the two thickened domains
-(the fills of the shared and crossing cells that extend on its own side),
-computed once per radius and interface, so the regions compiled do not
-grow with the scale; a class whose interfaces have too many fills to
-enumerate searches its joint region once per pattern pair instead.
+one forbidden occurrence can join are searched, by per-side signatures on
+the interface of the two thickened domains, built once per radius and
+interface (or, where interfaces are too wide, one search per pattern pair).
 
 ``canonical_gluing`` returns the deterministic least joint extension of
 two compatible patterns — the densification pipeline depends on this
@@ -437,9 +434,9 @@ def _check_irreducible_local(
     return report(pairs, None)
 
 
-# signature fills a class may always build: the interfaces of two-letter
-# specs with one-step forbidden domains recur from class to class and hold
-# at most three cells, so a radius-1 side of 17 patterns costs 136 fills
+# signature fills a class may always build: two-letter specs with one-step
+# forbidden domains have interfaces of at most three cells, so 17 patterns
+# on a radius-1 side cost 136 fills, and later classes reuse them
 _FEW_FILLS = 256
 
 

@@ -11,8 +11,9 @@ admissibility verdicts and glued patterns (both asked through
 ``window_test``), same reports.  The library's scan decides apartness and
 independence of each translation class by membership and decides the
 classes a forbidden occurrence can join by per-side signatures on the
-interface of the two thickened domains, so its tests also count the
-regions it builds, compare each class's verdict with
+interface of the two thickened domains (one search per pattern pair where
+the interfaces are too wide), so its tests also count the regions it
+builds, time a scan with wide interfaces, compare each class's verdict with
 ``oracle_first_unglued`` (one whole-region search per pattern pair, the
 per-class decision it replaced) and pin failing specs whose counterexample
 lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
