@@ -24,7 +24,7 @@ from .configurations import (
     indicator_configuration,
     mapping_configuration,
     minimal_point_in_cylinder,
-    periodic_lattice_configuration,
+    periodic_configuration,
 )
 from .constructions import (
     ConstructionError,

@@ -348,14 +348,8 @@ def _cmd_disjoint(args):
 def _cmd_cylinder_point(args):
     ctx = parse_group(args.group)
     u = parse_pattern(ctx, args.u)
-    try:
-        cp = minimal_point_in_cylinder(ctx, u, parse_letter(args.default))
-    except TypeError as exc:  # a group without a periodic backbone (free groups)
-        raise ValueError(str(exc)) from exc
-    window = Pattern.of(
-        ctx, {g: cp.config.value(g) for g in ctx.ball(args.radius)}
-    )
-    print(format_pattern(ctx, window))
+    point = minimal_point_in_cylinder(ctx, u, parse_letter(args.default))
+    print(format_pattern(ctx, point.window(ctx.ball(args.radius))))
     return 0, []
 
 

@@ -5,6 +5,10 @@ with a memo cache, so points built by staged or periodic constructions
 can be shifted and sampled on any finite window without materializing
 more than what was asked for.  Caches are only ever filled with the
 rule's own values, so concurrent readers cannot disagree.
+
+Every periodic point, such as the least periodic point of a finite-type
+system, the marker point or the point through a cylinder, is a table over
+a finite quotient of the group pulled back by :func:`periodic_configuration`.
 """
 
 from __future__ import annotations
@@ -69,16 +73,33 @@ def indicator_configuration(
     return Configuration(ctx, lambda g: 1 if member(g) else 0, label)
 
 
-def periodic_lattice_configuration(
-    ctx: LatticeContext, periods: tuple, table: dict
+def periodic_configuration(
+    ctx: GroupContext, table: dict, periods: tuple = (), default=None
 ) -> Configuration:
-    """Lattice configuration with value ``table[g mod periods]``."""
-    if not isinstance(ctx, LatticeContext):
-        raise TypeError("periodic configurations need a lattice context")
+    """The point ``g -> table.get(pi(g), default)`` pulled back from a
+    finite quotient of the group.
 
-    def rule(g):
-        return table[tuple(x % p for x, p in zip(g, periods))]
+    On a lattice ``pi`` reduces each coordinate modulo ``periods``; on a
+    finite group it is the identity and ``periods`` stays empty.  Other
+    groups have no finite quotient at desk scale and are rejected.
+    """
+    data = dict(table)
+    if isinstance(ctx, LatticeContext):
+        if len(periods) != ctx.rank:
+            raise ValueError(f"periods {periods} do not fit {ctx.describe()}")
 
+        def rule(g):
+            return data.get(tuple(x % p for x, p in zip(g, periods)), default)
+
+    elif isinstance(ctx, FiniteGroupContext):
+
+        def rule(g):
+            return data.get(g, default)
+
+    else:
+        raise ValueError(
+            "minimal_point_in_cylinder needs a lattice or finite group context"
+        )
     return Configuration(ctx, rule, f"periodic{periods}")
 
 
@@ -144,54 +165,34 @@ def fibonacci_configuration(ctx: LatticeContext) -> Configuration:
 # almost periodic point through a prescribed cylinder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylinderPoint:
-    config: Configuration
-    backbone: object  # periods tuple on lattices, FiniteSubset on finite groups
-    pattern: Pattern
-    default_letter: object
-
-
 def minimal_point_in_cylinder(
     ctx: GroupContext, alpha: Pattern, default_letter
-) -> CylinderPoint:
-    """Total point whose translates visit ``alpha`` along a periodic
-    maximal separated backbone.
+) -> Configuration:
+    """Periodic point whose translates visit ``alpha`` along a maximal
+    separated backbone.
 
     The backbone ``C`` is maximal ``dom(alpha)``-separated, so the copies
     of ``alpha`` stamped on ``dom(alpha) * c`` never collide and recur
     syndetically.  On lattices ``C`` is the sublattice with periods one
-    more than the per-coordinate diameters of ``dom(alpha)``; finite
-    groups take the greedy maximal separated subset.  Free groups have no
-    canonical periodic backbone at desk scale and are rejected.
+    more than the per-coordinate diameters of ``dom(alpha)``, so reducing
+    modulo the periods is injective on ``dom(alpha)``; finite groups take
+    the greedy maximal separated subset.  Free groups have no canonical
+    periodic backbone at desk scale and are rejected.
     """
     f = alpha.domain
     if len(f) == 0:
         raise ValueError("cylinder pattern must be non-empty")
+    periods: tuple = ()
+    table: dict = {}
     if isinstance(ctx, LatticeContext):
-        coords = list(zip(*f.elements))
-        periods = tuple(max(c) - min(c) + 1 for c in coords)
-        fmap = dict(alpha.items())
-
-        def rule(g):
-            for h, v in fmap.items():
-                if all((x - y) % p == 0 for x, y, p in zip(g, h, periods)):
-                    return v
-            return default_letter
-
-        cfg = Configuration(ctx, rule, f"cylinder-point{periods}")
-        return CylinderPoint(cfg, periods, alpha, default_letter)
-    if isinstance(ctx, FiniteGroupContext):
-        c = maximal_separated(ctx, f, ctx.ball(1))
-        stamped: dict = {}
-        for cc in c:
-            for h, v in alpha.items():
-                stamped[ctx.mul(h, cc)] = v
-        cfg = mapping_configuration(ctx, stamped, default_letter)
-        return CylinderPoint(cfg, c, alpha, default_letter)
-    raise TypeError(
-        "minimal_point_in_cylinder needs a lattice or finite group context"
-    )
+        periods = tuple(max(c) - min(c) + 1 for c in zip(*f.elements))
+        table = {
+            tuple(x % p for x, p in zip(h, periods)): v for h, v in alpha.items()
+        }
+    elif isinstance(ctx, FiniteGroupContext):
+        backbone = maximal_separated(ctx, f, ctx.ball(1))
+        table = {ctx.mul(h, c): v for c in backbone for h, v in alpha.items()}
+    return periodic_configuration(ctx, table, periods, default_letter)
 
 
 # ---------------------------------------------------------------------------

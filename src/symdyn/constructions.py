@@ -28,7 +28,7 @@ from .certificates import register_claim
 from .configurations import (
     Configuration,
     indicator_configuration,
-    periodic_lattice_configuration,
+    periodic_configuration,
 )
 from .groups import (
     FiniteGroupContext,
@@ -423,9 +423,7 @@ def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool
 def canonical_marker_point(sys: PhiSystem) -> Configuration:
     """Marker indicator with ones on the canonical lattice (rank-1 only)."""
     _require_exact_ctx(sys.ctx)
-    spacing = sys.marker_spacing
-    table = {(i,): (1 if i == 0 else 0) for i in range(spacing)}
-    return periodic_lattice_configuration(sys.ctx, (spacing,), table)
+    return periodic_configuration(sys.ctx, {(0,): 1}, (sys.marker_spacing,), 0)
 
 
 def verify_phi(
@@ -872,18 +870,16 @@ def gamma_point(gsys: GammaSystem, gelt: int = 0) -> Configuration:
     )
 
 
-def least_periodic_point(
-    ctx: GroupContext, spec: SftSpec, cap: int = 8
-) -> tuple[Configuration, int]:
-    """Canonically least periodic admissible point (period up to ``cap``)."""
+def least_periodic_point(ctx: GroupContext, spec: SftSpec) -> tuple[Configuration, int]:
+    """Canonically least periodic admissible point (period up to 8)."""
     tg = transfer_graph(spec)
-    for p in range(1, cap + 1):
+    for p in range(1, 9):
         reps = tg.m // p + 2
         for w in tg.language(p):
             if tg.contains(w * reps):
                 table = {(i,): w[i] for i in range(p)}
-                return periodic_lattice_configuration(ctx, (p,), table), p
-    raise ConstructionError(f"no admissible periodic point with period <= {cap}")
+                return periodic_configuration(ctx, table, (p,)), p
+    raise ConstructionError("no admissible periodic point with period <= 8")
 
 
 def gamma_densify(

@@ -14,7 +14,7 @@ import pytest
 
 from symdyn.certificates import verify_envelope
 from symdyn.cli import main
-from symdyn.configurations import free_dense_point, periodic_lattice_configuration
+from symdyn.configurations import free_dense_point, periodic_configuration
 from symdyn.constructions import (
     SmallnessRejected,
     build_phi,
@@ -258,7 +258,7 @@ def test_criterion_8_padding_restores_essential_freeness():
     rep = essential_freeness_check(Z, PERIOD2, (2,), bare_probes, EXACT)
     assert not rep.holds
     assert rep.failed_probe is not None
-    p2 = periodic_lattice_configuration(Z, (2,), {(0,): 0, (1,): 1})
+    p2 = periodic_configuration(Z, {(0,): 0, (1,): 1}, (2,))
     assert all(p2.value((n,)) == p2.value((n + 2,)) for n in range(-20, 21))
     print(
         "criterion 8: PASS - padded system free for all g in ball(2)\\{e}, "

@@ -245,13 +245,46 @@ def test_pad_free_command(capsys):
 def test_cylinder_point_command(capsys):
     assert main(["cylinder-point", "Z", "--u", "0=1,1=1", "--radius", "3"]) == 0
     out = capsys.readouterr().out
-    assert "=" in out
+    assert out == "0=1,-1=1,1=1,-2=1,2=1,-3=1,3=1\n"
+
+
+# (group, --u, --default, --radius, stdout) rows printed before the periodic
+# points shared one builder
+CYLINDER_POINT_ROWS = [
+    ("Z", "0=1,2=0", "2", 4, "0=1,-1=0,1=2,-2=2,2=0,-3=1,3=1,-4=0,4=2"),
+    ("Z", "-1=2,1=1", "0", 3, "0=0,-1=2,1=1,-2=1,2=2,-3=0,3=0"),
+    ("Z^2", "0:0=1", "0", 1, "0:0=1,-1:0=1,0:-1=1,0:1=1,1:0=1"),
+    ("Z^2", "0:0=1,1:1=2", "0", 2,
+     "0:0=1,-1:0=0,0:-1=0,0:1=0,1:0=0,-2:0=1,-1:-1=2,-1:1=2,0:-2=1,0:2=1,"
+     "1:-1=2,1:1=2,2:0=1"),
+    ("Z^3", "0:0:0=1,1:0:1=2", "0", 1,
+     "0:0:0=1,-1:0:0=0,0:-1:0=1,0:0:-1=0,0:0:1=0,0:1:0=1,1:0:0=0"),
+    ("finite:z2", "0=1", "0", 1, "0=1,1=1"),
+    ("finite:z3", "0=1", "0", 1, "0=1,1=1,2=1"),
+    ("finite:z4", "0=1,1=1", "0", 2, "0=1,1=1,2=1,3=1"),
+    ("finite:z6", "0=1,2=0", "2", 3, "0=1,1=1,2=0,3=0,4=2,5=2"),
+    ("finite:klein", "0=1", "0", 2, "0=1,1=1,2=1,3=1"),
+    ("finite:s3", "0=1", "0", 3, "0=1,1=1,2=1,3=1,4=1,5=1"),
+    ("finite:s3", "0=1,1=2", "0", 3, "0=1,1=2,2=1,3=1,4=2,5=2"),
+]
+
+
+@pytest.mark.parametrize("group, u, default, radius, out", CYLINDER_POINT_ROWS)
+def test_cylinder_point_prints_the_pinned_window(group, u, default, radius, out,
+                                                 capsys):
+    argv = ["cylinder-point", group, f"--u={u}", "--default", default,
+            "--radius", str(radius)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out + "\n"
 
 
 def test_cylinder_point_on_free_group_is_usage_error(capsys):
     assert main(["cylinder-point", "F2", "--u", "=1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "lattice or finite group" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: minimal_point_in_cylinder needs a lattice or finite group context\n"
+    )
 
 
 @pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3"])

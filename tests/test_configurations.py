@@ -1,18 +1,22 @@
-"""Total points: periodic lattices, indicators, cylinder backbones and
-the staged free point whose orbit closure is the whole binary shift."""
+"""Total points: periodic points through finite quotients, indicators,
+cylinder backbones and the staged free point whose orbit closure is the
+whole binary shift."""
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdyn.configurations import (
+    Configuration,
     elements_in_order,
     fibonacci_configuration,
     free_dense_point,
     indicator_configuration,
     mapping_configuration,
     minimal_point_in_cylinder,
-    periodic_lattice_configuration,
+    periodic_configuration,
 )
 from symdyn.corpus import builtin_spec
 from symdyn.groups import FiniteSubset, parse_group
@@ -22,8 +26,22 @@ Z = parse_group("Z")
 
 
 def test_periodic_lattice_configuration():
-    cfg = periodic_lattice_configuration(Z, (3,), {(0,): 1, (1,): 0, (2,): 2})
+    cfg = periodic_configuration(Z, {(0,): 1, (1,): 0, (2,): 2}, (3,))
     assert [cfg.value((n,)) for n in range(-3, 4)] == [1, 0, 2, 1, 0, 2, 1]
+
+
+def test_periodic_configuration_reads_the_quotient_table():
+    z2 = parse_group("Z^2")
+    cfg = periodic_configuration(z2, {(0, 1): 5}, (2, 3), 0)
+    assert cfg.value((4, -2)) == 5 and cfg.value((4, -1)) == 0
+    s3 = parse_group("finite:s3")
+    cfg = periodic_configuration(s3, {2: 1}, default=0)
+    assert [cfg.value(g) for g in range(6)] == [0, 0, 1, 0, 0, 0]
+    with pytest.raises(ValueError, match="do not fit Z\\^2"):
+        periodic_configuration(z2, {(0,): 1}, (2,))
+    f2 = parse_group("F2")
+    with pytest.raises(ValueError, match="lattice or finite group"):
+        periodic_configuration(f2, {"": 1})
 
 
 def test_indicator_and_mapping_configurations():
@@ -34,7 +52,7 @@ def test_indicator_and_mapping_configurations():
 
 
 def test_shift_follows_right_action():
-    cfg = periodic_lattice_configuration(Z, (4,), {(i,): i for i in range(4)})
+    cfg = periodic_configuration(Z, {(i,): i for i in range(4)}, (4,))
     g = (1,)
     moved = cfg.shift_by(g)
     # (g.z)(h) = z(h g)
@@ -43,7 +61,7 @@ def test_shift_follows_right_action():
 
 
 def test_restrict_gives_pattern():
-    cfg = periodic_lattice_configuration(Z, (2,), {(0,): 0, (1,): 1})
+    cfg = periodic_configuration(Z, {(0,): 0, (1,): 1}, (2,))
     p = cfg.window(FiniteSubset.of(Z, [(0,), (1,), (2,)]))
     assert p.values == (0, 1, 0)
 
@@ -71,23 +89,58 @@ def test_fibonacci_configuration_has_substitution_factors():
 def test_cylinder_point_stamps_on_separated_backbone():
     alpha = Pattern.of(Z, {(0,): 1, (1,): 1})
     cp = minimal_point_in_cylinder(Z, alpha, 0)
-    assert cp.backbone == (2,)
+    # the backbone is 2Z: the point is 2-periodic
+    assert all(cp.value((n,)) == cp.value((n + 2,)) for n in range(-8, 8))
     # the stamp occurs at every backbone point
     for t in (-4, -2, 0, 2, 4):
-        assert cp.config.value((t,)) == 1 and cp.config.value((t + 1,)) == 1
+        assert cp.value((t,)) == 1 and cp.value((t + 1,)) == 1
 
 
 def test_cylinder_point_on_finite_group():
     s3 = parse_group("finite:s3")
     alpha = Pattern.of(s3, {s3.identity: 1})
     cp = minimal_point_in_cylinder(s3, alpha, 0)
-    assert any(cp.config.value(g) == 1 for g in s3.ball(3))
+    assert any(cp.value(g) == 1 for g in s3.ball(3))
 
 
 def test_cylinder_point_rejects_free_groups():
     f2 = parse_group("F2")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="lattice or finite group context"):
         minimal_point_in_cylinder(f2, Pattern.of(f2, {f2.identity: 1}), 0)
+
+
+def oracle_cylinder_point(ctx, alpha, default_letter):
+    """The lattice cylinder point by its congruence rule: ``g`` takes the
+    value of the first cell of ``dom(alpha)`` congruent to it modulo the
+    diameters plus one."""
+    periods = tuple(max(c) - min(c) + 1 for c in zip(*alpha.domain.elements))
+    fmap = dict(alpha.items())
+
+    def rule(g):
+        for h, v in fmap.items():
+            if all((x - y) % p == 0 for x, y, p in zip(g, h, periods)):
+                return v
+        return default_letter
+
+    return Configuration(ctx, rule, f"cylinder-point{periods}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_cylinder_point_matches_congruence_oracle(rank, data):
+    ctx = parse_group("Z" if rank == 1 else f"Z^{rank}")
+    cell = st.tuples(*[st.integers(-4, 4)] * rank)
+    mapping = data.draw(
+        st.dictionaries(cell, st.integers(0, 3), min_size=1, max_size=6)
+    )
+    alpha = Pattern.of(ctx, mapping)
+    default = data.draw(st.integers(0, 3))
+    offset = data.draw(st.tuples(*[st.integers(-60, 60)] * rank))
+    got = minimal_point_in_cylinder(ctx, alpha, default)
+    want = oracle_cylinder_point(ctx, alpha, default)
+    for g in ctx.ball(6 if rank == 1 else 3):
+        g = ctx.mul(g, offset)
+        assert got.value(g) == want.value(g)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from symdyn.certificates import verify_envelope
-from symdyn.configurations import free_dense_point, periodic_lattice_configuration
+from symdyn.configurations import free_dense_point, periodic_configuration
 from symdyn.constructions import ConstructionError, least_periodic_point
 from symdyn.corpus import builtin_factor, builtin_spec
 from symdyn.groups import FiniteSubset, is_separated, parse_group
@@ -42,8 +42,8 @@ ZERO_CYL = Pattern.of(Z, {(0,): 0})
 
 
 def two_periodic(phase: int):
-    return periodic_lattice_configuration(
-        Z, (2,), {(0,): phase % 2, (1,): (phase + 1) % 2}
+    return periodic_configuration(
+        Z, {(0,): phase % 2, (1,): (phase + 1) % 2}, (2,)
     )
 
 
