@@ -105,7 +105,12 @@ def parse_pattern(ctx: GroupContext, text: str) -> Pattern:
         cell, eq, val = chunk.partition("=")
         if not eq:
             raise SubshiftError(f"pattern entry {chunk!r} is not cell=value")
-        mapping[ctx.element_from_text(cell.strip())] = parse_letter(val)
+        g = ctx.element_from_text(cell.strip())
+        if g in mapping:
+            raise SubshiftError(
+                f"pattern names the cell {ctx.element_to_text(g)} twice"
+            )
+        mapping[g] = parse_letter(val)
     if not mapping:
         raise SubshiftError("empty pattern")
     return Pattern.of(ctx, mapping)

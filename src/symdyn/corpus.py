@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .groups import FiniteSubset, GroupContext, parse_group
@@ -14,6 +15,7 @@ from .subshifts import (
     SubstitutionSpec,
     SpecLike,
     SubshiftError,
+    _json_get,
 )
 
 
@@ -93,13 +95,13 @@ def load_spec(source: str) -> tuple[GroupContext, SpecLike]:
     if source.strip().startswith("{"):
         obj = json.loads(source)
     else:
-        path = Path(source)
-        if not path.exists():
+        # os.path.isfile, unlike Path.exists, is False for names too long
+        if not os.path.isfile(source):
             raise SubshiftError(
                 f"{source!r} is neither a builtin system nor a spec file"
             )
-        obj = json.loads(path.read_text())
-    ctx = parse_group(obj["group"])
+        obj = json.loads(Path(source).read_text())
+    ctx = parse_group(_json_get(obj, "group", str))
     if "substitution" in obj:
         return ctx, SubstitutionSpec.from_json(ctx, obj)
     return ctx, SftSpec.from_json(ctx, obj)

@@ -170,15 +170,14 @@ class LatticeContext(GroupContext):
         return g[0] if self.rank == 1 else list(g)
 
     def element_from_json(self, obj):
-        if self.rank == 1:
-            if isinstance(obj, int):
-                return (obj,)
-            if isinstance(obj, list) and len(obj) == 1:
-                return (int(obj[0]),)
-            raise GroupParseError(f"bad Z element: {obj!r}")
-        if not isinstance(obj, list) or len(obj) != self.rank:
-            raise GroupParseError(f"bad Z^{self.rank} element: {obj!r}")
-        return tuple(int(x) for x in obj)
+        coords = [obj] if self.rank == 1 and not isinstance(obj, list) else obj
+        if not (
+            isinstance(coords, list)
+            and len(coords) == self.rank
+            and all(type(x) is int for x in coords)
+        ):
+            raise GroupParseError(f"bad {self.describe()} element: {obj!r}")
+        return tuple(coords)
 
     def element_to_text(self, g) -> str:
         return ":".join(str(x) for x in g)
@@ -446,7 +445,11 @@ def parse_subset(ctx: GroupContext, text: str) -> FiniteSubset:
     """Parse ``ball:r`` or a comma-separated element list (``-1,0,1``)."""
     text = text.strip()
     if text.startswith("ball:"):
-        return ctx.ball(int(text.split(":", 1)[1]))
+        try:
+            r = int(text.split(":", 1)[1])
+        except ValueError:
+            raise GroupParseError(f"cannot parse subset {text!r}") from None
+        return ctx.ball(r)
     if not text:
         return FiniteSubset.of(ctx, [])
     return FiniteSubset.of(

@@ -100,20 +100,53 @@ class Pattern:
         }
 
     @staticmethod
-    def from_json(ctx: GroupContext, obj: dict) -> "Pattern":
-        dom = [ctx.element_from_json(x) for x in obj["domain"]]
-        vals = [letter_from_json(v) for v in obj["values"]]
-        if len(dom) != len(vals):
-            raise SubshiftError("pattern domain/values length mismatch")
-        return Pattern.of(ctx, dict(zip(dom, vals)))
+    def from_json(
+        ctx: GroupContext, obj: dict, path: str = "pattern"
+    ) -> "Pattern":
+        cells = _json_get(obj, "domain", list, path)
+        vals = _json_get(obj, "values", list, path)
+        if len(cells) != len(vals):
+            raise SubshiftError(f"{path} domain/values length mismatch")
+        mapping: dict = {}
+        for i, (x, v) in enumerate(zip(cells, vals)):
+            g = ctx.element_from_json(x)
+            if g in mapping:
+                raise SubshiftError(f"{path}.domain names a cell twice")
+            where = f"{path}.values[{i}]"
+            mapping[g] = (
+                _json_ints(v, where) if type(v) is list else _json_check(v, int, where)
+            )
+        return Pattern.of(ctx, mapping)
 
 
 def letter_to_json(v: Letter):
     return list(v) if isinstance(v, tuple) else v
 
 
-def letter_from_json(obj) -> Letter:
-    return tuple(obj) if isinstance(obj, list) else int(obj)
+def _json_get(obj, key: str, kind, path: str = "", default=None):
+    """``obj[key]`` of decoded JSON, of a type in ``kind``; required unless
+    a ``default`` is given.  Each rejection names the key path."""
+    if not isinstance(obj, dict):
+        raise SubshiftError(f"{path or 'spec'} must be a JSON object")
+    where = f"{path}.{key}" if path else key
+    if key not in obj and default is None:
+        raise SubshiftError(f"missing key {where}")
+    return _json_check(obj.get(key, default), kind, where)
+
+
+def _json_check(value, kind, where: str):
+    # exact types, as json.loads builds them: a bool is not an int
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise SubshiftError(f"{where} must be {names}, got {value!r}")
+    return value
+
+
+def _json_ints(values: list, where: str) -> tuple:
+    return tuple(
+        _json_check(x, int, f"{where}[{i}]") for i, x in enumerate(values)
+    )
 
 
 def pattern_sort_key(p: Pattern):
@@ -213,14 +246,36 @@ class SftSpec:
 
     @staticmethod
     def from_json(ctx: GroupContext, obj: dict) -> "SftSpec":
-        alpha = obj["alphabet"]
-        stack = int(obj.get("stack", 1))
-        if isinstance(alpha, list):
-            sizes = tuple(int(a) for a in alpha)
+        alpha = _json_get(obj, "alphabet", (int, list))
+        if type(alpha) is list:
+            sizes = _json_ints(alpha, "alphabet")
         else:
-            sizes = (int(alpha),) * stack
-        forb = tuple(Pattern.from_json(ctx, p) for p in obj.get("forbidden", []))
-        return SftSpec(obj["group"], sizes, forb, obj.get("name", ""))
+            # bounded before the size tuple is built; every level with two
+            # or more letters multiplies the alphabet
+            stack = _json_get(obj, "stack", int, default=1)
+            if not 1 <= stack <= 64:
+                raise SubshiftError(f"stack must lie in 1..64, got {stack}")
+            sizes = (alpha,) * stack
+        if not sizes or min(sizes) < 1:
+            raise SubshiftError("alphabet sizes must be >= 1")
+        forb = []
+        for i, item in enumerate(_json_get(obj, "forbidden", list, default=[])):
+            p = Pattern.from_json(ctx, item, f"forbidden[{i}]")
+            for v in p.values:
+                coords = v if len(sizes) > 1 and type(v) is tuple else (v,)
+                if len(coords) != len(sizes) or any(
+                    x not in range(k) for x, k in zip(coords, sizes)
+                ):
+                    raise SubshiftError(
+                        f"forbidden[{i}] uses the letter {v!r} outside the alphabet"
+                    )
+            forb.append(p)
+        return SftSpec(
+            _json_get(obj, "group", str),
+            sizes,
+            tuple(forb),
+            _json_get(obj, "name", str, default=""),
+        )
 
 
 @dataclass(frozen=True)
@@ -246,7 +301,7 @@ class SubstitutionSpec:
         if len(self.alphabet_sizes) != 1:
             raise SubshiftError("substitution systems are depth-1")
         k = self.alphabet_sizes[0]
-        if len(self.rules) != k or any(not r for r in self.rules):
+        if k < 1 or len(self.rules) != k or any(not r for r in self.rules):
             raise SubshiftError("need a non-empty rule per letter")
         if any(a not in range(k) for r in self.rules for a in r):
             raise SubshiftError(f"rules may only use the letters 0..{k - 1}")
@@ -315,10 +370,18 @@ class SubstitutionSpec:
 
     @staticmethod
     def from_json(ctx: GroupContext, obj: dict) -> "SubstitutionSpec":
-        k = int(obj["alphabet"])
-        sub = obj["substitution"]
-        rules = tuple(tuple(sub[str(i)]) for i in range(k))
-        return SubstitutionSpec(obj["group"], (k,), rules, obj.get("name", ""))
+        k = _json_get(obj, "alphabet", int)
+        sub = _json_get(obj, "substitution", dict)
+        rules = tuple(
+            _json_ints(
+                _json_get(sub, str(i), list, "substitution"), f"substitution.{i}"
+            )
+            for i in range(k)
+        )
+        return SubstitutionSpec(
+            _json_get(obj, "group", str), (k,), rules,
+            _json_get(obj, "name", str, default=""),
+        )
 
 
 @dataclass(frozen=True)

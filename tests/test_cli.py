@@ -120,6 +120,60 @@ def test_bad_pattern_syntax_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "a, cell", [("0=1,0=0", "0"), ("0=1,1=0,00=1", "0"), ("2=0,2=0", "2")]
+)
+def test_pattern_naming_a_cell_twice_is_usage_error(a, cell, capsys):
+    # a repeated cell used to keep its last value and glue silently
+    assert main(["conf", "golden_mean", "--f", "0..4", "--a", a, "--b", "4=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: pattern names the cell {cell} twice\n"
+
+
+def _spec(**fields):
+    spec = {"group": "Z", "alphabet": 2, "forbidden": []}
+    spec.update(fields)
+    return json.dumps({k: v for k, v in spec.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # forbidding [1, 0] on one cell used to forbid the letter 0
+        (_spec(forbidden=[{"domain": [0, 0], "values": [1, 0]}]),
+         "forbidden[0].domain names a cell twice"),
+        (_spec(forbidden=[{"domain": [0], "values": [5]}]),
+         "forbidden[0] uses the letter 5 outside the alphabet"),
+        (_spec(forbidden=[{"domain": [0, 1], "values": [1, [1, 0]]}]),
+         "forbidden[0] uses the letter (1, 0) outside the alphabet"),
+        (_spec(group=None), "missing key group"),
+        (_spec(alphabet=None), "missing key alphabet"),
+        (_spec(forbidden=[{"domain": [0]}, {"values": [1]}]),
+         "missing key forbidden[0].values"),
+        (_spec(forbidden=[{"domain": [0], "values": [1]}, {"values": [1]}]),
+         "missing key forbidden[1].domain"),
+        (_spec(forbidden=[7]), "forbidden[0] must be a JSON object"),
+        (_spec(forbidden=[{"domain": [0], "values": ["1"]}]),
+         "forbidden[0].values[0] must be int, got '1'"),
+        (_spec(alphabet=0), "alphabet sizes must be >= 1"),
+        (_spec(stack=2**70), f"stack must lie in 1..64, got {2**70}"),
+        (_spec(group=2), "group must be str, got 2"),
+        (_spec(substitution={"0": [0, 1]}), "missing key substitution.1"),
+    ],
+)
+def test_malformed_spec_is_usage_error(spec, message, capsys):
+    assert main(["irreducible", spec, "--d", "ball:1", "--scale", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unparsable_ball_radius_is_usage_error(capsys):
+    assert main(["irreducible", "golden_mean", "--d", "ball:x", "--scale", "2"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse subset 'ball:x'\n"
+
+
 # --- verdict commands ------------------------------------------------------------
 
 

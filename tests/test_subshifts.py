@@ -6,12 +6,13 @@ so the two implementations can only agree by computing the same set.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdyn.corpus import builtin_spec
+from symdyn.corpus import builtin_spec, load_spec
 from symdyn.groups import FiniteSubset, parse_group
 from symdyn.subshifts import (
     EXACT,
@@ -166,6 +167,81 @@ def test_spec_json_round_trip():
     fib = builtin_spec("fibonacci_substitution")
     again2 = SubstitutionSpec.from_json(Z, fib.to_json(Z))
     assert again2 == fib
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+GROUP_CELLS = {
+    "Z": st.integers(-2, 2),
+    "Z^2": st.lists(st.integers(-1, 1), min_size=2, max_size=2),
+    "F2": st.sampled_from(["", "a", "B", "ab", "bA"]),
+    "finite:s3": st.integers(0, 5),
+}
+LETTERS = st.integers(-1, 3) | st.lists(st.integers(-1, 2), min_size=1, max_size=3)
+
+
+def _slots(obj):
+    """Every (container, key) place inside a decoded JSON value."""
+    keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
+    for k in list(keys):
+        yield obj, k
+        if isinstance(obj[k], (dict, list)):
+            yield from _slots(obj[k])
+
+
+@st.composite
+def near_specs(draw):
+    """A well-formed spec on a real group, then up to three of its places
+    dropped or replaced by random JSON, so every decoder is reached."""
+    group = draw(st.sampled_from(sorted(GROUP_CELLS)))
+    sizes = st.integers(1, 3)
+    spec = {
+        "group": group,
+        "alphabet": draw(sizes | st.lists(sizes, min_size=1, max_size=3)),
+    }
+    if draw(st.booleans()):
+        spec["stack"] = draw(st.integers(1, 3))
+    if group == "Z" and draw(st.booleans()):
+        k = draw(sizes)
+        spec["alphabet"] = k
+        spec["substitution"] = {
+            str(i): draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+            for i in range(k)
+        }
+    else:
+        spec["forbidden"] = [
+            {
+                "domain": draw(
+                    st.lists(GROUP_CELLS[group], min_size=n, max_size=n)
+                ),
+                "values": draw(st.lists(LETTERS, min_size=n, max_size=n)),
+            }
+            for n in draw(st.lists(st.integers(1, 3), max_size=3))
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(_slots(spec))))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_specs() | JSON_VALUES)
+def test_load_spec_parses_or_rejects_any_json(obj):
+    # every malformed spec is a usage error (a ValueError), never a crash
+    try:
+        ctx, spec = load_spec(json.dumps(obj))
+    except ValueError:
+        return
+    assert type(spec).from_json(ctx, spec.to_json(ctx)) == spec
+    for p in getattr(spec, "forbidden", ()):
+        assert set(p.values) <= set(spec.letters())
 
 
 def test_letter_coords_round_trip():
