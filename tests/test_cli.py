@@ -156,6 +156,11 @@ def _spec(**fields):
         (_spec(forbidden=[7]), "forbidden[0] must be a JSON object"),
         (_spec(forbidden=[{"domain": [0], "values": ["1"]}]),
          "forbidden[0].values[0] must be int, got '1'"),
+        (_spec(forbidden=[{"domain": [0], "values": [True]}]),
+         "forbidden[0].values[0] must be int, got True"),
+        (_spec(forbidden=[{"domain": [True], "values": [1]}]), "bad Z element: True"),
+        (_spec(group="Z^2", forbidden=[{"domain": [[0, 1.5]], "values": [1]}]),
+         "bad Z^2 element: [0, 1.5]"),
         (_spec(alphabet=0), "alphabet sizes must be >= 1"),
         (_spec(stack=2**70), f"stack must lie in 1..64, got {2**70}"),
         (_spec(group=2), "group must be str, got 2"),

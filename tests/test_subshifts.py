@@ -244,6 +244,11 @@ def test_load_spec_parses_or_rejects_any_json(obj):
         assert set(p.values) <= set(spec.letters())
 
 
+def test_load_spec_rejects_a_name_too_long_for_a_file():
+    with pytest.raises(SubshiftError, match="neither a builtin system nor a spec"):
+        load_spec("x" * 5000)
+
+
 def test_letter_coords_round_trip():
     assert letter_coords(1, 1) == (1,)
     assert letter_coords((1, 0), 2) == (1, 0)
