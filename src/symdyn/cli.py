@@ -83,7 +83,10 @@ def parse_region(ctx: GroupContext, text: str) -> FiniteSubset:
     text = text.strip()
     if ".." in text and ctx.describe() == "Z":
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        try:
+            lo, hi = int(lo_s), int(hi_s)
+        except ValueError:
+            raise SubshiftError(f"cannot parse interval {text!r}") from None
         if hi < lo:
             raise SubshiftError(f"empty interval {text!r}")
         return FiniteSubset.of(ctx, [(n,) for n in range(lo, hi + 1)])
@@ -92,10 +95,12 @@ def parse_region(ctx: GroupContext, text: str) -> FiniteSubset:
 
 def parse_letter(text: str):
     """``0`` for depth-1 letters, ``0.1`` for stacked ones."""
-    parts = text.strip().split(".")
-    if len(parts) == 1:
-        return int(parts[0])
-    return tuple(int(p) for p in parts)
+    text = text.strip()
+    try:
+        parts = [int(p) for p in text.split(".")]
+    except ValueError:
+        raise SubshiftError(f"cannot parse letter {text!r}") from None
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 def parse_pattern(ctx: GroupContext, text: str) -> Pattern:

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .groups import (
-    BallCapExceeded,
     FiniteSubset,
     FiniteGroupContext,
     GroupContext,
     LatticeContext,
-    ball_cap,
+    _spheres,
     maximal_separated,
 )
 from .subshifts import Pattern
@@ -103,32 +102,15 @@ def periodic_configuration(
 
 
 def elements_in_order(ctx: GroupContext) -> Iterator:
-    """All group elements in deterministic order (radius by radius).
+    """All group elements in deterministic order, sphere by sphere, from
+    the walk that builds every ball.
 
-    Each sphere is grown from the one before by right multiplication with
-    the generators, so no ball is built.  Raises ``BallCapExceeded`` before
-    yielding any of the first sphere that takes the running count past
-    ``ball_cap()``; finite groups stop at their first empty sphere.
+    Raises ``BallCapExceeded`` before yielding any of the first sphere
+    that takes the running count past ``ball_cap()``; finite groups stop
+    at their first empty sphere.
     """
-    cap = ball_cap()
-    gens = ctx.generators()
-    sphere = [ctx.identity]
-    count, r = 1, 0
-    while sphere:
+    for sphere in _spheres(ctx):
         yield from sphere
-        r += 1
-        grown = set()
-        for s in sphere:
-            for x in gens:
-                g = ctx.mul(s, x)
-                if ctx.word_length(g) == r:
-                    grown.add(g)
-        sphere = sorted(grown, key=ctx.sort_key)
-        count += len(sphere)
-        if count > cap:
-            raise BallCapExceeded(
-                f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .groups import (
     SmallnessReport,
     is_small,
     parse_group,
-    set_pow,
 )
 from .irreducibility import (
     IrreducibilityReport,
@@ -230,8 +229,8 @@ def _stamp_core(
         scale = max(witness_scale, 5 * r) if sem.mode == "exact" else witness_scale
         report = check_irreducible(ctx, spec, level, v, scale, sem)
         if report.holds:
-            v3 = set_pow(ctx, v, 3)
-            v5 = set_pow(ctx, v, 5)
+            v3 = ctx.ball(3 * r)
+            v5 = ctx.ball(5 * r)
             return {
                 "v_radius": r,
                 "v": v,

@@ -14,9 +14,13 @@ on the canonical form.  All greedy searches, witness searches and
 serializations in this package iterate in that order, which is what
 makes re-runs byte-identical.
 
-Word-length balls are cached per context and guarded by the
-``SYMDYN_MAX_BALL`` environment variable (default 200000 elements; any
-value that is not a positive integer is rejected with ``ValueError``).
+One sphere walk builds every word-length ball, the element order and
+the smallness shells: sphere ``r`` grows from sphere ``r - 1`` by right
+multiplication with the generators, so a context supplies only its group
+operations, generators, word length, order and codecs.  Balls are cached
+per context, and the walk is guarded by the ``SYMDYN_MAX_BALL``
+environment variable (default 200000 elements; any value that is not a
+positive integer is rejected with ``ValueError``).
 """
 
 from __future__ import annotations
@@ -54,6 +58,44 @@ def ball_cap() -> int:
     return cap
 
 
+def _spheres(ctx: GroupContext, radius: Optional[int] = None) -> Iterator[list]:
+    """Word-length spheres ``0, 1, ...`` (up to ``radius``), each in
+    deterministic order: the one walk behind every ball.
+
+    Sphere ``r`` is grown from sphere ``r - 1`` by right multiplication
+    with the generators.  A product lies in sphere ``r - 2``, ``r - 1`` or
+    ``r``, so the walk keeps those in neither sphere before it.  It ends
+    after ``radius`` or at the first empty sphere (finite groups).  Raises
+    ``BallCapExceeded`` as soon as a growing sphere takes the elements
+    walked past ``ball_cap()``, naming ``ball(radius)``, or the ball that
+    sphere closes when no radius is given.
+    """
+    cap = ball_cap()
+    gens, mul = ctx.generators(), ctx.mul
+    sphere = [ctx.identity]
+    last, older = set(sphere), set()
+    room, r = cap - 1, 0
+    while sphere:
+        yield sphere
+        if r == radius:
+            return
+        r += 1
+        grown: set = set()
+        for s in sphere:
+            for x in gens:
+                g = mul(s, x)
+                if g not in last and g not in older:
+                    grown.add(g)
+                    if len(grown) > room:
+                        raise BallCapExceeded(
+                            f"|ball({r if radius is None else radius})| exceeds "
+                            f"SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
+                        )
+        room -= len(grown)
+        last, older = grown, last
+        sphere = sorted(grown, key=ctx.sort_key)
+
+
 class GroupContext:
     """Base class: group operations plus the deterministic element order."""
 
@@ -85,23 +127,13 @@ class GroupContext:
         return (self.word_length(g), g)
 
     # -- balls ------------------------------------------------------------
-    def _ball_elements(self, r: int) -> Iterator:
-        raise NotImplementedError
-
     def ball(self, r: int) -> FiniteSubset:
         """Closed word-length ball of radius ``r``, in deterministic order."""
         if r < 0:
             raise ValueError("ball radius must be >= 0")
         if r not in self._ball_cache:
-            cap = ball_cap()
-            elems = []
-            for g in self._ball_elements(r):
-                elems.append(g)
-                if len(elems) > cap:
-                    raise BallCapExceeded(
-                        f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {self.describe()}"
-                    )
-            self._ball_cache[r] = FiniteSubset.of(self, elems)
+            elems = tuple(itertools.chain.from_iterable(_spheres(self, r)))
+            self._ball_cache[r] = FiniteSubset(elems, frozenset(elems))
         return self._ball_cache[r]
 
     # -- serialization ----------------------------------------------------
@@ -157,11 +189,6 @@ class LatticeContext(GroupContext):
 
     def word_length(self, g) -> int:
         return sum(abs(x) for x in g)
-
-    def _ball_elements(self, r: int) -> Iterator:
-        for v in itertools.product(range(-r, r + 1), repeat=self.rank):
-            if sum(abs(x) for x in v) <= r:
-                yield v
 
     def describe(self) -> str:
         return "Z" if self.rank == 1 else f"Z^{self.rank}"
@@ -239,19 +266,6 @@ class FreeGroupContext(GroupContext):
     def word_length(self, g) -> int:
         return len(g)
 
-    def _ball_elements(self, r: int) -> Iterator:
-        frontier = [""]
-        yield ""
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for ch in self._letters:
-                    if w and w[-1] != ch and w[-1].lower() == ch.lower():
-                        continue
-                    nxt.append(w + ch)
-            frontier = nxt
-            yield from frontier
-
     def describe(self) -> str:
         return f"F{self.free_rank}"
 
@@ -318,12 +332,6 @@ class FiniteGroupContext(GroupContext):
     def word_length(self, g) -> int:
         return 0 if g == 0 else 1
 
-    def _ball_elements(self, r: int) -> Iterator:
-        if r == 0:
-            yield 0
-        else:
-            yield from range(self.order)
-
     def describe(self) -> str:
         return f"finite:{self.name}"
 
@@ -387,11 +395,12 @@ def parse_group(text: str) -> GroupContext:
     if key == "Z":
         ctx = LatticeContext(1)
     elif key.startswith("Z^"):
-        try:
-            ctx = LatticeContext(int(key[2:]))
-        except ValueError as exc:
-            raise GroupParseError(f"bad lattice rank in {key!r}") from exc
-    elif key.startswith("F") and key[1:].isdigit():
+        # ASCII digits only: int() also reads "٣", "+3" and " 3"
+        rank = key[2:]
+        if not (rank.isascii() and rank.isdigit() and int(rank) >= 1):
+            raise GroupParseError(f"bad lattice rank in {key!r}")
+        ctx = LatticeContext(int(rank))
+    elif key.startswith("F") and key[1:].isascii() and key[1:].isdigit():
         ctx = FreeGroupContext(int(key[1:]))
     elif key.startswith("finite:"):
         name = key.split(":", 1)[1]
@@ -534,11 +543,11 @@ def maximal_separated(
 def _layers(ctx: GroupContext, sources: Iterable, inside=None) -> Iterator[set]:
     """Layer ``rho`` is ``ball(rho)*sources`` minus ``ball(rho-1)*sources``.
 
-    Steps by ``ball(1)`` minus the identity, since every context's balls
-    are powers of ``ball(1)``.  With ``inside`` given, the walk enters no
-    cell outside it.  Stops after the last non-empty layer.
+    Steps by the generators, since every ball is a power of ``ball(1)``,
+    the generators and the identity.  With ``inside`` given, the walk
+    enters no cell outside it.  Stops after the last non-empty layer.
     """
-    steps = [x for x in ctx.ball(1) if x != ctx.identity]
+    steps = ctx.generators()
     layer = set(sources)
     seen = set(layer)
     while layer:
@@ -643,7 +652,7 @@ def is_small(
     for rho, layer in enumerate(inward):
         depth.update(dict.fromkeys(layer, rho))
     deepest = max(depth.values(), default=-1)
-    shells = _layers(ctx, [ctx.identity])
+    shells = _spheres(ctx)
     verdicts = []
     avoid = list(region)
     for r in range(max_f_radius + 1):

@@ -21,11 +21,12 @@ domains in any context and inherits the local approximation; each
 translation class is decided by membership tests, and only classes that
 one forbidden occurrence can join are searched, by per-side signatures on
 the interface of the two thickened domains, built once per radius and
-interface (or, where interfaces are too wide, one search per pattern pair).
+interface (or, where interfaces are too wide, one window test of the joint
+region per pattern pair).
 
-``canonical_gluing`` returns the deterministic least joint extension of
-two compatible patterns — the densification pipeline depends on this
-being reproducible cell for cell.  ``max_separated_subshift`` encodes
+``conf`` returns the deterministic least joint extension of two
+compatible patterns — the densification pipeline depends on this being
+reproducible cell for cell.  ``max_separated_subshift`` encodes
 indicator functions of maximal D-separated sets as a finite-type
 condition, together with the ball claimed to witness irreducibility.
 """
@@ -349,6 +350,10 @@ def _check_irreducible_exact(
     )
 
 
+# radii of the ball domains the local scan glues, ascending
+_DOMAIN_RADII = (0, 1)
+
+
 def _check_irreducible_local(
     ctx: GroupContext,
     spec: SftSpec,
@@ -356,10 +361,9 @@ def _check_irreducible_local(
     d: FiniteSubset,
     scale: int,
     sem: Semantics,
-    domain_radii: tuple,
 ) -> IrreducibilityReport:
     pre = level_preimages(spec, level)
-    radii = tuple(sorted(set(domain_radii)))
+    radii = _DOMAIN_RADII
     base = {rho: level_pattern_list(ctx, spec, ctx.ball(rho), level, sem) for rho in radii}
     centers = ctx.ball(scale).elements
     margin = ctx.ball(sem.margin)
@@ -370,7 +374,7 @@ def _check_irreducible_local(
     )
     cores = (
         set_mul(ctx, set_inv(ctx, d), d),
-        set_mul(ctx, set_mul(ctx, set_inv(ctx, margin), joins), margin),
+        set_mul(ctx, set_mul(ctx, margin, joins), margin),
     )
 
     def report(pairs: int, counterexample) -> IrreducibilityReport:
@@ -395,7 +399,8 @@ def _check_irreducible_local(
     #   near: the x whose domains are not D-apart, ball(r2)^-1 D^-1 D ball(r1);
     #   touch: the x at which one forbidden occurrence can meet both
     #     margin-thickened domains, ball(r2)^-1 M^-1 K M ball(r1), with
-    #     M = ball(margin) and K = joins.
+    #     M = ball(margin) and K = joins.  Balls are symmetric, so
+    #     ball(r2)^-1 = ball(r2) and M^-1 = M.
     # An apart class outside touch holds with no search.  Under local(m)
     # each listed pattern extends on M * its domain by itself, since
     # level_pattern_list keeps only those.  With nothing forbidden any two
@@ -413,7 +418,7 @@ def _check_irreducible_local(
             for r2 in radii[i:]:
                 if (r1, r2) not in sets:
                     sets[r1, r2] = tuple(
-                        set_mul(ctx, set_mul(ctx, set_inv(ctx, ctx.ball(r2)), core), ctx.ball(r1))
+                        set_mul(ctx, set_mul(ctx, ctx.ball(r2), core), ctx.ball(r1))
                         for core in cores
                     )
                 near, touch = sets[r1, r2]
@@ -466,7 +471,7 @@ class _SideSignatures:
         the occurrences that meet it without lying inside it."""
         if r not in self._sides:
             ctx = self.ctx
-            cells = set_mul(ctx, ctx.ball(self.sem.margin), ctx.ball(r)).elements
+            cells = ctx.ball(self.sem.margin + r).elements
             inside = set(cells)
             bound = []
             for p in self.spec.forbidden:
@@ -556,21 +561,13 @@ class _SideSignatures:
         ctx, (r1, r2, x) = self.ctx, cls
         at1 = ctx.ball(r1).elements
         at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
-        joint = set_mul(ctx, ctx.ball(self.sem.margin), FiniteSubset.of(ctx, (*at1, *at2)))
-        region = _LocalRegion(ctx, self.spec, joint)
-        cells1 = [region.index[g] for g in at1]
-        cells2 = [region.index[g] for g in at2]
-        free = region.choices()
-        vals = [None] * len(region.cells)
+        test = window_test(ctx, self.spec, FiniteSubset.of(ctx, (*at1, *at2)), self.sem)
         for q1 in self.base[r1]:
-            half = list(free)
-            for i, v in zip(cells1, q1.values):
-                half[i] = self.narrow[v]
+            half = {g: self.narrow[v] for g, v in zip(at1, q1.values)}
             for q2 in self.base[r2]:
-                choices = list(half)
-                for i, v in zip(cells2, q2.values):
-                    choices[i] = self.narrow[v]
-                if not region.extends(vals, choices):
+                allowed = dict(half)
+                allowed.update((g, self.narrow[v]) for g, v in zip(at2, q2.values))
+                if not test(allowed):
                     return q1, q2
         return None
 
@@ -596,14 +593,13 @@ def check_irreducible(
     d: FiniteSubset,
     scale: int,
     sem: Semantics = EXACT,
-    domain_radii: tuple = (0, 1),
 ) -> IrreducibilityReport:
     """Exhaustively test gluing of level patterns on D-apart domains.
 
     Exact semantics scans every interval-domain class inside
     ``ball(scale)`` (gluability is translation invariant, so classes
     stand for all placements).  Local semantics scans ball domains
-    ``ball(rho) * c`` for ``rho`` in ``domain_radii`` and centers in
+    ``ball(rho) * c`` for ``rho`` in 0 and 1 and centers in
     ``ball(scale)``.  The report carries the first counterexample in
     deterministic order when the check fails.
     """
@@ -617,9 +613,7 @@ def check_irreducible(
     if sem.mode == "exact":
         _require_exact_ctx(ctx)
         return _check_irreducible_exact(ctx, spec, level, d, scale)
-    return _check_irreducible_local(
-        ctx, spec, level, d, scale, sem, domain_radii
-    )
+    return _check_irreducible_local(ctx, spec, level, d, scale, sem)
 
 
 @dataclass(frozen=True)
@@ -640,15 +634,12 @@ def irreducibility_witness_search(
     radii: Iterable[int],
     scale: int,
     sem: Semantics = EXACT,
-    domain_radii: tuple = (0, 1),
 ) -> WitnessSearch:
     """Scan ``ball(r)`` for ascending ``r`` until one witnesses gluing."""
     trail = []
     final = None
     for r in sorted(set(radii)):
-        report = check_irreducible(
-            ctx, spec, level, ctx.ball(r), scale, sem, domain_radii
-        )
+        report = check_irreducible(ctx, spec, level, ctx.ball(r), scale, sem)
         trail.append((r, report.holds))
         final = report
         if report.holds:

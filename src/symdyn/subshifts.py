@@ -249,6 +249,11 @@ class SftSpec:
         alpha = _json_get(obj, "alphabet", (int, list))
         if type(alpha) is list:
             sizes = _json_ints(alpha, "alphabet")
+            stack = _json_get(obj, "stack", int, default=len(sizes))
+            if stack != len(sizes):
+                raise SubshiftError(
+                    f"stack must equal the {len(sizes)} alphabet sizes, got {stack}"
+                )
         else:
             # bounded before the size tuple is built; every level with two
             # or more letters multiplies the alphabet

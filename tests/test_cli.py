@@ -165,6 +165,8 @@ def _spec(**fields):
         (_spec(stack=2**70), f"stack must lie in 1..64, got {2**70}"),
         (_spec(group=2), "group must be str, got 2"),
         (_spec(substitution={"0": [0, 1]}), "missing key substitution.1"),
+        # a stack the alphabet list contradicts used to be ignored
+        (_spec(alphabet=[2, 2], stack=5), "stack must equal the 2 alphabet sizes, got 5"),
     ],
 )
 def test_malformed_spec_is_usage_error(spec, message, capsys):
@@ -177,6 +179,26 @@ def test_malformed_spec_is_usage_error(spec, message, capsys):
 def test_unparsable_ball_radius_is_usage_error(capsys):
     assert main(["irreducible", "golden_mean", "--d", "ball:x", "--scale", "2"]) == 2
     assert capsys.readouterr().err == "error: cannot parse subset 'ball:x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conf", "golden_mean", "--f", "0..x", "--a", "0=1", "--b", "4=1"],
+         "cannot parse interval '0..x'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=x", "--b", "4=1"],
+         "cannot parse letter 'x'"),
+        # str.isdigit accepts superscripts and other scripts' digits, int()
+        # reads some of them: ranks take ASCII digits only
+        (["ball", "F²", "1"], "cannot parse group descriptor 'F²'"),
+        (["ball", "Z^٣", "1"], "bad lattice rank in 'Z^٣'"),
+    ],
+)
+def test_unparsable_number_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # --- verdict commands ------------------------------------------------------------
@@ -360,6 +382,19 @@ def test_ball_over_the_cap_is_usage_error(monkeypatch, capsys):
     assert main(["ball", "Z^6", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: |ball(3)| exceeds SYMDYN_MAX_BALL=5 on Z^6")
+
+
+def test_small_over_the_cap_is_usage_error(monkeypatch, capsys):
+    # the smallness shells come from the walk that builds every ball, so
+    # they stop at its cap: |ball(3)| = 7 on Z
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "5")
+    assert main([
+        "small", "Z", "--member", "evens", "--radius", "3",
+        "--region", "0..10", "--syndetic-cap", "2",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |ball(3)| exceeds SYMDYN_MAX_BALL=5 on Z\n"
 
 
 CHAIN10 = json.dumps({

@@ -6,6 +6,7 @@ numbers, so a regression in ball enumeration cannot hide behind a stale
 constant.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from symdyn.groups import (
     FINITE_TABLES,
     BallCapExceeded,
     FiniteSubset,
+    FreeGroupContext,
     GroupParseError,
     LatticeContext,
     _reduce_word,
@@ -35,9 +37,47 @@ from symdyn.groups import (
 )
 
 
+def oracle_ball(ctx, r):
+    """Ball oracle: each context's own enumeration, which the sphere walk
+    behind ``ctx.ball`` replaced, sorted into the deterministic order."""
+    if isinstance(ctx, LatticeContext):
+        elems = [
+            v for v in itertools.product(range(-r, r + 1), repeat=ctx.rank)
+            if sum(abs(x) for x in v) <= r
+        ]
+    elif isinstance(ctx, FreeGroupContext):
+        frontier = [""]
+        elems = [""]
+        for _ in range(r):
+            frontier = [
+                w + ch
+                for w in frontier
+                for ch in ctx._letters
+                if not (w and w[-1] != ch and w[-1].lower() == ch.lower())
+            ]
+            elems += frontier
+    else:
+        elems = [0] if r == 0 else list(range(ctx.order))
+    return sorted(elems, key=ctx.sort_key)
+
+
+ORACLE_RADII = {"Z": 12, "Z^2": 7, "Z^3": 4, "F2": 5, "F3": 3}
+
+
+@pytest.mark.parametrize(
+    "desc", [*ORACLE_RADII, *(f"finite:{name}" for name in sorted(FINITE_TABLES))]
+)
+def test_ball_matches_the_per_context_oracle(desc):
+    ctx = parse_group(desc)
+    for r in range(ORACLE_RADII.get(desc, 3) + 1):
+        want = oracle_ball(ctx, r)
+        assert ctx.ball(r).elements == tuple(want)
+        assert ctx.ball(r).as_set() == frozenset(want)
+
+
 def bfs_ball(ctx, r):
     """Independent ball oracle: breadth-first closure under generators."""
-    gens = [g for g in ctx.ball(1) if g != ctx.identity]
+    gens = [g for g in oracle_ball(ctx, 1) if g != ctx.identity]
     seen = {ctx.identity}
     frontier = [ctx.identity]
     for _ in range(r):

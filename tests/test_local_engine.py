@@ -23,6 +23,7 @@ lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 import gc
 import math
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,7 +303,8 @@ def test_local_gluing_scan_matches_unmemoised_scan(data):
         ctx, data.draw(st.lists(st.sampled_from(ctx.ball(1).elements), min_size=1, unique=True))
     )
     sem = local(data.draw(st.integers(0, 1)))
-    got = _check_irreducible_local(ctx, spec, level, d, scale, sem, radii)
+    with patch.object(irreducibility, "_DOMAIN_RADII", radii):
+        got = _check_irreducible_local(ctx, spec, level, d, scale, sem)
     assert got == oracle_check_irreducible_local(ctx, spec, level, d, scale, sem, radii)
 
 
@@ -533,7 +535,8 @@ def test_local_gluing_scan_keeps_pinned_counterexamples(name):
     ctx = GLUING_GROUPS[group]
     spec = SftSpec(group, (2,), tuple(Pattern.of(ctx, f) for f in forbidden), name)
     d = ctx.ball(int(d[5:])) if isinstance(d, str) else FiniteSubset.of(ctx, d)
-    got = check_irreducible(ctx, spec, 1, d, scale, local(margin), radii)
+    with patch.object(irreducibility, "_DOMAIN_RADII", radii):
+        got = check_irreducible(ctx, spec, 1, d, scale, local(margin))
     assert not got.holds and got.pairs_checked == pairs
     assert got.counterexample.to_json(ctx) == {
         "first": {"domain": first[0], "values": first[1]},

@@ -1,10 +1,11 @@
 """The stamp constructions' fast paths against the slow paths they replaced.
 
 The oracles below are the original routines, kept here and nowhere else:
-``oracle_elements_in_order`` builds every ball and drops what it has seen,
-``oracle_free_dense_point`` restarts its site search from the identity on
-every placement, ``oracle_is_small`` recomputes ``oracle_interior(region,
-ball(rho))`` and the cover ``ball(rho)*avoid`` for every pair (r, rho),
+``oracle_elements_in_order`` chains the balls of ``test_groups.oracle_ball``
+and drops what it has seen, ``oracle_free_dense_point`` restarts its site
+search from the identity on every placement, ``oracle_is_small``
+recomputes ``oracle_interior(region, ball(rho))`` and the cover
+``ball(rho)*avoid`` for every pair (r, rho),
 ``oracle_syndeticity_witness`` adds the translate of one word-length ring
 at a time, and ``oracle_tail_ok`` loops over the forbidden patterns at
 every transfer-graph extension.  ``oracle_interior`` and
@@ -85,11 +86,10 @@ from symdyn.groups import (
     BallCapExceeded,
     FiniteGroupContext,
     FiniteSubset,
-    FreeGroupContext,
-    LatticeContext,
     RadiusVerdict,
     SmallnessReport,
     SyndeticityResult,
+    ball_cap,
     is_small,
     parse_group,
     set_pow,
@@ -124,6 +124,7 @@ from symdyn.subshifts import (
     sorted_patterns,
     transfer_graph,
 )
+from test_groups import oracle_ball
 
 Z = parse_group("Z")
 Z2 = parse_group("Z^2")
@@ -133,11 +134,23 @@ F2 = parse_group("F2")
 # --- oracles ---------------------------------------------------------------------
 
 
+# oracle_free_dense_point restarts the element order at every placement
+_oracle_ball = functools.cache(oracle_ball)
+
+
 def oracle_elements_in_order(ctx):
+    """Every oracle ball minus the one before, raising where ``ctx.ball``
+    would pass the cap."""
+    cap = ball_cap()
     seen = set()
     r = 0
     while True:
-        fresh = [g for g in ctx.ball(r) if g not in seen]
+        ball = _oracle_ball(ctx, r)
+        if len(ball) > cap:
+            raise BallCapExceeded(
+                f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
+            )
+        fresh = [g for g in ball if g not in seen]
         if r > 0 and not fresh and isinstance(ctx, FiniteGroupContext):
             return
         yield from fresh
@@ -671,17 +684,13 @@ def _until_cap(gen):
     return out, None  # pragma: no cover - both generators are infinite here
 
 
-FRESH = {"Z": lambda: LatticeContext(1), "Z^2": lambda: LatticeContext(2),
-         "F2": lambda: FreeGroupContext(2)}
-
-
 @pytest.mark.parametrize("group,cap", [("Z", 1), ("Z", 6), ("Z", 7), ("Z^2", 12),
                                        ("Z^2", 13), ("F2", 17), ("F2", 52)])
 def test_elements_in_order_raises_where_the_ball_would(group, cap, monkeypatch):
     monkeypatch.setenv("SYMDYN_MAX_BALL", str(cap))
-    # fresh contexts: the oracle must not find balls cached under a larger cap
-    got = _until_cap(elements_in_order(FRESH[group]()))
-    assert got == _until_cap(oracle_elements_in_order(FRESH[group]()))
+    ctx = parse_group(group)
+    got = _until_cap(elements_in_order(ctx))
+    assert got == _until_cap(oracle_elements_in_order(ctx))
     assert len(got[0]) <= cap
 
 
