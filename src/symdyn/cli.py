@@ -11,6 +11,7 @@ invocation into a scratch directory and byte-compares the artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -47,9 +48,11 @@ from .groups import (
     BallCapExceeded,
     FiniteSubset,
     GroupContext,
+    ball_cap,
     is_small,
     maximal_separated,
     parse_group,
+    parse_int,
     parse_subset,
     separation_conflict,
     syndeticity_witness,
@@ -84,11 +87,14 @@ def parse_region(ctx: GroupContext, text: str) -> FiniteSubset:
     if ".." in text and ctx.describe() == "Z":
         lo_s, hi_s = text.split("..", 1)
         try:
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = parse_int(lo_s), parse_int(hi_s)
         except ValueError:
             raise SubshiftError(f"cannot parse interval {text!r}") from None
         if hi < lo:
             raise SubshiftError(f"empty interval {text!r}")
+        cap = ball_cap()
+        if hi - lo >= cap:
+            raise BallCapExceeded(f"interval {text!r} exceeds SYMDYN_MAX_BALL={cap} cells")
         return FiniteSubset.of(ctx, [(n,) for n in range(lo, hi + 1)])
     return parse_subset(ctx, text)
 
@@ -97,7 +103,7 @@ def parse_letter(text: str):
     """``0`` for depth-1 letters, ``0.1`` for stacked ones."""
     text = text.strip()
     try:
-        parts = [int(p) for p in text.split(".")]
+        parts = [parse_int(p) for p in text.split(".")]
     except ValueError:
         raise SubshiftError(f"cannot parse letter {text!r}") from None
     return parts[0] if len(parts) == 1 else tuple(parts)
@@ -424,7 +430,14 @@ def _add_emit(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``symdyn`` parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps no state between calls (each builds a fresh
+    namespace), so ``main`` and the ``main`` that ``replay`` runs parse
+    with this one object.
+    """
     parser = argparse.ArgumentParser(
         prog="symdyn",
         description="finite-scale constructions and verifiers on discrete groups",

@@ -44,6 +44,18 @@ class BallCapExceeded(RuntimeError):
     """Raised when a requested ball would exceed SYMDYN_MAX_BALL."""
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` for an optional ``-`` and ASCII digits only.
+
+    ``int()`` also reads ``_`` separators, a ``+`` sign, surrounding spaces
+    and other scripts' digits; each of those raises ``ValueError`` here.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def ball_cap() -> int:
     """The ball size cap: ``SYMDYN_MAX_BALL`` if set, else the default."""
     raw = os.environ.get("SYMDYN_MAX_BALL", "")
@@ -214,7 +226,7 @@ class LatticeContext(GroupContext):
         if len(parts) != self.rank:
             raise GroupParseError(f"expected {self.rank} coordinates in {text!r}")
         try:
-            return tuple(int(p) for p in parts)
+            return tuple(parse_int(p) for p in parts)
         except ValueError as exc:
             raise GroupParseError(f"bad coordinate in {text!r}") from exc
 
@@ -348,7 +360,7 @@ class FiniteGroupContext(GroupContext):
 
     def element_from_text(self, text: str):
         try:
-            g = int(text)
+            g = parse_int(text)
         except ValueError as exc:
             raise GroupParseError(f"bad finite-group element {text!r}") from exc
         return self.element_from_json(g)
@@ -411,8 +423,8 @@ def parse_group(text: str) -> GroupContext:
         ctx = FiniteGroupContext(name, FINITE_TABLES[name])
     else:
         raise GroupParseError(f"cannot parse group descriptor {text!r}")
-    _CONTEXT_CACHE[key] = ctx
-    return ctx
+    # keyed by the group, not the text: "Z^03" and "Z^3" share one context
+    return _CONTEXT_CACHE.setdefault(ctx.describe(), ctx)
 
 
 @dataclass(frozen=True)
@@ -455,7 +467,7 @@ def parse_subset(ctx: GroupContext, text: str) -> FiniteSubset:
     text = text.strip()
     if text.startswith("ball:"):
         try:
-            r = int(text.split(":", 1)[1])
+            r = parse_int(text.split(":", 1)[1])
         except ValueError:
             raise GroupParseError(f"cannot parse subset {text!r}") from None
         return ctx.ball(r)

@@ -109,6 +109,7 @@ class _IntervalGluer:
         self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
+        self._er_lengths, self._en_lengths = _NewLengths(), _NewLengths()
 
     def er_groups(self, length: int) -> tuple:
         """(forward bits, least word) per behavior class, words ascending."""
@@ -171,8 +172,8 @@ class _IntervalGluer:
         pair already decided, so that pair's lengths are the first failing
         class in scan order.
         """
-        for l1 in _new_lengths(self.er_groups, span - 1):
-            for l2 in _new_lengths(self.en_groups, span - l1):
+        for l1 in self._er_lengths.upto(self.er_groups, span - 1):
+            for l2 in self._en_lengths.upto(self.en_groups, span - l1):
                 bad = self.class_counterexample(l1, gap, l2)
                 if bad is not None:
                     return l1, l2, bad
@@ -185,23 +186,41 @@ class _IntervalGluer:
         return self.tg.feasible(l1 + gap + l2, allowed)
 
 
-def _new_lengths(groups, limit: int):
-    """Lengths ``1..limit`` before the first whose family repeats.
+class _NewLengths:
+    """Lengths ``1..K`` before the first whose family repeats, read lazily.
 
-    ``groups`` maps a length to its (bits, word) classes, and a length's
-    family is its set of bit sets.  The family at ``l + 1`` is a function
-    of the family at ``l``, so once a family repeats an earlier one no new
-    family occurs: the lengths yielded are exactly the first lengths of
-    the distinct families.  A length is read only when the caller's loop
-    reaches it.
+    ``upto(groups, limit)`` yields them up to ``limit``.  ``groups`` maps a
+    length to its (bits, word) classes, and a length's family is its set
+    of bit sets.  The family at ``l + 1`` is a function of the family at
+    ``l``, so once a family repeats an earlier one no new family occurs:
+    the lengths yielded are exactly the first lengths of the distinct
+    families.  A length's family is built once, when the first call's
+    loop reaches it, and kept for every later call with the same
+    ``groups``.
     """
-    seen = set()
-    for length in range(1, limit + 1):
-        family = frozenset(bits for bits, _ in groups(length))
-        if family in seen:
-            return
-        seen.add(family)
-        yield length
+
+    def __init__(self):
+        self.seen: set = set()
+        self.known = 0  # lengths 1..known hold distinct families
+        self.repeated = False  # the family at known + 1 repeats one
+
+    def upto(self, groups, limit: int):
+        for length in range(1, limit + 1):
+            if length > self.known:
+                if self.repeated:
+                    return
+                family = frozenset(bits for bits, _ in groups(length))
+                if family in self.seen:
+                    self.repeated = True
+                    return
+                self.seen.add(family)
+                self.known = length
+            yield length
+
+
+def _new_lengths(groups, limit: int):
+    """The lengths a fresh ``_NewLengths`` yields for ``groups`` up to ``limit``."""
+    return _NewLengths().upto(groups, limit)
 
 
 # ---------------------------------------------------------------------------

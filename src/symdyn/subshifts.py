@@ -35,6 +35,7 @@ from .groups import (
     FiniteSubset,
     GroupContext,
     LatticeContext,
+    parse_int,
     set_mul,
 )
 
@@ -185,7 +186,7 @@ def parse_semantics(text: str) -> Semantics:
         return EXACT
     if text.startswith("local:"):
         try:
-            margin = int(text.split(":", 1)[1])
+            margin = parse_int(text.split(":", 1)[1])
         except ValueError:
             raise SubshiftError(f"cannot parse semantics {text!r}") from None
         return local(margin)

@@ -1,11 +1,19 @@
 """End-to-end command-line checks: exit codes, emitted certificates,
 verification, and manifest replay."""
 
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import symdyn
 from symdyn.certificates import load_certificate, load_manifest
 from symdyn.cli import (
     format_pattern,
@@ -14,8 +22,14 @@ from symdyn.cli import (
     parse_pattern,
     parse_region,
 )
-from symdyn.groups import parse_group
-from symdyn.subshifts import SubshiftError
+from symdyn.groups import (
+    BallCapExceeded,
+    FiniteGroupContext,
+    LatticeContext,
+    parse_group,
+    parse_subset,
+)
+from symdyn.subshifts import SubshiftError, parse_semantics
 
 Z = parse_group("Z")
 
@@ -192,6 +206,34 @@ def test_unparsable_ball_radius_is_usage_error(capsys):
         # reads some of them: ranks take ASCII digits only
         (["ball", "F²", "1"], "cannot parse group descriptor 'F²'"),
         (["ball", "Z^٣", "1"], "bad lattice rank in 'Z^٣'"),
+        # every other number takes an optional "-" and ASCII digits only:
+        # int() also reads "_", a leading "+", spaces and other scripts' digits
+        (["conf", "golden_mean", "--f", "0..1_0", "--a", "0=1", "--b", "1_0=1"],
+         "cannot parse interval '0..1_0'"),
+        (["conf", "golden_mean", "--f", "٠..٤", "--a", "0=1", "--b", "4=1"],
+         "cannot parse interval '٠..٤'"),
+        (["conf", "golden_mean", "--f", "+0..4", "--a", "0=1", "--b", "4=1"],
+         "cannot parse interval '+0..4'"),
+        (["conf", "golden_mean", "--f", "0 .. 4", "--a", "0=1", "--b", "4=1"],
+         "cannot parse interval '0 .. 4'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=+1", "--b", "4=1"],
+         "cannot parse letter '+1'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=0_1", "--b", "4=1"],
+         "cannot parse letter '0_1'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=١", "--b", "4=1"],
+         "cannot parse letter '١'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "+0=1", "--b", "4=1"],
+         "bad coordinate in '+0'"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=1", "--b", "٤=1"],
+         "bad coordinate in '٤'"),
+        (["cylinder-point", "Z^2", "--u", "0: 1=1"], "bad coordinate in '0: 1'"),
+        (["pad-free", "period2", "--g", "1_0"], "bad coordinate in '1_0'"),
+        (["separated", "finite:z3", "--d", "0", "--s", "0,+1"],
+         "bad finite-group element '+1'"),
+        (["irreducible", "golden_mean", "--d", "ball:+2", "--scale", "4"],
+         "cannot parse subset 'ball:+2'"),
+        (["irreducible", "golden_mean", "--d", "ball:2", "--scale", "4", "--sem", "local:+1"],
+         "cannot parse semantics 'local:+1'"),
     ],
 )
 def test_unparsable_number_is_usage_error(argv, message, capsys):
@@ -384,13 +426,23 @@ def test_ball_over_the_cap_is_usage_error(monkeypatch, capsys):
     assert err.startswith("error: |ball(3)| exceeds SYMDYN_MAX_BALL=5 on Z^6")
 
 
+def test_interval_over_the_cap_is_usage_error(monkeypatch, capsys):
+    # an interval builds every cell, so it stops at the ball cap too
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "5")
+    assert main(["conf", "golden_mean", "--f", "0..5", "--a", "0=1", "--b", "5=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interval '0..5' exceeds SYMDYN_MAX_BALL=5 cells\n"
+    assert main(["conf", "golden_mean", "--f", "0..4", "--a", "0=1", "--b", "4=1"]) == 0
+
+
 def test_small_over_the_cap_is_usage_error(monkeypatch, capsys):
     # the smallness shells come from the walk that builds every ball, so
-    # they stop at its cap: |ball(3)| = 7 on Z
+    # they stop at its cap: |ball(3)| = 7 on Z (the region fits the cap)
     monkeypatch.setenv("SYMDYN_MAX_BALL", "5")
     assert main([
         "small", "Z", "--member", "evens", "--radius", "3",
-        "--region", "0..10", "--syndetic-cap", "2",
+        "--region", "0..4", "--syndetic-cap", "2",
     ]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -501,3 +553,145 @@ def test_replay_detects_drifted_artifacts(tmp_path, capsys):
 def test_replay_missing_manifest_is_usage_error(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# --- one parser per process --------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    cert, mani = str(tmp_path / "c.json"), str(tmp_path / "m.json")
+    # warm-up: whatever builds the parser has run by now
+    main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "8",
+          "--emit", cert, "--manifest", mani])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["corpus"]) == 0
+    assert main(["ball", "Z", "1"]) == 0
+    assert main(["replay", mani]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+    assert built == []
+
+
+def test_no_value_leaks_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["irreducible", "golden_mean", "--d", "ball:2", "--scale", "10"]
+    assert main([*argv, "--emit", "a.json"]) == 0
+    first = capsys.readouterr().out
+    os.remove("a.json")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert os.listdir(tmp_path) == []
+
+
+# runs help, subcommand help and an invalid choice twice in one process
+HELP_TWICE = """
+import contextlib, io, json
+from symdyn.cli import main
+runs = []
+for _ in range(2):
+    for argv in (["--help"], ["irreducible", "--help"], ["bogus"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        runs.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(runs))
+"""
+
+
+def test_help_and_usage_errors_print_the_same_bytes_on_every_call():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symdyn.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run([sys.executable, "-c", HELP_TWICE], env=env,
+                          capture_output=True, text=True, check=True)
+    runs = json.loads(done.stdout)
+    assert runs[:3] == runs[3:]
+    (top, _, top_code), (sub, _, sub_code), (_, bad, bad_code) = runs[:3]
+    assert top.startswith("usage: symdyn [-h]") and top_code == 0
+    assert sub.startswith("usage: symdyn irreducible [-h]") and sub_code == 0
+    assert "invalid choice: 'bogus'" in bad and bad_code == 2
+
+
+# --- random text into every text parser ----------------------------------------------
+
+INT = r"-?[0-9]+"
+CONTEXTS = [parse_group(d) for d in ("Z", "Z^2", "F2", "finite:z3")]
+# the parsers' own syntax, what int() reads besides ASCII digits, and
+# other scripts' digits
+PIECES = ["0", "1", "7", "12", "-", "..", ".", ":", ",", "=", "_", "+", " ",
+          "\t", "\u3000", "٣", "²", "١", "ball:", "local:", "exact", "Z", "Z^",
+          "F", "finite:", "z3", "e", "a", "A", "b"]
+# a number as int() reads it, mostly in forms a strict parser must refuse,
+# inside the syntax around numbers
+LOOSE_INT = st.tuples(st.sampled_from(["", "-", "+", " "]),
+                      st.sampled_from(["0", "7", "12", "1_0", "٣", "²", "1 2"]),
+                      st.sampled_from(["", " "])).map("".join)
+TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.sampled_from(PIECES), max_size=8).map("".join),
+    st.tuples(st.sampled_from(["", "ball:", "local:", "Z^", "F", "0..", "0:", "0=", "0."]),
+              LOOSE_INT,
+              st.sampled_from(["", "", "", "..1", ":1", "=1", ",1", ".1"])).map("".join),
+)
+
+
+def strict_element(ctx, text):
+    """Whether every integer ``element_from_text`` reads is ``-?[0-9]+``."""
+    if isinstance(ctx, LatticeContext):
+        return re.fullmatch(f"{INT}(?::{INT})*", text) is not None
+    if isinstance(ctx, FiniteGroupContext):
+        return re.fullmatch(INT, text) is not None
+    return True  # free-group words hold no integers
+
+
+def strict_subset(ctx, text):
+    text = text.strip()
+    if text.startswith("ball:"):
+        return re.fullmatch(f"ball:{INT}", text) is not None
+    return not text or all(strict_element(ctx, p.strip()) for p in text.split(","))
+
+
+def strict_letter(text):
+    return re.fullmatch(f"{INT}(?:\\.{INT})*", text.strip()) is not None
+
+
+@settings(max_examples=600, deadline=None)
+@given(TEXTS)
+def test_text_parsers_return_a_value_or_raise_value_error(text):
+    # each check: (call, whether a returned value read only -?[0-9]+ numbers)
+    checks = [
+        (lambda: parse_letter(text), lambda: strict_letter(text)),
+        (lambda: parse_semantics(text),
+         lambda: re.fullmatch(f"exact|local:{INT}", text.strip()) is not None),
+        (lambda: parse_group(text),
+         lambda: re.fullmatch(r"Z|Z\^[0-9]+|F[0-9]+|finite:.*", text.strip()) is not None),
+    ]
+    for ctx in CONTEXTS:
+        checks += [
+            (lambda ctx=ctx: ctx.element_from_text(text), lambda ctx=ctx: strict_element(ctx, text)),
+            (lambda ctx=ctx: parse_subset(ctx, text), lambda ctx=ctx: strict_subset(ctx, text)),
+            (lambda ctx=ctx: parse_region(ctx, text),
+             lambda ctx=ctx: (re.fullmatch(f"{INT}\\.\\.{INT}", text.strip()) is not None
+                              if ctx.describe() == "Z" and ".." in text
+                              else strict_subset(ctx, text))),
+            (lambda ctx=ctx: parse_pattern(ctx, text),
+             lambda ctx=ctx: all(strict_element(ctx, cell.strip()) and strict_letter(val)
+                                 for cell, _, val in (c.partition("=") for c in text.split(",")))),
+        ]
+    with pytest.MonkeyPatch.context() as mp:
+        # a long interval or a wide ball stops at the cap
+        mp.setenv("SYMDYN_MAX_BALL", "50")
+        for call, strict in checks:
+            try:
+                call()
+            except (ValueError, BallCapExceeded):
+                continue
+            assert strict(), text

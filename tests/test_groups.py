@@ -153,6 +153,12 @@ def test_parse_group_rejects_unknown():
         parse_group("finite:nope")
 
 
+@pytest.mark.parametrize("text, canonical", [("Z^03", "Z^3"), ("Z^1", "Z"), ("F02", "F2")])
+def test_parse_group_shares_one_context_per_group(text, canonical):
+    # keyed by the group, not the text, so both share one ball cache
+    assert parse_group(text) is parse_group(canonical)
+
+
 def test_free_group_reduction():
     f2 = parse_group("F2")
     a = f2.element_from_text("a")

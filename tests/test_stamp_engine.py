@@ -95,6 +95,7 @@ from symdyn.groups import (
     set_pow,
     syndeticity_witness,
 )
+from symdyn import irreducibility
 from symdyn.irreducibility import (
     GluingCounterexample,
     IrreducibilityReport,
@@ -1130,6 +1131,48 @@ def test_exact_scan_reads_lengths_only_to_the_first_repeated_family(monkeypatch)
     report = check_irreducible(Z, builtin_spec("golden_mean"), 1, Z.ball(2), 200)
     assert report.holds
     assert lengths == {1, 2}
+
+
+def test_exact_scan_builds_each_family_once(monkeypatch):
+    # the maximal 2-separation system's families first repeat at length 9
+    # in both directions; one scan builds each length's family once, not
+    # once per gap (l1) and once per l1 (l2)
+    spec, witness = max_separated_subshift(Z, Z.ball(2))
+    fresh = _IntervalGluer(spec, 1)
+    firsts = [oracle_first_lengths(groups, 40) for groups in (fresh.er_groups, fresh.en_groups)]
+    assert firsts == [list(range(1, 9))] * 2
+    builds, inside = [], []
+
+    def counting_frozenset(*args):
+        if inside:
+            builds.append(args)
+        return frozenset(*args)
+
+    original = _IntervalGluer.first_failure
+
+    def first_failure(self, *args):
+        inside.append(args)
+        try:
+            return original(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(irreducibility, "frozenset", counting_frozenset, raising=False)
+    monkeypatch.setattr(_IntervalGluer, "first_failure", first_failure)
+    report = check_irreducible(Z, spec, 1, witness, 16)
+    assert report.holds
+    # lengths 1..8 in each direction, plus length 9, the first repeat
+    assert len(builds) == 2 * 9
+
+
+def test_kept_family_lengths_answer_every_later_limit():
+    # one gluer's lengths serve every gap's limit, below and past the repeat
+    spec, _ = max_separated_subshift(Z, Z.ball(2))
+    engine = _IntervalGluer(spec, 1)
+    for kept, groups in ((engine._er_lengths, engine.er_groups),
+                         (engine._en_lengths, engine.en_groups)):
+        for limit in (3, 40, 5, 0, 12, 40):
+            assert list(kept.upto(groups, limit)) == oracle_first_lengths(groups, limit), limit
 
 
 def oracle_first_lengths(groups, limit):
