@@ -99,6 +99,15 @@ def parse_region(ctx: GroupContext, text: str) -> FiniteSubset:
     return parse_subset(ctx, text)
 
 
+def int_arg(text: str) -> int:
+    """``type=`` of every integer flag: :func:`parse_int`, failing the
+    way argparse fails ``type=int`` (``argument --scale: invalid int value``)."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def parse_letter(text: str):
     """``0`` for depth-1 letters, ``0.1`` for stacked ones."""
     text = text.strip()
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="enumerate a word-length ball")
     p.add_argument("group")
-    p.add_argument("radius", type=int)
+    p.add_argument("radius", type=int_arg)
     p.set_defaults(handler=_cmd_ball)
 
     p = sub.add_parser("separated", help="check D-separation of a finite set")
@@ -464,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--d", required=True)
     p.add_argument("--region", required=True)
-    p.add_argument("--syndetic-cap", type=int, default=8)
+    p.add_argument("--syndetic-cap", type=int_arg, default=8)
     p.set_defaults(handler=_cmd_maximal_separated)
 
     p = sub.add_parser("small", help="finite-scale smallness report")
     p.add_argument("group")
     p.add_argument("--member", required=True)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=int_arg, default=2)
     p.add_argument("--region", required=True)
-    p.add_argument("--syndetic-cap", type=int, default=20)
+    p.add_argument("--syndetic-cap", type=int_arg, default=20)
     p.set_defaults(handler=_cmd_small)
 
     p = sub.add_parser("patterns", help="enumerate admissible window patterns")
@@ -486,15 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--probe", required=True)
     p.add_argument("--window", required=True)
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=int_arg)
     p.add_argument("--sem", default="exact")
     p.set_defaults(handler=_cmd_minimal_check)
 
     p = sub.add_parser("irreducible", help="exhaustive gluing check over D")
     p.add_argument("spec")
     p.add_argument("--d", required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--level", type=int)
+    p.add_argument("--scale", type=int_arg, required=True)
+    p.add_argument("--level", type=int_arg)
     p.add_argument("--sem", default="exact")
     _add_emit(p)
     p.set_defaults(handler=_cmd_irreducible)
@@ -504,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="target domain")
     p.add_argument("--a", required=True, help="first pattern (cell=value,...)")
     p.add_argument("--b", required=True, help="second pattern")
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=int_arg)
     p.add_argument("--sem", default="exact")
     p.set_defaults(handler=_cmd_conf)
 
@@ -513,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("group")
     p.add_argument("--d", required=True)
-    p.add_argument("--check-scale", type=int, default=0,
+    p.add_argument("--check-scale", type=int_arg, default=0,
                    help="also run the gluing check at this scale")
     _add_emit(p)
     p.set_defaults(handler=_cmd_max_sep_shift)
@@ -521,20 +530,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densify", help="marker densification + verification")
     p.add_argument("spec")
     p.add_argument("--window", required=True)
-    p.add_argument("--level", type=int)
-    p.add_argument("--scale", type=int, default=40)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--witness-scale", type=int, default=6)
+    p.add_argument("--level", type=int_arg)
+    p.add_argument("--scale", type=int_arg, default=40)
+    p.add_argument("--samples", type=int_arg, default=12)
+    p.add_argument("--seed", type=int_arg, default=0)
+    p.add_argument("--witness-scale", type=int_arg, default=6)
     _add_emit(p)
     p.set_defaults(handler=_cmd_densify)
 
     p = sub.add_parser("pad-free", help="pad with free levels, certify freeness")
     p.add_argument("spec")
     p.add_argument("--g", required=True, help="translation to certify")
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--radius-cap", type=int, default=4)
+    p.add_argument("--levels", type=int_arg, default=1)
+    p.add_argument("--alphabet", type=int_arg, default=2)
+    p.add_argument("--radius-cap", type=int_arg, default=4)
     _add_emit(p)
     p.set_defaults(handler=_cmd_pad_free)
 
@@ -552,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--window", required=True)
     p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--scale", type=int, default=40)
+    p.add_argument("--scale", type=int_arg, default=40)
     _add_emit(p)
     p.set_defaults(handler=_cmd_gamma_densify)
 
@@ -560,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--d", required=True)
     p.add_argument("--u", required=True, help="target cylinder (cell=value,...)")
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--scale", type=int_arg, default=8)
+    p.add_argument("--max-size", type=int_arg, default=4)
     _add_emit(p)
     p.set_defaults(handler=_cmd_scp)
 
@@ -569,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("factor", help="builtin factor name")
     p.add_argument("--d", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--scale", type=int_arg, default=8)
+    p.add_argument("--max-size", type=int_arg, default=4)
     _add_emit(p)
     p.set_defaults(handler=_cmd_lift_scp)
 
@@ -580,9 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--alpha", required=True)
     p.add_argument("--u", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--scale", type=int, default=8)
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--depth", type=int_arg, default=4)
+    p.add_argument("--scale", type=int_arg, default=8)
+    p.add_argument("--max-size", type=int_arg, default=4)
     _add_emit(p)
     p.set_defaults(handler=_cmd_joint_realize)
 
@@ -592,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_x")
     p.add_argument("spec_y")
     p.add_argument("--window", required=True)
-    p.add_argument("--scale", type=int, default=80)
+    p.add_argument("--scale", type=int_arg, default=80)
     _add_emit(p)
     p.set_defaults(handler=_cmd_disjoint)
 
@@ -602,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--u", required=True)
     p.add_argument("--default", default="0", help="letter off the stamps")
-    p.add_argument("--radius", type=int, default=6)
+    p.add_argument("--radius", type=int_arg, default=6)
     p.set_defaults(handler=_cmd_cylinder_point)
 
     p = sub.add_parser("verify", help="re-derive certificates and byte-compare")

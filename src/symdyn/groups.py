@@ -62,7 +62,7 @@ def ball_cap() -> int:
     if not raw:
         return DEFAULT_BALL_CAP
     try:
-        cap = int(raw)
+        cap = parse_int(raw)
     except ValueError:
         cap = 0
     if cap < 1:

@@ -26,7 +26,9 @@ region per pattern pair).
 
 ``conf`` returns the deterministic least joint extension of two
 compatible patterns — the densification pipeline depends on this being
-reproducible cell for cell.  ``max_separated_subshift`` encodes
+reproducible cell for cell; under exact semantics one transfer-graph
+walk outward from the first free cell decides every letter it probes
+(``window_fill``).  ``max_separated_subshift`` encodes
 indicator functions of maximal D-separated sets as a finite-type
 condition, together with the ball claimed to witness irreducibility.
 """
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .certificates import register_claim
 from .groups import (
@@ -52,10 +54,12 @@ from .subshifts import (
     Semantics,
     SftSpec,
     SubshiftError,
+    TransferGraph,
     _LocalRegion,
     _bitrow_mul,
     _require_exact_ctx,
     check_level,
+    hull_interval,
     level_pattern_list,
     project_letter,
     transfer_graph,
@@ -672,6 +676,139 @@ def irreducibility_witness_search(
 # the deterministic gluing function
 # ---------------------------------------------------------------------------
 
+class _IntervalFill:
+    """A window on Z filled cell by cell: one outward transfer-graph walk.
+
+    Hull position ``p`` is the step from node ``p`` to node ``p + 1`` of a
+    path of the trimmed graph, which may start in any state (see
+    ``TransferGraph.feasible``).  ``pre[k]`` holds the states the clamps
+    before node ``k`` reach, ``post[k]`` those from which the clamps from
+    node ``k`` on can be met; both are read once.
+
+    Fixed cells fill the positions ``[start, stop)``, which must grow by
+    one end per fixed cell, as Z's order ``(|n|, n)`` grows them.
+    ``rel[i]`` holds the states at ``stop`` that entry state ``i`` at
+    ``start`` reaches through that interval and from which the clamps
+    after it can be met (0 when ``i`` is no live entry).  A cell past
+    ``stop`` is probed forward from the union of the exits, a cell before
+    ``start`` backward from the live entries, so no probe walks the hull
+    again; fixing a letter steps every entry across the positions joined.
+    """
+
+    def __init__(self, tg: TransferGraph, f: FiniteSubset, clamps: dict):
+        self.tg = tg
+        self.lo, hi = hull_interval(f)
+        self.clamps = [None] * (hi - self.lo + 1)
+        for g, lset in clamps.items():
+            self.clamps[g[0] - self.lo] = lset
+        self.pre = [tg.full]
+        for lset in self.clamps:
+            self.pre.append(tg.step(self.pre[-1], lset))
+        post = [tg.full]
+        for lset in reversed(self.clamps):
+            post.append(tg.step(post[-1], lset, back=True))
+        self.post = post[::-1]
+        self.feasible = bool(self.pre[-1])
+        self.start = self.stop = None
+        self.rel: list[int] = []
+
+    def _walk(self, mask: int, start: int, stop: int, back: bool = False) -> int:
+        """``mask`` across the clamps at positions ``[start, stop)``."""
+        span = range(start, stop)
+        for q in reversed(span) if back else span:
+            mask = self.tg.step(mask, self.clamps[q], back)
+        return mask
+
+    def _joins_right(self, p: int) -> bool:
+        """Does position ``p`` join the fixed cells past ``stop`` (else before
+        ``start``)?  The first cell probed opens the interval there."""
+        if self.start is None:
+            self.start = self.stop = p
+            live = self.pre[p] & self.post[p]
+            self.rel = [live & 1 << i for i in range(len(self.tg.states))]
+        if self.start <= p < self.stop:
+            raise ValueError(f"cell {p + self.lo} lies inside the fixed cells")
+        return p >= self.stop
+
+    def admits(self, cell, lset) -> bool:
+        """Do the clamps and fixed cells admit ``cell`` taking its letter in ``lset``?"""
+        p = cell[0] - self.lo
+        step = self.tg.step
+        if self._joins_right(p):
+            exits = self._walk(_bitrow_mul(self.tg.full, self.rel), self.stop, p)
+            return bool(step(exits, lset) & self.post[p + 1])
+        entries = sum(1 << i for i, x in enumerate(self.rel) if x)
+        return bool(step(self.pre[p], lset) & self._walk(entries, p + 1, self.start, True))
+
+    def fix(self, cell, lset) -> None:
+        """Hold ``cell`` to ``lset`` from now on."""
+        p = cell[0] - self.lo
+        step = self.tg.step
+        if self._joins_right(p):
+            post = self.post[p + 1]
+            self.rel = [
+                step(self._walk(x, self.stop, p), lset) & post if x else 0
+                for x in self.rel
+            ]
+            self.stop = p + 1
+        else:
+            live = self.pre[p]
+            self.rel = [
+                _bitrow_mul(self._walk(step(1 << i, lset), p + 1, self.start), self.rel)
+                if live >> i & 1 else 0
+                for i in range(len(self.rel))
+            ]
+            self.start = p
+
+
+class _RegionFill:
+    """A window under ``local(m)`` filled cell by cell: each probe asks for
+    an admissible fill of the compiled region ``ball(m) * f``."""
+
+    def __init__(self, region: _LocalRegion, clamps: dict):
+        self.region = region
+        self.choices = region.choices(clamps)
+        self.feasible = self._extends()
+
+    def _extends(self) -> bool:
+        return self.region.extends([None] * len(self.region.cells), self.choices)
+
+    def admits(self, cell, lset) -> bool:
+        """Do the clamps and fixed cells admit ``cell`` taking its letter in ``lset``?"""
+        i = self.region.index[cell]
+        kept, self.choices[i] = self.choices[i], self.region.among(lset)
+        ok = self._extends()
+        self.choices[i] = kept
+        return ok
+
+    def fix(self, cell, lset) -> None:
+        """Hold ``cell`` to ``lset`` from now on."""
+        self.choices[self.region.index[cell]] = self.region.among(lset)
+
+
+def window_fill(
+    ctx: GroupContext, spec: SftSpec, f: FiniteSubset, sem: Semantics, clamps: dict
+) -> Union[_IntervalFill, _RegionFill]:
+    """Letter constraints on ``f``, extended one cell at a time.
+
+    ``clamps`` maps cells of ``f`` to letter sets.  The result's
+    ``feasible`` says whether some admissible pattern on ``f`` meets them,
+    ``admits(cell, lset)`` whether one still does with ``cell`` held to
+    ``lset`` as well, and ``fix(cell, lset)`` holds it there.  Free cells
+    are probed and fixed in the context's order.  Exact semantics relies
+    on that order: on Z the fixed cells then fill an interval of the hull
+    that grows by one end per cell, so one walk outward from the first
+    fixed cell decides every probe without walking the hull again
+    (``_IntervalFill``).  Under ``local(m)`` each probe is one fill of
+    ``ball(m) * f``, as :func:`~symdyn.subshifts.window_test` asks it.
+    """
+    if sem.mode == "exact":
+        _require_exact_ctx(ctx)
+        return _IntervalFill(transfer_graph(spec), f, clamps)
+    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
+    return _RegionFill(region, clamps)
+
+
 def _merged_clamps(alpha1: Pattern, alpha2: Pattern, f: FiniteSubset) -> dict:
     fset = f.as_set()
     for p in (alpha1, alpha2):
@@ -698,13 +835,16 @@ def conf(
     """The least admissible level-``level`` extension of two patterns on ``f``.
 
     Free cells are filled in the context's deterministic order, always
-    taking the least level letter that keeps the window completable (one
-    :func:`~symdyn.subshifts.window_test` predicate for either semantics),
-    so the result is reproducible across runs and machines — every
+    taking the least level letter that keeps the window completable, so
+    the result is reproducible across runs and machines — every
     downstream construction that needs "some joint extension" takes this
-    one.  Raises ``GluingError`` when no joint extension exists, which
-    callers should read as an invalid irreducibility witness at this
-    scale.
+    one.  One :func:`window_fill` answers the probes
+    under either semantics.  Under exact semantics it leans on Z's order
+    ``(|n|, n)``: the cells fixed so far fill an interval of the hull that
+    grows by one end per cell, so a single transfer-graph walk outward
+    from the first free cell decides every probe, linear in the window.
+    Raises ``GluingError`` when no joint extension exists, which callers
+    should read as an invalid irreducibility witness at this scale.
     """
     if not isinstance(spec, SftSpec):
         raise SubshiftError("gluing needs a finite-type presentation")
@@ -714,17 +854,16 @@ def conf(
     for g, v in merged.items():
         if v not in pre:
             raise SubshiftError(f"{v!r} is not a level-{level} letter")
-    test = window_test(ctx, spec, f, sem)
-    allowed = {g: pre[v] for g, v in merged.items()}
-    if not test(allowed):
+    fill = window_fill(ctx, spec, f, sem, {g: pre[v] for g, v in merged.items()})
+    if not fill.feasible:
         raise GluingError("the two patterns admit no joint extension")
     values = dict(merged)
     for cell in f:
         if cell in merged:
             continue
         for v in level_letters:
-            allowed[cell] = pre[v]
-            if test(allowed):
+            if fill.admits(cell, pre[v]):
+                fill.fix(cell, pre[v])
                 values[cell] = v
                 break
         else:

@@ -512,8 +512,10 @@ class TransferGraph:
     The trimmed states are numbered once, in sorted order (``index``).
     ``rows[a][i]`` has bit ``j`` set when letter ``a`` leads from state
     ``i`` to state ``j``, ``full`` has every state's bit, and ``power(n)``
-    gives the rows of the ``n``-step reachability matrix.  Window
-    feasibility, membership and the interval gluer all walk these rows.
+    gives the rows of the ``n``-step reachability matrix.  ``step`` moves a
+    mask of states one position on, or back through ``back_rows``.  Window
+    feasibility, membership, the outward fill behind ``conf`` and the
+    interval gluer all walk these rows.
     """
 
     def __init__(self, spec: SftSpec):
@@ -548,6 +550,7 @@ class TransferGraph:
                 self.rows[a][i] = 1 << self.index[t]
         self._powers: list[list[int]] = []
         self._prefixes: dict[int, list[tuple]] = {}
+        self._back: dict = {}
 
     def _tail_ok(self, word: tuple) -> bool:
         # check forbidden occurrences that end at the last cell of `word`
@@ -625,6 +628,18 @@ class TransferGraph:
             self._powers.append([_bitrow_mul(r, self._powers[1]) for r in prev])
         return self._powers[n]
 
+    def back_rows(self) -> dict:
+        """``rows`` reversed, built on first use: ``back_rows()[a][j]`` has
+        bit ``i`` set when letter ``a`` leads from state ``i`` to state ``j``."""
+        if not self._back:
+            for a, rows in self.rows.items():
+                back = [0] * len(self.states)
+                for i, row in enumerate(rows):
+                    if row:
+                        back[row.bit_length() - 1] |= 1 << i
+                self._back[a] = back
+        return self._back
+
     def contains(self, word: tuple) -> bool:
         """Is ``word`` an admissible window?
 
@@ -681,34 +696,34 @@ class TransferGraph:
                 pick -= wvec[t]
         return tuple(word)
 
+    def step(self, mask: int, lset, back: bool = False) -> int:
+        """The states that a letter of ``lset`` (any letter when ``None``)
+        leads the states of ``mask`` to; with ``back``, the states that such
+        a letter leads into ``mask``."""
+        if lset is None and not back:
+            return _bitrow_mul(mask, self.power(1))
+        table = self.back_rows() if back else self.rows
+        out = 0
+        for a in self.letters if lset is None else lset:
+            rows = table.get(a)
+            if rows is not None:
+                out |= _bitrow_mul(mask, rows)
+        return out
+
     def feasible(self, length: int, allowed: dict) -> bool:
         """Is there a window of ``length`` with its letters in ``allowed``?
 
         ``allowed`` maps 0-based positions to letter sets; other positions
-        are free.  The states matching the first ``min(length, m)``
-        positions seed a bit mask of states, which then steps through the
-        rows once per further position.
+        are free.  A word is a window exactly when it labels a path of the
+        trimmed graph (after ``k >= m`` letters the state is the last ``m``
+        of them, and every state lies on a bi-infinite path), so a mask of
+        all states steps through the rows once per position.
         """
-        head = [
-            (p, lset) for p, lset in allowed.items() if 0 <= p < min(length, self.m)
-        ]
-        mask = 0
-        for i, s in enumerate(self.states):
-            if all(s[p] in lset for p, lset in head):
-                mask |= 1 << i
-        for pos in range(self.m, length):
+        mask = self.full
+        for pos in range(length):
             if not mask:
                 return False
-            lset = allowed.get(pos)
-            if lset is None:
-                mask = _bitrow_mul(mask, self.power(1))
-                continue
-            step = 0
-            for a in lset:
-                rows = self.rows.get(a)
-                if rows is not None:
-                    step |= _bitrow_mul(mask, rows)
-            mask = step
+            mask = self.step(mask, allowed.get(pos))
         return bool(mask)
 
 
@@ -831,7 +846,10 @@ def window_test(
     pattern on ``f`` takes its letters there.  Exact semantics walks the
     transfer graph over the hull of ``f``; ``local(m)`` asks for an
     admissible fill of ``ball(m) * f``.  Letters outside the alphabet
-    satisfy neither.
+    satisfy neither.  Each call decides its constraints afresh;
+    :func:`~symdyn.irreducibility.window_fill` adds them one cell at a
+    time for ``conf``, walking the transfer graph outward from the first
+    cell fixed instead of across the hull per probe.
     """
     if sem.mode == "exact":
         _require_exact_ctx(ctx)

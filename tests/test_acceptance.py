@@ -1,4 +1,4 @@
-"""Acceptance sweep: the nine headline claims and one scale run, one test
+"""Acceptance sweep: the nine headline claims and two scale runs, one test
 line each.
 
 Each criterion re-derives its data from scratch at the stated scale and
@@ -6,6 +6,7 @@ checks against an oracle that does not share code with the construction
 under test.  Stated time budgets are asserted, not just hoped for.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -341,3 +342,20 @@ def test_criterion_10_exact_gluing_at_scale_200():
         f"criterion 10: PASS - golden mean glues over ball(2) on all {apart} "
         f"interval classes at scale 200 in {elapsed:.2f}s"
     )
+
+
+def test_criterion_11_exact_conf_on_4000_cells(capsys):
+    # the least golden-mean word from 1 to 1 over 4000 cells, one outward
+    # walk of the window; stdout is pinned to the bytes of the per-letter
+    # hull loop this walk replaced (which took about 8 s)
+    argv = ["conf", "golden_mean", "--f", "0..3999", "--a", "0=1", "--b", "3999=1"]
+    start = time.monotonic()
+    assert main(argv) == 0
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert out == "0=1," + "".join(f"{n}=0," for n in range(1, 3999)) + "3999=1\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8042b9c9e421c8c69121f00f7d9214af7d611832a019f6be13ecb4ef95fa3688"
+    )
+    assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f}s"
+    print(f"criterion 11: PASS - least 4000-cell golden-mean gluing in {elapsed:.2f}s")

@@ -410,12 +410,35 @@ def test_cylinder_point_on_free_group_is_usage_error(capsys):
     )
 
 
-@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["irreducible", "golden_mean", "--d", "ball:2", "--scale"], "--scale"),
+        (["conf", "golden_mean", "--f", "0..4", "--a", "0=1", "--b", "4=1", "--level"],
+         "--level"),
+        (["ball", "Z"], "radius"),
+    ],
+    ids=["scale", "level", "ball-radius"],
+)
+@pytest.mark.parametrize("raw", ["1_0", " +1\u0660"])
+def test_integer_flag_takes_ascii_digits_only(argv, flag, raw, capsys):
+    # argparse prints its own usage line and exits 2
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, raw])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: argument {flag}: invalid int value: {raw!r}\n")
+
+
+@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3", " 1_0", "+5", "1\u0660"])
 def test_malformed_ball_cap_is_usage_error(raw, monkeypatch, capsys):
     monkeypatch.setenv("SYMDYN_MAX_BALL", raw)
     # Z^7 is used nowhere else, so its balls are not cached yet
     assert main(["ball", "Z^7", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: SYMDYN_MAX_BALL")
+    assert capsys.readouterr().err == (
+        f"error: SYMDYN_MAX_BALL must be a positive integer, got {raw!r}\n"
+    )
 
 
 def test_ball_over_the_cap_is_usage_error(monkeypatch, capsys):

@@ -330,10 +330,11 @@ def test_ball_cap_reads_the_environment(monkeypatch):
         LatticeContext(2).ball(2)  # 13 elements
 
 
-@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3"])
+@pytest.mark.parametrize("raw", ["lots", "1.5", "0", "-3", " 1_0", "+5", "1\u0660"])
 def test_malformed_ball_cap_is_rejected(raw, monkeypatch):
     monkeypatch.setenv("SYMDYN_MAX_BALL", raw)
-    with pytest.raises(ValueError, match="SYMDYN_MAX_BALL"):
+    with pytest.raises(ValueError) as caught:
         ball_cap()
+    assert str(caught.value) == f"SYMDYN_MAX_BALL must be a positive integer, got {raw!r}"
     with pytest.raises(ValueError):
         LatticeContext(2).ball(1)

@@ -34,9 +34,9 @@ system's transfer graph, and ``oracle_verify_phi`` is the re-check built
 on both.  ``oracle_stamp_core`` is the stamp search with the nested
 all/any/all test, and ``oracle_avoided`` finds shattering's avoided
 blocks by asking the member predicate for every cell of every block.
-``oracle_conf_exact`` is the exact gluing loop ``conf`` ran before both
-semantics shared one window test: positions counted on the hull of the
-domain and one transfer-graph walk per probed letter.  Equivariant
+``oracle_conf_exact`` is the exact gluing loop ``conf`` ran before its
+outward walk: positions counted on the hull of the domain and one
+transfer-graph walk of the whole hull per probed letter.  Equivariant
 densification now runs on the densification rewrite;
 ``oracle_gamma_letter`` is its own nearest-grid rewrite, which finds the
 marker by arithmetic and glues a group-translated stamp for every cell.
@@ -1250,15 +1250,31 @@ def test_local_zero_differs_from_exact_on_a_dead_end():
 # --- the exact gluing function -----------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(z_sft_specs(), st.data())
-def test_exact_conf_matches_hull_loop(spec, data):
+@st.composite
+def conf_domains(draw, max_width=16):
+    """A scattered domain whose hull of up to ``max_width`` cells lies wholly
+    below 0, wholly at or above 0, or across 0, so the fixed cells of exact
+    ``conf`` grow leftward, rightward or both ways."""
+    width = draw(st.integers(1, max_width))
+    where = draw(st.sampled_from(["below", "above"] + ["across"] * (width > 1)))
+    if where == "below":
+        lo = draw(st.integers(-width - 3, -width))
+    elif where == "above":
+        lo = draw(st.integers(0, 3))
+    else:
+        lo = draw(st.integers(1 - width, -1))
+    hi = lo + width - 1
+    inner = draw(st.sets(st.integers(lo, hi)))
+    return FiniteSubset.of(Z, [(c,) for c in {lo, hi} | inner])
+
+
+@settings(max_examples=400, deadline=None)
+@given(z_sft_specs(), conf_domains(), st.data())
+def test_exact_conf_matches_hull_loop(spec, f, data):
     level = data.draw(st.integers(1, spec.stack))
     level_letters = sorted(level_preimages(spec, level))
-    # scattered domains: the hull has cells outside f
-    cells = data.draw(st.lists(st.integers(-3, 5), min_size=1, max_size=6, unique=True))
-    f = FiniteSubset.of(Z, [(c,) for c in cells])
-    clamped = data.draw(st.lists(st.sampled_from(f.elements), min_size=1, unique=True))
+    # no clamps at all is a join of two empty patterns
+    clamped = [g for g in f if data.draw(st.booleans())]
     split = data.draw(st.integers(0, len(clamped)))
     values = {g: data.draw(st.sampled_from(level_letters)) for g in clamped}
     alpha1 = Pattern.of(Z, {g: values[g] for g in clamped[:split]})
@@ -1269,6 +1285,32 @@ def test_exact_conf_matches_hull_loop(spec, data):
             conf(Z, spec, level, f, alpha1, alpha2)
     else:
         assert conf(Z, spec, level, f, alpha1, alpha2) == want
+
+
+@pytest.mark.parametrize(
+    "forbidden, cells, clamps",
+    [
+        ([], [-2, 0, 3], {}),  # m = 0 and no clamps
+        ([{0: 0}], [-1, 1, 2], {2: 1}),  # m = 0, one letter forbidden
+        ([{0: 1, 4: 1}], [0, 2], {0: 1}),  # a hull shorter than m = 4
+        ([{0: 1, 4: 1}, {0: 1, 1: 1}], range(3, 11), {4: 1}),  # cells before m, growing right
+        ([{0: 1, 2: 1}, {0: 1, 1: 1}], range(-9, -1), {-9: 1}),  # growing left
+        ([{0: 1, 3: 1}, {0: 0, 1: 0}], range(-5, 6), {-5: 1, 5: 1}),  # both ways
+        ([{0: 0, 1: 0}], [0, 2, 3], {}),  # fixing right across a free cell
+        ([{0: 0, 2: 0}], range(-4, 0), {-2: 1}),  # fixing left across a clamp
+        ([{0: 0, 1: 0}], [-6, -3, -2, -1], {-3: 0}),  # probing left across a clamp
+        ([{0: 0, 1: 0}], [-2, -1], {-2: 0}),  # a clamp before the first free cell
+    ],
+)
+def test_exact_conf_corner_cases_match_hull_loop(forbidden, cells, clamps):
+    spec = SftSpec(
+        "Z", (2,), tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), "f"
+    )
+    f = FiniteSubset.of(Z, [(c,) for c in cells])
+    alpha = Pattern.of(Z, {(c,): v for c, v in clamps.items()})
+    want = oracle_conf_exact(Z, spec, 1, f, alpha, Pattern.of(Z, {}))
+    assert want is not None
+    assert conf(Z, spec, 1, f, alpha, Pattern.of(Z, {})) == want
 
 
 # --- densification and shattering ---------------------------------------------------
