@@ -75,6 +75,7 @@ from .irreducibility import (
     conf,
     irreducibility_envelope,
     irreducibility_witness_search,
+    is_admissible,
     max_separated_subshift,
 )
 from .scp import (
@@ -97,7 +98,6 @@ from .subshifts import (
     SubshiftError,
     SubstitutionSpec,
     essential_freeness_check,
-    is_admissible,
     is_minimal_at,
     level_pattern_list,
     local,

@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_emit(p)
     p.set_defaults(handler=_cmd_densify)
 
-    p = sub.add_parser("pad-free", help="pad with free levels, certify freeness")
+    p = sub.add_parser("pad-free", help="pad with free levels, certify essential freeness")
     p.add_argument("spec")
     p.add_argument("--g", required=True, help="translation to certify")
     p.add_argument("--levels", type=int_arg, default=1)

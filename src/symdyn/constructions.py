@@ -43,6 +43,7 @@ from .irreducibility import (
     IrreducibilityReport,
     check_irreducible,
     conf,
+    is_admissible,
     max_separated_subshift,
 )
 from .subshifts import (
@@ -56,7 +57,6 @@ from .subshifts import (
     check_level,
     essential_freeness_check,
     hull_interval,
-    is_admissible,
     letter_coords,
     level_pattern_list,
     make_letter,
@@ -248,7 +248,7 @@ def _stamp_core(
 
 @dataclass(eq=False)
 class PhiSystem:
-    """Marker-densification data: displaying ball, stamp, marker system."""
+    """Marker-densification data: displaying ball, stamp, marker spacing."""
 
     ctx: GroupContext
     base: SftSpec
@@ -262,7 +262,6 @@ class PhiSystem:
     ring: FiniteSubset  # V^5 minus V^3: the re-glued collar
     u: Pattern  # displaying stamp on V
     witness_report: IrreducibilityReport
-    marker_spec: SftSpec  # indicators of maximal V^5-separated sets
     marker_spacing: int  # canonical marker period (0 off the rank-1 lattice)
     syndetic_bound: int  # stretch length that must contain a full stamp
     build_scale: int
@@ -293,7 +292,6 @@ def build_phi(
     check_level(spec.stack, level)
     core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
     r = core["v_radius"]
-    marker_spec, _ = max_separated_subshift(ctx, core["v5"])
     if isinstance(ctx, LatticeContext) and ctx.rank == 1:
         # Maximal separation forbids all-zero stretches on ball(10r), so
         # markers are at most 20r+1 apart and every stretch of length
@@ -309,7 +307,6 @@ def build_phi(
         level=level,
         window=f,
         sem=sem,
-        marker_spec=marker_spec,
         marker_spacing=spacing,
         syndetic_bound=bound,
         build_scale=witness_scale,
@@ -441,11 +438,12 @@ def verify_phi(
     window slid across the scan, with a count per pattern placed in it.
 
     ``marker_window_ok``: the marker point's window on ``[-3s, 3s]`` is
-    an admissible window of the marker system.  Lemma: an ``s``-periodic
-    word of at least ``s + m`` letters (``m`` the forbidden diameter) is
-    one exactly when its letters lie in the alphabet and no forbidden
-    pattern occurs inside it, since every ``(m + 1)``-window of its
-    periodic extension already lies inside it.  Here ``s = 10r + 1`` and
+    an admissible window of the marker system (the indicators of maximal
+    ``V^5``-separated sets, built here).  Lemma: an ``s``-periodic word of
+    at least ``s + m`` letters (``m`` the forbidden diameter) is one
+    exactly when its letters lie in the alphabet and no forbidden pattern
+    occurs inside it, since every ``(m + 1)``-window of its periodic
+    extension already lies inside it.  Here ``s = 10r + 1`` and
     ``m = 20r``, so ``6s + 1 >= s + m`` and a direct scan decides it
     without the marker system's transfer graph.
     """
@@ -465,7 +463,7 @@ def verify_phi(
     y = canonical_marker_point(sys)
     mspan = 3 * sys.marker_spacing
     marker_window_ok = _periodic_window_admissible(
-        sys.marker_spec,
+        max_separated_subshift(ctx, sys.v5)[0],
         tuple(y.value((t,)) for t in range(-mspan, mspan + 1)),
         sys.marker_spacing,
     )

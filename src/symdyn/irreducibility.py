@@ -1,4 +1,5 @@
-"""Gluing checks for separated domains, and maximal-separated-set shifts.
+"""Gluing checks for separated domains, window feasibility, and
+maximal-separated-set shifts.
 
 A shift space is *D-irreducible at level n* when any two admissible
 level-``n`` patterns whose domains are D-apart (their D-translates do
@@ -21,14 +22,16 @@ domains in any context and inherits the local approximation; each
 translation class is decided by membership tests, and only classes that
 one forbidden occurrence can join are searched, by per-side signatures on
 the interface of the two thickened domains, built once per radius and
-interface (or, where interfaces are too wide, one window test of the joint
-region per pattern pair).
+interface (or, where interfaces are too wide, one fill of the joint region
+per pattern pair).
 
 ``conf`` returns the deterministic least joint extension of two
 compatible patterns — the densification pipeline depends on this being
 reproducible cell for cell; under exact semantics one transfer-graph
-walk outward from the first free cell decides every letter it probes
-(``window_fill``).  ``max_separated_subshift`` encodes
+walk outward from the first free cell decides every letter it probes.
+``window_fill`` is the one feasibility test for letter constraints on a
+window under either semantics: ``conf`` extends it cell by cell, and
+``is_admissible`` asks it once.  ``max_separated_subshift`` encodes
 indicator functions of maximal D-separated sets as a finite-type
 condition, together with the ball claimed to witness irreducibility.
 """
@@ -53,6 +56,7 @@ from .subshifts import (
     Pattern,
     Semantics,
     SftSpec,
+    SpecLike,
     SubshiftError,
     TransferGraph,
     _LocalRegion,
@@ -61,9 +65,9 @@ from .subshifts import (
     check_level,
     hull_interval,
     level_pattern_list,
+    pattern_set,
     project_letter,
     transfer_graph,
-    window_test,
 )
 
 
@@ -220,11 +224,6 @@ class _NewLengths:
                 self.seen.add(family)
                 self.known = length
             yield length
-
-
-def _new_lengths(groups, limit: int):
-    """The lengths a fresh ``_NewLengths`` yields for ``groups`` up to ``limit``."""
-    return _NewLengths().upto(groups, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +583,14 @@ class _SideSignatures:
         ctx, (r1, r2, x) = self.ctx, cls
         at1 = ctx.ball(r1).elements
         at2 = [ctx.mul(g, x) for g in ctx.ball(r2)]
-        test = window_test(ctx, self.spec, FiniteSubset.of(ctx, (*at1, *at2)), self.sem)
+        joint = FiniteSubset.of(ctx, (*at1, *at2))
+        region = _LocalRegion(ctx, self.spec, set_mul(ctx, ctx.ball(self.sem.margin), joint))
         for q1 in self.base[r1]:
             half = {g: self.narrow[v] for g, v in zip(at1, q1.values)}
             for q2 in self.base[r2]:
                 allowed = dict(half)
                 allowed.update((g, self.narrow[v]) for g, v in zip(at2, q2.values))
-                if not test(allowed):
+                if not _RegionFill(region, allowed).feasible:
                     return q1, q2
         return None
 
@@ -800,13 +800,27 @@ def window_fill(
     that grows by one end per cell, so one walk outward from the first
     fixed cell decides every probe without walking the hull again
     (``_IntervalFill``).  Under ``local(m)`` each probe is one fill of
-    ``ball(m) * f``, as :func:`~symdyn.subshifts.window_test` asks it.
+    ``ball(m) * f``.  Letters outside the alphabet satisfy neither.  This
+    is the one place that turns letter constraints on a window into a
+    feasibility decision; :func:`is_admissible` reads ``feasible`` alone.
     """
     if sem.mode == "exact":
         _require_exact_ctx(ctx)
         return _IntervalFill(transfer_graph(spec), f, clamps)
     region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
     return _RegionFill(region, clamps)
+
+
+def is_admissible(
+    ctx: GroupContext, spec: SpecLike, pattern: Pattern, sem: Semantics
+) -> bool:
+    """Window-scale admissibility of a (possibly scattered) pattern."""
+    if len(pattern.domain) == 0:
+        return True
+    if isinstance(spec, SftSpec):
+        clamps = {g: (v,) for g, v in pattern.items()}
+        return window_fill(ctx, spec, pattern.domain, sem, clamps).feasible
+    return pattern in pattern_set(ctx, spec, pattern.domain, sem)
 
 
 def _merged_clamps(alpha1: Pattern, alpha2: Pattern, f: FiniteSubset) -> dict:

@@ -24,7 +24,7 @@ from .certificates import register_claim
 from .configurations import elements_in_order, free_dense_point
 from .constructions import ConstructionError, least_periodic_point
 from .groups import FiniteSubset, GroupContext, is_separated
-from .irreducibility import conf, irreducibility_witness_search
+from .irreducibility import conf, irreducibility_witness_search, is_admissible
 from .subshifts import (
     EXACT,
     Pattern,
@@ -34,7 +34,6 @@ from .subshifts import (
     SubshiftError,
     SubstitutionSpec,
     hull_interval,
-    is_admissible,
     is_minimal_at,
     pattern_set,
     sorted_patterns,

@@ -836,34 +836,6 @@ class _LocalRegion:
         return next(self.search(vals, choices, start, len(self.cells)), None) is not None
 
 
-def window_test(
-    ctx: GroupContext, spec: SftSpec, f: FiniteSubset, sem: Semantics
-) -> Callable[[dict], bool]:
-    """Feasibility of letter constraints on ``f``, compiled once.
-
-    The returned predicate takes ``allowed``, a map from cells of ``f`` to
-    letter sets (other cells are free), and says whether some admissible
-    pattern on ``f`` takes its letters there.  Exact semantics walks the
-    transfer graph over the hull of ``f``; ``local(m)`` asks for an
-    admissible fill of ``ball(m) * f``.  Letters outside the alphabet
-    satisfy neither.  Each call decides its constraints afresh;
-    :func:`~symdyn.irreducibility.window_fill` adds them one cell at a
-    time for ``conf``, walking the transfer graph outward from the first
-    cell fixed instead of across the hull per probe.
-    """
-    if sem.mode == "exact":
-        _require_exact_ctx(ctx)
-        tg = transfer_graph(spec)
-        lo, hi = hull_interval(f)
-        return lambda allowed: tg.feasible(
-            hi - lo + 1, {g[0] - lo: lset for g, lset in allowed.items()}
-        )
-    region = _LocalRegion(ctx, spec, set_mul(ctx, ctx.ball(sem.margin), f))
-    return lambda allowed: region.extends(
-        [None] * len(region.cells), region.choices(allowed)
-    )
-
-
 # ---------------------------------------------------------------------------
 # pattern sets
 # ---------------------------------------------------------------------------
@@ -969,18 +941,6 @@ def push_forward(
         window = tuple(beta.value_at(ctx.mul(s, g)) for s in bmap.support)
         out[g] = bmap.apply_window(window)
     return Pattern.of(ctx, out)
-
-
-def is_admissible(
-    ctx: GroupContext, spec: SpecLike, pattern: Pattern, sem: Semantics
-) -> bool:
-    """Window-scale admissibility of a (possibly scattered) pattern."""
-    if len(pattern.domain) == 0:
-        return True
-    if isinstance(spec, SftSpec):
-        test = window_test(ctx, spec, pattern.domain, sem)
-        return test({g: (v,) for g, v in pattern.items()})
-    return pattern in pattern_set(ctx, spec, pattern.domain, sem)
 
 
 # ---------------------------------------------------------------------------

@@ -630,17 +630,41 @@ print(json.dumps(runs))
 """
 
 
-def test_help_and_usage_errors_print_the_same_bytes_on_every_call():
+def _run_fresh(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(symdyn.__file__)))
     env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
-    done = subprocess.run([sys.executable, "-c", HELP_TWICE], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
+
+
+def test_help_and_usage_errors_print_the_same_bytes_on_every_call():
+    done = _run_fresh(HELP_TWICE)
     runs = json.loads(done.stdout)
     assert runs[:3] == runs[3:]
     (top, _, top_code), (sub, _, sub_code), (_, bad, bad_code) = runs[:3]
     assert top.startswith("usage: symdyn [-h]") and top_code == 0
     assert sub.startswith("usage: symdyn irreducible [-h]") and sub_code == 0
     assert "invalid choice: 'bogus'" in bad and bad_code == 2
+
+
+# what importing the CLI may leave behind: nothing built, nothing cached
+IMPORT_ONLY = """
+import json
+import symdyn.cli
+from symdyn import cli, groups, subshifts
+print(json.dumps({
+    "transfer graphs": len(subshifts._TRANSFER_CACHE),
+    "pattern sets": len(subshifts._PATTERN_SET_CACHE),
+    "group contexts": len(groups._CONTEXT_CACHE),
+    "parsers": cli.build_parser.cache_info().currsize,
+}))
+"""
+
+
+def test_importing_the_cli_builds_nothing():
+    # every process pays for import-time work, a one-shot command included
+    built = json.loads(_run_fresh(IMPORT_ONLY).stdout)
+    assert built == dict.fromkeys(built, 0) and len(built) == 4
 
 
 # --- random text into every text parser ----------------------------------------------

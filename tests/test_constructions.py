@@ -8,11 +8,13 @@ is the product's original build, one mirrored loop per factor.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdyn import constructions
 from symdyn.certificates import verify_envelope
 from symdyn.configurations import Configuration
 from symdyn.constructions import (
@@ -39,6 +41,7 @@ from symdyn.subshifts import (
     Pattern,
     SftSpec,
     letter_coords,
+    local,
     make_letter,
     pattern_set,
     project_letter,
@@ -221,6 +224,24 @@ def test_build_phi_golden_pair_window_constants():
     # the stamp really shows all three admissible pair patterns
     pairs = {word[i : i + 2] for i in range(4)}
     assert pairs == {(1, 0), (0, 0), (0, 1)}
+
+
+def test_build_phi_off_z_builds_no_marker_system(monkeypatch):
+    # the marker system of V^5 = ball(5) on F2 has 118097 forbidden patterns
+    # and a witness ball of 57M products; only verify_phi, on Z, reads it
+    def refuse(*args):
+        raise AssertionError("build_phi built the marker system")
+
+    monkeypatch.setattr(constructions, "max_separated_subshift", refuse)
+    f2 = parse_group("F2")
+    f2_hard = SftSpec("F2", (2,), tuple(
+        Pattern.of(f2, {f2.identity: 1, g: 1}) for g in ("a", "b")
+    ), "f2_hard")
+    start = time.monotonic()
+    sys = build_phi(f2, f2_hard, 1, f2.ball(0), witness_scale=2, sem=local(1))
+    elapsed = time.monotonic() - start
+    assert sys.v_radius == 1
+    assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f}s"
 
 
 def test_build_phi_rejects_single_pattern_window():

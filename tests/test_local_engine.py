@@ -8,7 +8,7 @@ enumeration lists every fill of the thickened domain and then projects,
 and the gluing scan probes every domain pair afresh.  The library must
 agree with them exactly: same patterns in the same order, same
 admissibility verdicts and glued patterns (both asked through
-``window_test``), same reports.  The library's scan decides apartness and
+``window_fill``), same reports.  The library's scan decides apartness and
 independence of each translation class by membership and decides the
 classes a forbidden occurrence can join by per-side signatures on the
 interface of the two thickened domains (one search per pattern pair where
@@ -44,6 +44,7 @@ from symdyn.irreducibility import (
     _SideSignatures,
     check_irreducible,
     conf,
+    is_admissible,
     level_preimages,
 )
 from symdyn.subshifts import (
@@ -51,7 +52,6 @@ from symdyn.subshifts import (
     _LocalRegion,
     Pattern,
     SftSpec,
-    is_admissible,
     level_pattern_list,
     local,
     pattern_set,
@@ -331,7 +331,10 @@ def test_side_signatures_decide_each_class_like_a_whole_region_search(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(irreducibility, "_FEW_FILLS", math.inf)  # never fall back to pairs
         got = _SideSignatures(ctx, spec, narrow, m, base).first_unglued((r1, r2, x))
-    assert got == oracle_first_unglued(ctx, spec, narrow, ctx.ball(margin), base, (r1, r2, x))
+    want = oracle_first_unglued(ctx, spec, narrow, ctx.ball(margin), base, (r1, r2, x))
+    assert got == want
+    # the fallback for wide interfaces decides the same class alone
+    assert _SideSignatures(ctx, spec, narrow, m, base)._search_pairs((r1, r2, x)) == want
 
 
 @pytest.mark.parametrize("margin", [0, 1, 2])

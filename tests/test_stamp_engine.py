@@ -102,10 +102,11 @@ from symdyn.irreducibility import (
     _apart_span,
     _IntervalGluer,
     _min_apart_gap,
-    _new_lengths,
+    _NewLengths,
     _positive_differences,
     check_irreducible,
     conf,
+    is_admissible,
     level_pattern_list,
     level_preimages,
     max_separated_subshift,
@@ -594,7 +595,8 @@ def oracle_verify_phi(sys, scale, samples=12, seed=0):
     y = canonical_marker_point(sys)
     mspan = 3 * sys.marker_spacing
     marker_window_ok = oracle_marker_window_ok(
-        sys.marker_spec, tuple(y.value((t,)) for t in range(-mspan, mspan + 1))
+        max_separated_subshift(ctx, sys.v5)[0],
+        tuple(y.value((t,)) for t in range(-mspan, mspan + 1)),
     )
     margin = scale + max(abs(flo), abs(fhi)) + 8 * sys.v_radius + 1
     length = 2 * margin + 1
@@ -961,6 +963,22 @@ def test_contains_matches_edge_walk(spec, data):
         assert graph.contains(w) == oracle_contains(graph, w)
 
 
+@settings(max_examples=150, deadline=None)
+@given(z_sft_specs(), st.data())
+def test_exact_is_admissible_matches_language_scan(spec, data):
+    # scattered cells, plain and stacked letters, some outside the alphabet
+    letters = spec.letters() + (_outside(spec),)
+    cells = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    p = Pattern.of(Z, {(c,): data.draw(st.sampled_from(letters)) for c in cells})
+    lo, hi = hull_interval(p.domain)
+    states, edges = oracle_transfer_graph(spec)
+    want = any(
+        all(w[g[0] - lo] == v for g, v in p.items())
+        for w in oracle_language(states, edges, hi - lo + 1)
+    )
+    assert is_admissible(Z, spec, p, EXACT) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(z_sft_specs(lo=-1, hi=2))  # up to 64 states: the set oracles are quadratic
 def test_power_rows_match_set_reachability(spec):
@@ -1191,7 +1209,7 @@ def test_scan_lengths_are_the_first_lengths_of_distinct_families(spec):
     for level in range(1, spec.stack + 1):
         engine = _IntervalGluer(spec, level)
         for groups in (engine.er_groups, engine.en_groups):
-            assert list(_new_lengths(groups, 40)) == oracle_first_lengths(groups, 40), level
+            assert list(_NewLengths().upto(groups, 40)) == oracle_first_lengths(groups, 40), level
 
 
 def test_scan_lengths_stop_at_a_repeat_of_any_earlier_family():
@@ -1200,7 +1218,7 @@ def test_scan_lengths_stop_at_a_repeat_of_any_earlier_family():
     def groups(length):
         return ((1 if length == 1 else 2 + length % 2, ()),)
 
-    assert list(_new_lengths(groups, 9)) == oracle_first_lengths(groups, 9) == [1, 2, 3]
+    assert list(_NewLengths().upto(groups, 9)) == oracle_first_lengths(groups, 9) == [1, 2, 3]
 
 
 def test_interval_gluer_is_freed_without_the_cycle_collector():

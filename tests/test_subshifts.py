@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from symdyn.corpus import builtin_spec, load_spec
 from symdyn.groups import FiniteSubset, parse_group
+from symdyn.irreducibility import is_admissible
 from symdyn.subshifts import (
     EXACT,
     BlockMap,
@@ -24,7 +25,6 @@ from symdyn.subshifts import (
     SubstitutionSpec,
     essential_freeness_check,
     hull_interval,
-    is_admissible,
     is_minimal_at,
     letter_coords,
     local,
