@@ -451,6 +451,8 @@ def verify_phi(
     _require_exact_ctx(ctx)
     if sys.sem.mode != "exact":
         raise SubshiftError("densification verification runs exact semantics")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     bound = sys.syndetic_bound
     if 2 * scale + 1 < bound:
         raise ValueError(

@@ -590,6 +590,8 @@ def syndeticity_witness(
     Walks outward from ``s`` one layer per radius.  On failure the result
     carries the first uncovered element at the cap.
     """
+    if max_radius < 0:
+        raise ValueError(f"syndetic cap must be >= 0, got {max_radius}")
     walk = _layers(ctx, s)
     uncovered = list(region)
     for r in itertools.count():

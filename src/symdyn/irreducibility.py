@@ -95,8 +95,9 @@ class _IntervalGluer:
     so each (length, gap, length) class needs one bit test per behavior
     pair instead of one per word pair.  Group representatives are the
     least words in each class, which keeps counterexamples canonical.
-    The level rows merge the transfer graph's per-letter rows, and gap
-    reachability reads the graph's cached powers.
+    A level letter steps the bits through ``TransferGraph.step`` over its
+    full preimages, forward or back, and gap reachability reads the
+    graph's cached powers.
 
     Whether a class holds depends only on its key: the set of forward
     bits at ``l1``, the gap and the set of entry bits at ``l2``.  The two
@@ -109,11 +110,6 @@ class _IntervalGluer:
         self.tg = transfer_graph(spec)
         self.pre = level_preimages(spec, level)
         self.level_letters = tuple(sorted(self.pre))
-        # fwd[v]: the graph's rows of every full letter above level letter v
-        self.fwd = {v: [0] * len(self.tg.states) for v in self.level_letters}
-        for a, rows in self.tg.rows.items():
-            v = project_letter(a, level, spec.stack)
-            self.fwd[v] = [x | y for x, y in zip(self.fwd[v], rows)]
         self._er: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._en: dict[int, tuple] = {0: ((self.tg.full, ()),)}
         self._rows: dict = {}
@@ -126,19 +122,12 @@ class _IntervalGluer:
             new: dict[int, tuple] = {}
             for bits, rep in self._er[top]:
                 for v in self.level_letters:
-                    nb = _bitrow_mul(bits, self.fwd[v])
+                    nb = self.tg.step(bits, self.pre[v])
                     if nb and nb not in new:
                         new[nb] = rep + (v,)
             top += 1
             self._er[top] = tuple(new.items())
         return self._er[length]
-
-    def _backstep(self, bits: int, v) -> int:
-        out = 0
-        for i, row in enumerate(self.fwd[v]):
-            if row & bits:
-                out |= 1 << i
-        return out
 
     def en_groups(self, length: int) -> tuple:
         """(entry bits, least word) per behavior class, words ascending."""
@@ -147,7 +136,7 @@ class _IntervalGluer:
             new: dict[int, tuple] = {}
             for v in self.level_letters:
                 for bits, rep in self._en[top]:
-                    nb = self._backstep(bits, v)
+                    nb = self.tg.step(bits, self.pre[v], back=True)
                     if nb and nb not in new:
                         new[nb] = (v,) + rep
             top += 1
@@ -683,7 +672,9 @@ class _IntervalFill:
     path of the trimmed graph, which may start in any state (see
     ``TransferGraph.feasible``).  ``pre[k]`` holds the states the clamps
     before node ``k`` reach, ``post[k]`` those from which the clamps from
-    node ``k`` on can be met; both are read once.
+    node ``k`` on can be met.  Each is walked once, ``post`` when the first
+    cell is probed or fixed, so a caller that reads ``feasible`` alone
+    walks the hull once.
 
     Fixed cells fill the positions ``[start, stop)``, which must grow by
     one end per fixed cell, as Z's order ``(|n|, n)`` grows them.
@@ -704,11 +695,8 @@ class _IntervalFill:
         self.pre = [tg.full]
         for lset in self.clamps:
             self.pre.append(tg.step(self.pre[-1], lset))
-        post = [tg.full]
-        for lset in reversed(self.clamps):
-            post.append(tg.step(post[-1], lset, back=True))
-        self.post = post[::-1]
         self.feasible = bool(self.pre[-1])
+        self.post: list[int] = []
         self.start = self.stop = None
         self.rel: list[int] = []
 
@@ -721,8 +709,14 @@ class _IntervalFill:
 
     def _joins_right(self, p: int) -> bool:
         """Does position ``p`` join the fixed cells past ``stop`` (else before
-        ``start``)?  The first cell probed opens the interval there."""
+        ``start``)?  The first cell probed opens the interval there and
+        walks the hull backward for ``post``, which only probes and fixes
+        read."""
         if self.start is None:
+            post = [self.tg.full]
+            for lset in reversed(self.clamps):
+                post.append(self.tg.step(post[-1], lset, back=True))
+            self.post = post[::-1]
             self.start = self.stop = p
             live = self.pre[p] & self.post[p]
             self.rel = [live & 1 << i for i in range(len(self.tg.states))]

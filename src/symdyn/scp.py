@@ -86,6 +86,8 @@ def _search_cover(
     sem: Semantics,
 ) -> tuple[Optional[ScpWitness], int, Optional[Pattern], int]:
     """Shared search core: (witness, size, escape window, candidate count)."""
+    if max_size < 0:
+        raise ValueError(f"max size must be >= 0, got {max_size}")
     candidates = list(ctx.ball(scale))
     for k in range(1, max_size + 1):
         for combo in itertools.combinations(candidates, k):

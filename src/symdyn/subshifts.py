@@ -35,6 +35,7 @@ from .groups import (
     FiniteSubset,
     GroupContext,
     LatticeContext,
+    parse_group,
     parse_int,
     set_mul,
 )
@@ -505,9 +506,12 @@ class TransferGraph:
     """Sliding-window automaton for a depth-anything SFT on Z.
 
     States are admissible words of length ``m`` (the largest forbidden
-    diameter); an edge appends one letter.  After trimming to the
-    recurrent part, finite paths are exactly the windows of bi-infinite
-    admissible configurations, which is what exact semantics promises.
+    diameter); an edge appends one letter.  The edges are the
+    ``(m + 1)``-words that a ``_LocalRegion`` on ``m + 1`` cells admits,
+    so the graph and every local fill run one compiler of forbidden
+    patterns.  After trimming to the recurrent part, finite paths are
+    exactly the windows of bi-infinite admissible configurations, which
+    is what exact semantics promises.
 
     The trimmed states are numbered once, in sorted order (``index``).
     ``rows[a][i]`` has bit ``j`` set when letter ``a`` leads from state
@@ -520,28 +524,16 @@ class TransferGraph:
 
     def __init__(self, spec: SftSpec):
         self.letters = tuple(sorted(spec.letters()))
-        norm = dict.fromkeys(_normalized_forbidden(spec))
-        self.m = max((offs[-1] for offs, _ in norm), default=0)
-        # Each distinct normalised forbidden pattern (a maximal-separation
-        # spec lists each pair pattern for both k and -k), bucketed by its
-        # last letter, as the word length it needs, an item getter over its
-        # other cells counted from the end of the word, and the letters it
-        # must find there.
-        self._tails: dict = {}
-        for offs, vals in norm:
-            back = [o - offs[-1] - 1 for o in offs[:-1]]
-            check = (offs[-1] + 1, *_matcher(back, vals[:-1]))
-            self._tails.setdefault(vals[-1], []).append(check)
-        states = self._enumerate_states()
-        edges = {
-            s: tuple(
-                (a, (s + (a,))[1:] if self.m else s)
-                for a in self.letters
-                if self._tail_ok(s + (a,))
-            )
-            for s in states
-        }
-        self.states, self.edges = self._essentialize(states, edges)
+        norm = _normalized_forbidden(spec)
+        m = self.m = max((offs[-1] for offs, _ in norm), default=0)
+        # Every (m + 1)-word with no forbidden occurrence, least first, is an
+        # edge from its first m letters to its last m; a word with no
+        # out-edge is no state, as trimming would drop it anyway.
+        region = _LocalRegion(parse_group("Z"), spec, [(i,) for i in range(m + 1)])
+        edges: dict = {}
+        for word in region.search([None] * (m + 1), region.choices(), 0, m + 1):
+            edges.setdefault(tuple(word[:m]), []).append((word[m], tuple(word[1:])))
+        self.states, self.edges = self._essentialize(list(edges), edges)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
         self.rows = {a: [0] * len(self.states) for a in self.letters}
@@ -551,25 +543,6 @@ class TransferGraph:
         self._powers: list[list[int]] = []
         self._prefixes: dict[int, list[tuple]] = {}
         self._back: dict = {}
-
-    def _tail_ok(self, word: tuple) -> bool:
-        # check forbidden occurrences that end at the last cell of `word`
-        n = len(word)
-        for need, get, want in self._tails.get(word[-1], ()):
-            if n >= need and get(word) == want:
-                return False
-        return True
-
-    def _enumerate_states(self) -> list[tuple]:
-        words = [()]
-        for _ in range(self.m):
-            words = [
-                w + (a,)
-                for w in words
-                for a in self.letters
-                if self._tail_ok(w + (a,))
-            ]
-        return sorted(words)
 
     @staticmethod
     def _essentialize(states, edges):
@@ -1028,6 +1001,8 @@ def essential_freeness_check(
     """
     if g == ctx.identity:
         raise ValueError("essential freeness is about non-identity elements")
+    if radius_cap < 0:
+        raise ValueError(f"radius cap must be >= 0, got {radius_cap}")
     witnesses = []
     for probe in probes:
         found = None

@@ -353,6 +353,22 @@ def test_level_outside_the_stack_is_a_usage_error(argv, level, capsys):
     assert captured.err == f"error: level must lie in 1..1, got {level}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["densify", "full_shift", "--window", "0,1", "--level", "1", "--samples", "-1"],
+        ["pad-free", "period2", "--g", "2", "--radius-cap", "-1"],
+        ["scp", "period2", "--d", "ball:1", "--u", "0=0", "--max-size", "-1"],
+        ["maximal-separated", "Z", "--d", "ball:1", "--region=-3..3", "--syndetic-cap", "-1"],
+    ],
+    ids=["samples", "radius-cap", "max-size", "syndetic-cap"],
+)
+def test_negative_count_is_a_usage_error(argv, capsys):
+    # the library refuses it, so verify refuses an edited certificate too
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("sem", ["local:x", "local:"])
 def test_unparsable_local_margin_is_a_usage_error(sem, capsys):
     assert main(["irreducible", "golden_mean", "--d", "ball:1", "--scale", "2",

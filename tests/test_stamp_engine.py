@@ -8,7 +8,8 @@ recomputes ``oracle_interior(region, ball(rho))`` and the cover
 ``ball(rho)*avoid`` for every pair (r, rho),
 ``oracle_syndeticity_witness`` adds the translate of one word-length ring
 at a time, and ``oracle_tail_ok`` loops over the forbidden patterns at
-every transfer-graph extension.  ``oracle_interior`` and
+every transfer-graph extension, where the library reads the edges off
+one ``_LocalRegion`` search of ``m + 1`` cells.  ``oracle_interior`` and
 ``oracle_are_apart`` are the group geometry routines the library replaced
 by breadth-first walks and by membership tests; ``test_local_engine``
 asks ``oracle_are_apart`` too.  The library must
@@ -17,7 +18,9 @@ path-length scan, which the exact gluing check now reads off the graph's
 bit-matrix powers.  The transfer graph's bit rows replaced three walks kept
 here: ``oracle_feasible`` steps sets of state words, ``oracle_contains``
 follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
-own state index, adjacency and level rows; ``oracle_reach`` gives the
+old state index, adjacency and merged level rows, which
+``TransferGraph.step`` over a level letter's preimages must match forward
+and back; ``oracle_reach`` gives the
 states reachable in exactly ``n`` steps as sets.  The exact gluing scan
 reads interval apartness off ``D - D`` and decides each gap's co-occurring
 pairs of behavior sets once, reading lengths only up to the first repeated
@@ -844,7 +847,12 @@ def syndeticity_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(syndeticity_cases())
 def test_syndeticity_witness_matches_ring_oracle(case):
-    assert syndeticity_witness(*case) == oracle_syndeticity_witness(*case)
+    if case[3] < 0:
+        # a negative cap is a usage error, as it is for is_small
+        with pytest.raises(ValueError, match="syndetic cap must be >= 0"):
+            syndeticity_witness(*case)
+    else:
+        assert syndeticity_witness(*case) == oracle_syndeticity_witness(*case)
 
 
 def test_is_small_rejects_a_negative_cap_like_the_ball():
@@ -888,24 +896,26 @@ def test_exact_gluing_mixing_gap_matches_path_scan(spec, radius, scale):
 
 
 @pytest.mark.parametrize(
-    "forbidden",
+    "sizes, forbidden",
     [
-        [{0: 1}],  # a single cell
-        [{0: 0}, {0: 1}],  # every letter forbidden: empty graph
-        [{0: 1, 3: 1}, {0: 0, 1: 0}],  # a sparse pattern beside a contiguous one
-        [{-2: 1, 0: 0, 2: 1}],
-        [{0: 1, 2: 1}, {-2: 1, 0: 1}, {0: 1, 2: 1}, {0: 0, 1: 0}],  # duplicates once normalised
+        ((2,), []),  # no forbidden pattern: m = 0, one state
+        ((2,), [{0: 1}]),  # a single cell
+        ((2,), [{0: 0}, {0: 1}]),  # every letter forbidden: empty graph
+        ((2,), [{0: 1, 3: 1}, {0: 0, 1: 0}]),  # a sparse pattern beside a contiguous one
+        ((2,), [{-2: 1, 0: 0, 2: 1}]),
+        # duplicates once normalised
+        ((2,), [{0: 1, 2: 1}, {-2: 1, 0: 1}, {0: 1, 2: 1}, {0: 0, 1: 0}]),
+        ((2, 2), [{0: (1, 1), 1: (1, 0)}, {0: (0, 1), 2: (0, 1)}]),  # stacked letters
+        ((2,), [{0: 1, 1: 1}, {0: 2}, {0: 5, 3: 0}]),  # letters outside the alphabet
     ],
 )
-def test_transfer_graph_fixed_specs_match_oracle(forbidden):
+def test_transfer_graph_fixed_specs_match_oracle(sizes, forbidden):
     spec = SftSpec(
-        "Z", (2,), tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), "f"
+        "Z", sizes, tuple(Pattern.of(Z, {(o,): v for o, v in p.items()}) for p in forbidden), "f"
     )
     graph = TransferGraph(spec)
     states, edges = oracle_transfer_graph(spec)
     assert (graph.states, graph.edges) == (states, edges)
-    # one compiled tail check per distinct normalised pattern
-    assert sum(map(len, graph._tails.values())) == len(set(_normalized_forbidden(spec)))
     for length in range(6):
         assert list(graph.language(length)) == oracle_language(states, edges, length)
     _assert_mixing_gap_matches(spec, 1, 2)
@@ -918,9 +928,20 @@ def _outside(spec):
 
 def _assert_rows_match(spec):
     graph = TransferGraph(spec)
+    k = len(graph.states)
+    masks = [1 << i for i in range(k)] + [graph.full]
     for level in range(1, spec.stack + 1):
         powers, fwd = oracle_gluer_rows(graph, spec, level)
-        assert _IntervalGluer(spec, level).fwd == fwd
+        pre = level_preimages(spec, level)
+        # the interval gluer steps a level letter through its preimages
+        for v, rows in fwd.items():
+            for mask in masks:
+                ahead = functools.reduce(
+                    operator.or_, (rows[i] for i in range(k) if mask >> i & 1), 0
+                )
+                assert graph.step(mask, pre[v]) == ahead
+                behind = sum(1 << i for i in range(k) if rows[i] & mask)
+                assert graph.step(mask, pre[v], back=True) == behind
     for n, rows in enumerate(powers):
         assert graph.power(n) == rows
     assert graph.full == functools.reduce(operator.or_, powers[0], 0)
@@ -977,6 +998,23 @@ def test_exact_is_admissible_matches_language_scan(spec, data):
         for w in oracle_language(states, edges, hi - lo + 1)
     )
     assert is_admissible(Z, spec, p, EXACT) == want
+
+
+def test_exact_is_admissible_walks_the_hull_once(monkeypatch):
+    # feasibility reads the forward walk alone: one step per hull cell, and
+    # no backward walk, which only probes and fixes read
+    spec = builtin_spec("golden_mean")
+    steps = []
+    original = TransferGraph.step
+
+    def counting(self, *args, **kwargs):
+        steps.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransferGraph, "step", counting)
+    p = Pattern.of(Z, {(0,): 1, (7,): 0, (20,): 1})
+    assert is_admissible(Z, spec, p, EXACT)
+    assert len(steps) == 21
 
 
 @settings(max_examples=200, deadline=None)
