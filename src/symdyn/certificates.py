@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from .corpus import builtin_factor
-from .groups import FiniteSubset, parse_group
+from .groups import FiniteSubset, ValueType, parse_group
 from .subshifts import Pattern, SftSpec, SubstitutionSpec, parse_semantics
 
 ENVELOPE_VERSION = 1
@@ -144,8 +144,7 @@ _CODECS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(ValueType):
     """One certificate claim, declared once.
 
     ``fields`` lists ``(input key, kind)`` pairs in argument order; the
@@ -158,12 +157,15 @@ class Claim:
     wrapper, say) is honoured.
     """
 
-    name: str
-    module: str
-    fields: tuple[tuple[str, str], ...]
-    run: Callable[..., dict]
+    __slots__ = ("name", "module", "fields", "run")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
+    def __init__(self, name: str, module: str, fields: tuple[tuple[str, str], ...],
+                 run: Callable[..., dict]):
+        self.name = name
+        self.module = module
+        self.fields = fields
+        self.run = run
         if self.fields[:1] != (("group", "group"),):
             raise CertificateError(f"claim {self.name!r} must start with its group")
         unknown = [kind for _, kind in self.fields if kind not in _CODECS]
@@ -203,11 +205,10 @@ def known_claims() -> tuple[str, ...]:
     return tuple(sorted(_CLAIMS))
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     detail: str
-    rebuilt: Optional[dict] = field(default=None, compare=False)
+    rebuilt: Optional[dict] = None
 
 
 def _first_difference(stored: dict, rebuilt: dict) -> str:
@@ -246,8 +247,7 @@ def verify_envelope(env: dict) -> VerificationResult:
 MANIFEST_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Enough to re-run a CLI invocation and check outputs byte for byte."""
 
     argv: tuple[str, ...]

@@ -289,10 +289,11 @@ def _cmd_densify(args):
     f = parse_region(ctx, args.window)
     level = spec.stack if args.level is None else args.level
     sys_ = build_phi(ctx, spec, level, f, args.witness_scale)
+    # verified first, so a usage error verify_phi raises leaves stdout empty
+    env = verify_phi(sys_, args.scale, args.samples, args.seed)
     print(f"displaying ball radius {sys_.v_radius}, "
           f"marker spacing {sys_.marker_spacing}, "
           f"syndetic bound {sys_.syndetic_bound}")
-    env = verify_phi(sys_, args.scale, args.samples, args.seed)
     return _finish(env, args, "densification")
 
 

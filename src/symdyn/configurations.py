@@ -14,8 +14,7 @@ a finite quotient of the group pulled back by :func:`periodic_configuration`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .groups import (
     FiniteSubset,
@@ -151,16 +150,14 @@ def minimal_point_in_cylinder(
 # staged free point with dense orbit in the full binary shift
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     window: FiniteSubset
     placements: tuple  # ((values tuple, site g), ...) in enumeration order
     probe_site: object  # h_i with z(h_i) = 0
     free_target: object  # g_i with z(h_i g_i) = 1
 
 
-@dataclass(frozen=True)
-class FreeDensePoint:
+class FreeDensePoint(NamedTuple):
     config: Configuration
     stages: tuple
     support_radius: int

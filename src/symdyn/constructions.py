@@ -20,7 +20,6 @@ import bisect
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, Optional
 
@@ -44,7 +43,7 @@ from .irreducibility import (
     check_irreducible,
     conf,
     is_admissible,
-    max_separated_subshift,
+    max_separated_spec,
 )
 from .subshifts import (
     EXACT,
@@ -246,27 +245,35 @@ def _stamp_core(
     )
 
 
-@dataclass(eq=False)
 class PhiSystem:
-    """Marker-densification data: displaying ball, stamp, marker spacing."""
+    """Marker-densification data: displaying ball, stamp, marker spacing.
 
-    ctx: GroupContext
-    base: SftSpec
-    level: int
-    window: FiniteSubset
-    sem: Semantics
-    v_radius: int
-    v: FiniteSubset
-    v3: FiniteSubset
-    v5: FiniteSubset
-    ring: FiniteSubset  # V^5 minus V^3: the re-glued collar
-    u: Pattern  # displaying stamp on V
-    witness_report: IrreducibilityReport
-    marker_spacing: int  # canonical marker period (0 off the rank-1 lattice)
-    syndetic_bound: int  # stretch length that must contain a full stamp
-    build_scale: int
-    max_v_radius: int
-    _conf_memo: dict = field(default_factory=dict, repr=False)
+    Systems compare by identity, and each keeps its own memo of collar fills.
+    """
+
+    def __init__(self, ctx: GroupContext, base: SftSpec, level: int,
+                 window: FiniteSubset, sem: Semantics, v_radius: int,
+                 v: FiniteSubset, v3: FiniteSubset, v5: FiniteSubset,
+                 ring: FiniteSubset, u: Pattern, witness_report: IrreducibilityReport,
+                 marker_spacing: int, syndetic_bound: int, build_scale: int,
+                 max_v_radius: int):
+        self.ctx = ctx
+        self.base = base
+        self.level = level
+        self.window = window
+        self.sem = sem
+        self.v_radius = v_radius
+        self.v = v
+        self.v3 = v3
+        self.v5 = v5
+        self.ring = ring  # V^5 minus V^3: the re-glued collar
+        self.u = u  # displaying stamp on V
+        self.witness_report = witness_report
+        self.marker_spacing = marker_spacing  # canonical period; 0 off rank 1
+        self.syndetic_bound = syndetic_bound  # a stretch must hold a full stamp
+        self.build_scale = build_scale
+        self.max_v_radius = max_v_radius
+        self._conf_memo: dict = {}
 
 
 def build_phi(
@@ -399,7 +406,9 @@ def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool
 
     Needs ``len(word) >= period + m`` (``m`` the forbidden diameter);
     then a scan of each distinct forbidden pattern over the word decides
-    it, by the lemma in :func:`verify_phi`.
+    it, by the lemma in :func:`verify_phi`.  An occurrence at a start
+    ``i >= period`` repeats at ``i - period``, so the starts in one period
+    decide it.
     """
     norm = dict.fromkeys(_normalized_forbidden(spec))
     m = max((offs[-1] for offs, _ in norm), default=0)
@@ -407,12 +416,14 @@ def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool
         raise ValueError(
             f"a {period}-periodic word needs at least {period + m} letters"
         )
+    if word[period:] != word[:-period]:
+        raise ValueError(f"the word is not {period}-periodic")
     if not set(word) <= set(spec.letters()):
         return False
     return not any(
         all(word[i + o] == v for o, v in zip(offs, vals))
         for offs, vals in norm
-        for i in range(len(word) - offs[-1])
+        for i in range(min(period, len(word) - offs[-1]))
     )
 
 
@@ -465,7 +476,7 @@ def verify_phi(
     y = canonical_marker_point(sys)
     mspan = 3 * sys.marker_spacing
     marker_window_ok = _periodic_window_admissible(
-        max_separated_subshift(ctx, sys.v5)[0],
+        max_separated_spec(ctx, sys.v5),
         tuple(y.value((t,)) for t in range(-mspan, mspan + 1)),
         sys.marker_spacing,
     )
@@ -628,18 +639,20 @@ def _block_clear_test(member_fn: Callable, lo: int, hi: int, radius: int):
     return clear
 
 
-@dataclass(eq=False)
 class ShatterResult:
     """Outcome of shattering: the built point plus its certificate."""
 
-    sys: PhiSystem
-    point: Configuration  # rewritten point matching the choice on B
-    markers: Configuration  # displaced marker indicator
-    target: Configuration  # raw 0/1 choice the markers protect
-    d_radius: int  # displacement ball radius
-    x_spacing: int  # period of the underlying marker grid
-    smallness: SmallnessReport
-    certificate: dict
+    def __init__(self, sys: PhiSystem, point: Configuration, markers: Configuration,
+                 target: Configuration, d_radius: int, x_spacing: int,
+                 smallness: SmallnessReport, certificate: dict):
+        self.sys = sys
+        self.point = point  # rewritten point matching the choice on B
+        self.markers = markers  # displaced marker indicator
+        self.target = target  # raw 0/1 choice the markers protect
+        self.d_radius = d_radius  # displacement ball radius
+        self.x_spacing = x_spacing  # period of the underlying marker grid
+        self.smallness = smallness
+        self.certificate = certificate
 
 
 def shatter_small(
@@ -827,7 +840,6 @@ _SHATTER_CLAIM = register_claim(
 # equivariant densification over a finite acting group
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class GammaSystem:
     """Equivariant densification data over a finite acting group.
 
@@ -838,13 +850,16 @@ class GammaSystem:
     against a least periodic background point through ``phi``'s memo.
     """
 
-    phi: PhiSystem
-    gamma: FiniteGroupContext
-    eps: float
-    syndetic_bound: int  # |group| * spacing + 2 * v_radius
-    base_point: Configuration
-    base_period: int
-    stamps: tuple  # stamps[j]: the base stamp times group element j
+    def __init__(self, phi: PhiSystem, gamma: FiniteGroupContext, eps: float,
+                 syndetic_bound: int, base_point: Configuration, base_period: int,
+                 stamps: tuple):
+        self.phi = phi
+        self.gamma = gamma
+        self.eps = eps
+        self.syndetic_bound = syndetic_bound  # |group| * spacing + 2 * v_radius
+        self.base_point = base_point
+        self.base_period = base_period
+        self.stamps = stamps  # stamps[j]: the base stamp times group element j
 
     def stamp_at(self, h) -> Pattern:
         """The stamp carried by the marker at ``h``."""

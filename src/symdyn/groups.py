@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_BALL_CAP = 200_000
 
@@ -427,12 +426,43 @@ def parse_group(text: str) -> GroupContext:
     return _CONTEXT_CACHE.setdefault(ctx.describe(), ctx)
 
 
-@dataclass(frozen=True)
-class FiniteSubset:
+class ValueType:
+    """Immutable value type, usable as a dict or set key: ``==`` holds between
+    instances of one class with equal ``_key`` (an ``attrgetter`` of the
+    compared fields), the hash is the key's, and the repr shows the public
+    slots.  The hot ``FiniteSubset`` and ``Pattern`` write this rule out."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+class FiniteSubset(ValueType):
     """Immutable finite subset, stored in the context's deterministic order."""
 
-    elements: tuple
-    _set: frozenset = field(repr=False, compare=False)
+    __slots__ = ("elements", "_set")
+
+    def __init__(self, elements: tuple, _set: frozenset):
+        self.elements = elements
+        self._set = _set
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
 
     @staticmethod
     def of(ctx: GroupContext, elems: Iterable) -> "FiniteSubset":
@@ -447,9 +477,6 @@ class FiniteSubset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
 
     def as_set(self) -> frozenset:
         return self._set
@@ -574,8 +601,7 @@ def _layers(ctx: GroupContext, sources: Iterable, inside=None) -> Iterator[set]:
         layer = nxt
 
 
-@dataclass(frozen=True)
-class SyndeticityResult:
+class SyndeticityResult(NamedTuple):
     found: bool
     radius: Optional[int]
     uncovered: Optional[object]
@@ -603,8 +629,7 @@ def syndeticity_witness(
             return SyndeticityResult(False, None, uncovered[0], max_radius)
 
 
-@dataclass(frozen=True)
-class RadiusVerdict:
+class RadiusVerdict(NamedTuple):
     radius: int
     verdict: str  # "small" | "not-small" | "inconclusive"
     gap: Optional[int]
@@ -623,8 +648,7 @@ class RadiusVerdict:
         }
 
 
-@dataclass(frozen=True)
-class SmallnessReport:
+class SmallnessReport(NamedTuple):
     per_radius: tuple
     overall: str  # "small-up-to-scale" | "not-small" | "inconclusive"
 

@@ -39,8 +39,7 @@ condition, together with the ball claimed to witness irreducibility.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .certificates import register_claim
 from .groups import (
@@ -219,8 +218,7 @@ class _NewLengths:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GluingCounterexample:
+class GluingCounterexample(NamedTuple):
     """Two admissible patterns on D-apart domains with no joint point."""
 
     first: Pattern
@@ -235,8 +233,7 @@ class GluingCounterexample:
         }
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     holds: bool
     level: int
     scale: int
@@ -628,8 +625,7 @@ def check_irreducible(
     return _check_irreducible_local(ctx, spec, level, d, scale, sem)
 
 
-@dataclass(frozen=True)
-class WitnessSearch:
+class WitnessSearch(NamedTuple):
     """Outcome of scanning ball radii for an irreducibility witness."""
 
     found: bool
@@ -922,6 +918,13 @@ def max_separated_subshift(
     with the ball ``D³`` claimed to witness irreducibility at level 1;
     run ``check_irreducible`` to validate the claim at a chosen scale.
     """
+    ds = symmetric_closure(ctx, d)
+    return max_separated_spec(ctx, d), set_mul(ctx, set_mul(ctx, ds, ds), ds)
+
+
+def max_separated_spec(ctx: GroupContext, d: FiniteSubset) -> SftSpec:
+    """The presentation :func:`max_separated_subshift` returns, without
+    building its witness ball."""
     if len(d) == 0:
         raise ValueError("the separation set must be non-empty")
     e = ctx.identity
@@ -931,11 +934,9 @@ def max_separated_subshift(
         Pattern.of(ctx, {e: 1, k: 1}) for k in diffs if k != e
     ]
     forbidden.append(Pattern.of(ctx, {g: 0 for g in diffs}))
-    spec = SftSpec(
+    return SftSpec(
         group=ctx.describe(),
         alphabet_sizes=(2,),
         forbidden=tuple(forbidden),
         name="max_separated_indicator",
     )
-    witness = set_mul(ctx, set_mul(ctx, ds, ds), ds)
-    return spec, witness

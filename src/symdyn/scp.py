@@ -17,8 +17,7 @@ inputs on verification.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certificates import register_claim
 from .configurations import elements_in_order, free_dense_point
@@ -41,8 +40,7 @@ from .subshifts import (
 )
 
 
-@dataclass(frozen=True)
-class ScpWitness:
+class ScpWitness(NamedTuple):
     """A D-separated covering set together with its defining data."""
 
     d: FiniteSubset
@@ -84,10 +82,16 @@ def _search_cover(
     scale: int,
     max_size: int,
     sem: Semantics,
+    gate_radius: Optional[int],
 ) -> tuple[Optional[ScpWitness], int, Optional[Pattern], int]:
-    """Shared search core: (witness, size, escape window, candidate count)."""
+    """Shared search core: (witness, size, escape window, candidate count).
+
+    The size is checked before the minimality gate (none if ``gate_radius``
+    is None), so a bad size is a usage error on every system."""
     if max_size < 0:
         raise ValueError(f"max size must be >= 0, got {max_size}")
+    if gate_radius is not None:
+        _minimality_gate(ctx, spec, u, gate_radius, sem)
     candidates = list(ctx.ball(scale))
     for k in range(1, max_size + 1):
         for combo in itertools.combinations(candidates, k):
@@ -153,10 +157,9 @@ def scp_witness(
         raise ValueError("the separation set must be non-empty")
     if len(u.domain) == 0:
         raise ValueError("the target cylinder must be non-empty")
-    if require_minimal:
-        _minimality_gate(ctx, spec, u, minimality_scale, sem)
     witness, size, uncovered, candidate_count = _search_cover(
-        ctx, spec, d, u, scale, max_size, sem
+        ctx, spec, d, u, scale, max_size, sem,
+        minimality_scale if require_minimal else None,
     )
     evidence = {
         "witness": None if witness is None else witness.s.to_json(ctx),
@@ -199,9 +202,8 @@ def lift_scp_witness(
     admissible *source* window on the pulled-back cells and applying the
     block map at each witness position.
     """
-    _minimality_gate(ctx, factor, u, minimality_scale, sem)
     witness, _size, _gap, _count = _search_cover(
-        ctx, factor, d, u, scale, max_size, sem
+        ctx, factor, d, u, scale, max_size, sem, minimality_scale
     )
     source_gap = None
     if witness is not None:
@@ -256,8 +258,7 @@ _LIFT_CLAIM = register_claim(
 # joint realization on a free point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JointRealization:
+class JointRealization(NamedTuple):
     """Position where the free point shows ``alpha`` and the base point
     lands in the target cylinder."""
 

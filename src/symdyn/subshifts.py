@@ -27,14 +27,14 @@ All enumerations run in the deterministic order of the group context
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .groups import (
     FiniteSubset,
     GroupContext,
     LatticeContext,
+    ValueType,
     parse_group,
     parse_int,
     set_mul,
@@ -55,13 +55,23 @@ class GluingError(RuntimeError):
 # patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(ValueType):
     """Finite partial configuration; values aligned with the sorted domain."""
 
-    domain: FiniteSubset
-    values: tuple
-    _map: dict = field(compare=False, repr=False, hash=False)
+    __slots__ = ("domain", "values", "_map")
+
+    def __init__(self, domain: FiniteSubset, values: tuple, _map: dict):
+        self.domain = domain
+        self.values = values
+        self._map = _map
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.domain == other.domain and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.values))
 
     @staticmethod
     def of(ctx: GroupContext, mapping: dict) -> "Pattern":
@@ -72,9 +82,6 @@ class Pattern:
     def on(dom: FiniteSubset, vals: tuple) -> "Pattern":
         """The pattern with ``vals`` aligned with ``dom``'s sorted elements."""
         return Pattern(dom, vals, dict(zip(dom.elements, vals)))
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.values))
 
     def value_at(self, g) -> Letter:
         return self._map[g]
@@ -163,10 +170,13 @@ def sorted_patterns(pats: Iterable[Pattern]) -> list[Pattern]:
 # semantics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Semantics:
-    mode: str  # "exact" | "local"
-    margin: int = 0
+class Semantics(ValueType):
+    __slots__ = ("mode", "margin")
+    _key = attrgetter("mode", "margin")
+
+    def __init__(self, mode: str, margin: int = 0):
+        self.mode = mode  # "exact" | "local"
+        self.margin = margin
 
     def describe(self) -> str:
         return "exact" if self.mode == "exact" else f"local:{self.margin}"
@@ -211,19 +221,20 @@ def _letters_for(sizes: tuple[int, ...]) -> tuple:
     return tuple(itertools.product(*(range(s) for s in sizes)))
 
 
-@dataclass(frozen=True)
-class SftSpec:
+class SftSpec(ValueType):
     """Subshift of finite type: alphabet sizes per level + forbidden patterns."""
 
-    group: str
-    alphabet_sizes: tuple
-    forbidden: tuple
-    name: str = ""
+    __slots__ = ("group", "alphabet_sizes", "forbidden", "name")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        for p in self.forbidden:
-            if len(p.domain) == 0:
-                raise SubshiftError("forbidden patterns need non-empty domains")
+    def __init__(self, group: str, alphabet_sizes: tuple, forbidden: tuple,
+                 name: str = ""):
+        if any(len(p.domain) == 0 for p in forbidden):
+            raise SubshiftError("forbidden patterns need non-empty domains")
+        self.group = group
+        self.alphabet_sizes = alphabet_sizes
+        self.forbidden = forbidden
+        self.name = name
 
     @property
     def stack(self) -> int:
@@ -285,8 +296,7 @@ class SftSpec:
         )
 
 
-@dataclass(frozen=True)
-class SubstitutionSpec:
+class SubstitutionSpec(ValueType):
     """Primitive substitution system on Z, presented by its expansion rules.
 
     The window language is the factor set of the one-sided fixed point of
@@ -297,12 +307,15 @@ class SubstitutionSpec:
     language off the legal two-letter words.
     """
 
-    group: str
-    alphabet_sizes: tuple
-    rules: tuple  # rules[letter] = tuple of letters
-    name: str = ""
+    __slots__ = ("group", "alphabet_sizes", "rules", "name")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
+    def __init__(self, group: str, alphabet_sizes: tuple, rules: tuple,
+                 name: str = ""):
+        self.group = group
+        self.alphabet_sizes = alphabet_sizes
+        self.rules = rules  # rules[letter] = tuple of letters
+        self.name = name
         if self.group != "Z":
             raise SubshiftError("substitution systems are presented on Z only")
         if len(self.alphabet_sizes) != 1:
@@ -391,30 +404,36 @@ class SubstitutionSpec:
         )
 
 
-@dataclass(frozen=True)
-class BlockMap:
+class BlockMap(ValueType):
     """Sliding-block code: output letter from the window on ``support``."""
 
-    support: FiniteSubset
-    out_sizes: tuple
-    name: str
-    fn: Callable = field(compare=False, hash=False)
+    __slots__ = ("support", "out_sizes", "name", "fn")
+    _key = attrgetter("support", "out_sizes", "name")
+
+    def __init__(self, support: FiniteSubset, out_sizes: tuple, name: str, fn: Callable):
+        self.support = support
+        self.out_sizes = out_sizes
+        self.name = name
+        self.fn = fn
 
     def apply_window(self, window: tuple) -> Letter:
         return self.fn(window)
 
 
-@dataclass(frozen=True)
-class ImageSpec:
+class ImageSpec(ValueType):
     """Image of a subshift under a block map, represented intensionally.
 
     Pattern sets are push-forwards of the source pattern sets; nothing is
     inferred about the image beyond what window enumeration shows.
     """
 
-    source: object
-    bmap: BlockMap
-    name: str = ""
+    __slots__ = ("source", "bmap", "name")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, source: object, bmap: BlockMap, name: str = ""):
+        self.source = source
+        self.bmap = bmap
+        self.name = name
 
     @property
     def group(self) -> str:
@@ -920,8 +939,7 @@ def push_forward(
 # window minimality and essential freeness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinimalityResult:
+class MinimalityResult(NamedTuple):
     holds: bool
     scanned: int
     window: Optional[Pattern]  # failing window, projected
@@ -969,16 +987,14 @@ def is_minimal_at(
     return MinimalityResult(True, scanned, None, None)
 
 
-@dataclass(frozen=True)
-class FreenessWitness:
+class FreenessWitness(NamedTuple):
     probe: Pattern
     window: Pattern
     site: object  # h with z(h*g) != z(h)
     radius: int
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     holds: bool
     g: object
     witnesses: tuple

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symdyn
-from symdyn.certificates import load_certificate, load_manifest
+from symdyn.certificates import Claim, load_certificate, load_manifest
 from symdyn.cli import (
     format_pattern,
     main,
@@ -25,11 +25,23 @@ from symdyn.cli import (
 from symdyn.groups import (
     BallCapExceeded,
     FiniteGroupContext,
+    FiniteSubset,
     LatticeContext,
     parse_group,
     parse_subset,
 )
-from symdyn.subshifts import SubshiftError, parse_semantics
+from symdyn.subshifts import (
+    EXACT,
+    BlockMap,
+    ImageSpec,
+    Pattern,
+    Semantics,
+    SftSpec,
+    SubshiftError,
+    SubstitutionSpec,
+    local,
+    parse_semantics,
+)
 
 Z = parse_group("Z")
 
@@ -360,13 +372,34 @@ def test_level_outside_the_stack_is_a_usage_error(argv, level, capsys):
         ["pad-free", "period2", "--g", "2", "--radius-cap", "-1"],
         ["scp", "period2", "--d", "ball:1", "--u", "0=0", "--max-size", "-1"],
         ["maximal-separated", "Z", "--d", "ball:1", "--region=-3..3", "--syndetic-cap", "-1"],
+        ["densify", "full_shift", "--window", "0,1", "--level", "1", "--scale", "1"],
     ],
-    ids=["samples", "radius-cap", "max-size", "syndetic-cap"],
+    ids=["samples", "radius-cap", "max-size", "syndetic-cap", "densify-scale"],
 )
 def test_negative_count_is_a_usage_error(argv, capsys):
-    # the library refuses it, so verify refuses an edited certificate too
+    # the library refuses it, so verify refuses an edited certificate too;
+    # densify refuses it before printing what it built
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scp", "full_shift", "--d", "ball:1", "--u", "0=1"],
+        ["scp", "golden_mean", "--d", "ball:1", "--u", "0=1"],
+        ["lift-scp", "golden_or", "--d", "ball:1", "--u", "0=1"],
+    ],
+    ids=["full_shift", "golden_mean", "lift-golden_or"],
+)
+def test_negative_max_size_is_refused_before_the_minimality_gate(argv, capsys):
+    # none of these systems is window-minimal, so the gate would reject first
+    assert main([*argv, "--max-size", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max size must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("sem", ["local:x", "local:"])
@@ -666,6 +699,7 @@ def test_help_and_usage_errors_print_the_same_bytes_on_every_call():
 # what importing the CLI may leave behind: nothing built, nothing cached
 IMPORT_ONLY = """
 import json
+import sys
 import symdyn.cli
 from symdyn import cli, groups, subshifts
 print(json.dumps({
@@ -673,14 +707,48 @@ print(json.dumps({
     "pattern sets": len(subshifts._PATTERN_SET_CACHE),
     "group contexts": len(groups._CONTEXT_CACHE),
     "parsers": cli.build_parser.cache_info().currsize,
+    "heavy modules": [m for m in ("dataclasses", "inspect") if m in sys.modules],
 }))
 """
 
 
 def test_importing_the_cli_builds_nothing():
-    # every process pays for import-time work, a one-shot command included
+    # every process pays for import-time work, a one-shot command included;
+    # dataclasses and inspect (which pulls in ast, dis and tokenize) cost
+    # about a quarter of the start-up, and the record types need neither
     built = json.loads(_run_fresh(IMPORT_ONLY).stdout)
+    assert built.pop("heavy modules") == []
     assert built == dict.fromkeys(built, 0) and len(built) == 4
+
+
+def test_value_types_keep_their_hash_and_compare_within_their_class():
+    # sets and dicts of these iterate in hash order, and certificates are
+    # written in that order, so each hash must stay what it was
+    f = Z.ball(1)
+    p = Pattern.on(f, (0, 1, 0))
+    spec = SftSpec("Z", (2,), (p,), "s")
+    rules = ((0, 1), (1, 0))
+    bmap = BlockMap(f, (2,), "or", max)
+    run = lambda ctx: {}  # noqa: E731
+    cases = [
+        (f, f.elements, FiniteSubset.of(Z, [(1,), (0,), (-1,)])),
+        (p, (f, (0, 1, 0)), Pattern.of(Z, {(-1,): 1, (0,): 0, (1,): 0})),
+        (EXACT, ("exact", 0), Semantics("exact")),
+        (local(2), ("local", 2), Semantics("local", 2)),
+        (spec, ("Z", (2,), (p,), "s"), SftSpec("Z", (2,), (p,), "s")),
+        (SubstitutionSpec("Z", (2,), rules, "tm"), ("Z", (2,), rules, "tm"),
+         SubstitutionSpec("Z", (2,), rules, "tm")),
+        (bmap, (f, (2,), "or"), BlockMap(f, (2,), "or", min)),
+        (ImageSpec(spec, bmap, "i"), (spec, bmap, "i"), ImageSpec(spec, bmap, "i")),
+        (Claim("c", "m", (("group", "group"),), run), ("c", "m", (("group", "group"),), run),
+         Claim("c", "m", (("group", "group"),), run)),
+    ]
+    for value, fields, twin in cases:
+        assert hash(value) == hash(fields) == hash(twin)
+        assert value == twin and value is not twin
+        assert value != fields and fields != value
+        assert not hasattr(value, "__dict__")  # slotted: no per-instance dict
+    assert p != Pattern.on(f, (0, 1, 1)) and EXACT != local(0)
 
 
 # --- random text into every text parser ----------------------------------------------

@@ -232,7 +232,7 @@ def test_build_phi_off_z_builds_no_marker_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("build_phi built the marker system")
 
-    monkeypatch.setattr(constructions, "max_separated_subshift", refuse)
+    monkeypatch.setattr(constructions, "max_separated_spec", refuse)
     f2 = parse_group("F2")
     f2_hard = SftSpec("F2", (2,), tuple(
         Pattern.of(f2, {f2.identity: 1, g: 1}) for g in ("a", "b")

@@ -45,7 +45,7 @@ densification now runs on the densification rewrite;
 marker by arithmetic and glues a group-translated stamp for every cell.
 """
 
-import dataclasses
+import copy
 import functools
 import gc
 import itertools
@@ -1432,7 +1432,8 @@ def test_verify_phi_matches_per_cell_oracle(case, data):
         s = data.draw(st.sampled_from([s - 1, s, s + 1]))
         stamps = level_pattern_list(Z, sys.base, sys.v, sys.level, EXACT)
         u = data.draw(st.sampled_from(stamps))
-        sys = dataclasses.replace(sys, marker_spacing=s, u=u, _conf_memo={})
+        sys = copy.copy(sys)
+        sys.marker_spacing, sys.u, sys._conf_memo = s, u, {}
     scale = (sys.syndetic_bound + 1) // 2 + data.draw(st.integers(-1, 5))
     samples = data.draw(st.integers(0, 3))
     seed = data.draw(st.integers(0, 2**16))
@@ -1473,7 +1474,8 @@ def test_verify_phi_short_bounds_miss_patterns_like_the_oracle(name, cells):
     # stretch of a two- or three-cell window holds no placement at all
     sys = build_phi(Z, builtin_spec(name), 1, FiniteSubset.of(Z, [(c,) for c in cells]))
     for bound in (1, 2, 3, 5, 9):
-        short = dataclasses.replace(sys, syndetic_bound=bound)
+        short = copy.copy(sys)
+        short.syndetic_bound = bound
         got = verify_phi(short, 12, 2, 3)
         assert any(v["kind"] == "stretch-missing" for v in got["evidence"]["violations"])
         assert canonical_json(got) == canonical_json(oracle_verify_phi(short, 12, 2, 3))
@@ -1509,10 +1511,44 @@ def test_periodic_marker_window_periods_give_both_verdicts(r):
         assert got == oracle_marker_window_ok(spec, word)
         verdicts.add(got)
     assert verdicts == {True, False}
-    outside = _periodic_word(s, 6 * s + 1, {0}) + (2,)
+    outside = tuple(2 * x for x in _periodic_word(s, 6 * s + 1, {0}))
     assert _periodic_window_admissible(spec, outside, s) is oracle_marker_window_ok(spec, outside)
     with pytest.raises(ValueError, match="letters"):
         _periodic_window_admissible(spec, (1,) * (s + m - 1), s)
+    with pytest.raises(ValueError, match=f"not {s}-periodic"):
+        _periodic_window_admissible(spec, (0,) + _periodic_word(s, 6 * s + 1, {0})[1:], s)
+
+
+def oracle_periodic_scan(spec, word):
+    """The periodic-window scan before it kept to one period: every start
+    of ``word`` against every forbidden pattern."""
+    if not set(word) <= set(spec.letters()):
+        return False
+    for p in spec.forbidden:
+        offs = [g[0] for g in p.domain]
+        lo = min(offs)
+        if any(
+            all(word[i + o - lo] == v for o, v in zip(offs, p.values))
+            for i in range(len(word) - (max(offs) - lo))
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.integers(-3, 3), st.integers(0, 1), min_size=1, max_size=3),
+             max_size=4),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_periodic_window_scan_of_one_period_matches_every_start(forbidden, period, data):
+    spec = _z_spec(forbidden, "random")
+    m = max((max(p) - min(p) for p in forbidden), default=0)
+    base = data.draw(st.lists(st.integers(0, 1), min_size=period, max_size=period))
+    length = period + m + data.draw(st.integers(0, 2 * period))
+    word = tuple(base[i % period] for i in range(length))
+    assert _periodic_window_admissible(spec, word, period) == oracle_periodic_scan(spec, word)
 
 
 NO_EQUAL_PAIR = _z_spec([{0: a, 1: a} for a in range(3)], "no_equal_pair", 3)
