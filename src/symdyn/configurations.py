@@ -171,7 +171,11 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     Stage ``i`` stamps one disjoint block per pattern on ``ball(i-1)``
     (all ``2^|ball(i-1)|`` of them, placed greedily in deterministic
     order) and then reserves a fresh pair ``h_i, h_i g_i`` with values
-    0, 1, so the ``g_i``-translate provably moves the point.
+    0, 1, so the ``g_i``-translate provably moves the point.  The block
+    search never steps back: used cells only grow and the balls nest, so
+    a site rejected for one block, or taken by one, stays rejected for
+    every later block, of this stage or the next.  A site's cells are
+    multiplied out only until the first used one.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -184,7 +188,8 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     def fresh_site(cells_of: Callable, k: int) -> int:
         """Index of the first element from the ``k``-th on whose cells are
         all unused.  ``used`` only grows, so a caller may resume from the
-        last index returned for the same ``cells_of``."""
+        last index returned for the same ``cells_of``, or for one whose
+        cells the new ``cells_of`` covers."""
         while True:
             if k == len(elems):
                 g = next(order, None)
@@ -199,12 +204,12 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
             k += 1
 
     stages = []
+    cursor = 0
     for i in range(1, depth + 1):
         window = ctx.ball(i - 1)
         placements = []
-        cursor = 0
         for values in itertools.product((0, 1), repeat=len(window)):
-            cursor = fresh_site(lambda g: [ctx.mul(x, g) for x in window], cursor)
+            cursor = fresh_site(lambda g: (ctx.mul(x, g) for x in window), cursor)
             site = elems[cursor]
             for x, v in zip(window.elements, values):
                 cell = ctx.mul(x, site)

@@ -43,7 +43,9 @@ from .irreducibility import (
     check_irreducible,
     conf,
     is_admissible,
+    level_preimages,
     max_separated_spec,
+    window_fill,
 )
 from .subshifts import (
     EXACT,
@@ -60,7 +62,6 @@ from .subshifts import (
     level_pattern_list,
     make_letter,
     project_letter,
-    sorted_patterns,
     transfer_graph,
 )
 
@@ -192,12 +193,13 @@ def _stamp_core(
 
     A slot is a position ``k`` with ``F k`` inside V; the stamp is the
     canonically least admissible V-pattern whose slots jointly show every
-    admissible F-pattern.  V must additionally pass the gluing check.
-    Under exact semantics the check runs at scale ``max(witness_scale,
-    5r)``, so its windows are as wide as the V^5 collar fills (``10r + 1``
-    cells) that :func:`verify_phi` re-glues around every stamp; local
-    semantics checks at ``witness_scale``.  Returns the stamp-core fields
-    of :class:`PhiSystem`.
+    admissible F-pattern (see :func:`_least_stamp`).  A radius with fewer
+    slots than window patterns holds no stamp and is skipped.  V must
+    additionally pass the gluing check.  Under exact semantics the check
+    runs at scale ``max(witness_scale, 5r)``, so its windows are as wide
+    as the V^5 collar fills (``10r + 1`` cells) that :func:`verify_phi`
+    re-glues around every stamp; local semantics checks at
+    ``witness_scale``.  Returns the stamp-core fields of :class:`PhiSystem`.
     """
     pats = level_pattern_list(ctx, spec, f, level, sem)
     if len(pats) < 2:
@@ -216,13 +218,9 @@ def _stamp_core(
             for k in v
             if all(ctx.mul(x, k) in v for x in f)
         ]
-        stamp = None
-        for cand in level_pattern_list(ctx, spec, v, level, sem):
-            at = cand.value_at
-            shown = {tuple(at(c) for c in cells) for cells in slot_cells}
-            if all(p.values in shown for p in pats):
-                stamp = cand
-                break
+        if len(slot_cells) < len(pats):
+            continue
+        stamp = _least_stamp(ctx, spec, level, v, sem, slot_cells, pats)
         if stamp is None:
             continue
         scale = max(witness_scale, 5 * r) if sem.mode == "exact" else witness_scale
@@ -243,6 +241,64 @@ def _stamp_core(
         f"no displaying ball up to radius {max_v_radius} shows all "
         f"{len(pats)} window patterns and verifies gluing"
     )
+
+
+def _least_stamp(ctx: GroupContext, spec: SftSpec, level: int, v: FiniteSubset,
+                 sem: Semantics, slot_cells: list, pats: list) -> Optional[Pattern]:
+    """The least admissible level-``level`` V-pattern whose slots show every
+    pattern of ``pats``, or None.
+
+    A depth-first search assigns V's cells in V's order, least level
+    letters first, so the first full assignment it reaches is the least
+    in the canonical order.  A prefix is cut when :func:`window_fill` finds
+    no admissible pattern meeting it, or when the window patterns no
+    finished slot shows outnumber the slots still open (each slot shows
+    one pattern).  The search keeps a stack of letter iterators, one per
+    assigned cell, rather than recursing: V may hold over a thousand cells.
+    """
+    pre = level_preimages(spec, level)
+    letters = sorted(pre)
+    cells = v.elements
+    index = {g: i for i, g in enumerate(cells)}
+    # Each slot is read once its last cell in V's order is assigned.
+    done_at: list = [[] for _ in cells]
+    for slot in slot_cells:
+        idxs = [index[c] for c in slot]
+        done_at[max(idxs)].append(idxs)
+    read_by = list(itertools.accumulate(map(len, done_at)))  # slots read by each cell
+    # shown counts each window pattern among the slots read; added[i] holds
+    # those read at cell i, taken back when that cell's letter changes
+    shown = dict.fromkeys((p.values for p in pats), 0)
+    missing = len(shown)
+    vals: list = [None] * len(cells)
+    added: list = [()] * len(cells)
+    pending = [iter(letters)]
+    while pending:
+        pos = len(pending) - 1
+        for t in added[pos]:
+            shown[t] -= 1
+            missing += not shown[t]
+        added[pos] = ()
+        a = next(pending[pos], None)
+        if a is None:
+            pending.pop()
+            continue
+        vals[pos] = a
+        read = (tuple(vals[i] for i in idxs) for idxs in done_at[pos])
+        new = [t for t in read if t in shown]
+        for t in new:
+            missing -= not shown[t]
+            shown[t] += 1
+        added[pos] = new
+        if missing > len(slot_cells) - read_by[pos]:
+            continue
+        clamps = {cells[i]: pre[vals[i]] for i in range(pos + 1)}
+        if not window_fill(ctx, spec, v, sem, clamps).feasible:
+            continue
+        if pos + 1 == len(cells):
+            return Pattern.on(v, tuple(vals))
+        pending.append(iter(letters))
+    return None
 
 
 class PhiSystem:
@@ -296,6 +352,10 @@ def build_phi(
         raise SubshiftError("densification needs a finite-type presentation")
     if len(f) == 0:
         raise ValueError("the window must be non-empty")
+    if witness_scale < 1:
+        raise ValueError(f"witness scale must be >= 1, got {witness_scale}")
+    if max_v_radius < 0:
+        raise ValueError(f"max v radius must be >= 0, got {max_v_radius}")
     check_level(spec.stack, level)
     core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
     r = core["v_radius"]
@@ -445,8 +505,11 @@ def verify_phi(
     every admissible window pattern, and the scanned stretch as a whole
     shows exactly the expected pattern set.  The marker point is the same
     for every sample, so each cell's marker hit is found once; each
-    sample then reads one collar per marker.  The stretches are one
-    window slid across the scan, with a count per pattern placed in it.
+    sample then reads one collar per marker.  Placements are read as value
+    tuples, and a ``Pattern`` is built only for a violation report.  The
+    stretches are one window slid across the scan, counting the expected
+    tuples placed in it, so a stretch shows every pattern exactly when it
+    holds as many distinct tuples as there are patterns.
 
     ``marker_window_ok``: the marker point's window on ``[-3s, 3s]`` is
     an admissible window of the marker system (the indicators of maximal
@@ -471,7 +534,9 @@ def verify_phi(
         )
     f = sys.window
     flo, fhi = hull_interval(f)
-    expected = set(level_pattern_list(ctx, sys.base, f, sys.level, sys.sem))
+    expected = {
+        p.values for p in level_pattern_list(ctx, sys.base, f, sys.level, sys.sem)
+    }
     tg = transfer_graph(sys.base)
     y = canonical_marker_point(sys)
     mspan = 3 * sys.marker_spacing
@@ -487,68 +552,68 @@ def verify_phi(
     words += [tg.sample(length, rng) for _ in range(samples)]
     cells = range(-scale + flo, scale + fhi + 1)
     hits = [_marker_hit(sys, y, (t,)) for t in cells]
+    placed = range(-scale, scale + 1)
+    # placement t reads img[t - placed.start + o] for each o in reads
+    reads = [x[0] - flo for x in f]
     violations: list = []
     placements = 0
     stretches = 0
+
+    def to_json(vals: tuple) -> dict:
+        return Pattern.on(f, vals).to_json(ctx)
+
     for idx, word in enumerate(words):
         data = {(-margin + i,): word[i] for i in range(length)}
         zp = Configuration(ctx, lambda g, d=data: d[g], f"sample:{idx}")
         fills: dict = {}
-        img = {
-            t: _phi_letter(sys, zp, hit, (t,), fills)
-            for t, hit in zip(cells, hits)
-        }
-        pat_at = {}
-        for t in range(-scale, scale + 1):
-            p = Pattern.on(f, tuple(img[x[0] + t] for x in f))
-            pat_at[t] = p
-            placements += 1
-            if p not in expected:
+        img = [
+            _phi_letter(sys, zp, hit, (t,), fills) for t, hit in zip(cells, hits)
+        ]
+        vals_at = dict(zip(placed, zip(*(img[o:o + len(placed)] for o in reads))))
+        placements += len(placed)
+        for t, vals in vals_at.items():
+            if vals not in expected:
                 violations.append(
                     {
                         "kind": "pattern-escape",
                         "sample": idx,
                         "at": t,
-                        "pattern": p.to_json(ctx),
+                        "pattern": to_json(vals),
                     }
                 )
         # Stretch a reads the placements a - flo <= t < a + bound - fhi that
-        # the scan has; seen counts the patterns placed there as it slides.
+        # the scan has; seen counts the expected tuples placed there as it
+        # slides, so it holds all of them exactly when it has as many keys.
         seen: Counter = Counter(
-            pat_at[t] for t in range(-scale - flo, -scale + bound - fhi - 1)
-            if t in pat_at
+            v for t in range(-scale - flo, -scale + bound - fhi - 1)
+            if (v := vals_at.get(t)) in expected
         )
         for a in range(-scale, scale - bound + 2):
             stretches += 1
             enter, leave = a + bound - fhi - 1, a - flo
-            if enter >= leave and enter in pat_at:
-                seen[pat_at[enter]] += 1
-            if not expected <= seen.keys():
-                missing = sorted_patterns(expected - seen.keys())[0]
+            if enter >= leave and (v := vals_at.get(enter)) in expected:
+                seen[v] += 1
+            if len(seen) < len(expected):
                 violations.append(
                     {
                         "kind": "stretch-missing",
                         "sample": idx,
                         "at": a,
-                        "missing": missing.to_json(ctx),
+                        "missing": to_json(min(expected - seen.keys())),
                     }
                 )
-            if enter >= leave and leave in pat_at:
-                seen[pat_at[leave]] -= 1
-                if not seen[pat_at[leave]]:
-                    del seen[pat_at[leave]]
-        whole = set(pat_at.values())
+            if enter >= leave and (v := vals_at.get(leave)) in seen:
+                seen[v] -= 1
+                if not seen[v]:
+                    del seen[v]
+        whole = set(vals_at.values())
         if whole != expected:
             violations.append(
                 {
                     "kind": "scan-pattern-set",
                     "sample": idx,
-                    "missing": [
-                        p.to_json(ctx) for p in sorted_patterns(expected - whole)
-                    ],
-                    "extra": [
-                        p.to_json(ctx) for p in sorted_patterns(whole - expected)
-                    ],
+                    "missing": [to_json(v) for v in sorted(expected - whole)],
+                    "extra": [to_json(v) for v in sorted(whole - expected)],
                 }
             )
     verdict = marker_window_ok and not violations

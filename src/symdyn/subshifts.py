@@ -560,6 +560,7 @@ class TransferGraph:
             for a, t in self.edges[s]:
                 self.rows[a][i] = 1 << self.index[t]
         self._powers: list[list[int]] = []
+        self._counts: list[dict] = [dict.fromkeys(self.states, 1)]
         self._prefixes: dict[int, list[tuple]] = {}
         self._back: dict = {}
 
@@ -651,25 +652,28 @@ class TransferGraph:
         return True
 
     def sample(self, length: int, rng) -> tuple:
-        """Uniform sample from the window language (weighted DP walk)."""
+        """Uniform sample from the window language (weighted DP walk).
+
+        ``_counts[k][s]`` is the number of ``k``-letter paths out of state
+        ``s``.  The table grows to the longest length asked for and is kept,
+        like ``_powers``, so repeated samples only walk it: one draw picks
+        the first state by its count, then one draw per letter picks an edge
+        by the count of its target.
+        """
         if not self.states:
             raise SubshiftError("empty window language")
         if length <= self.m:
             pts = self._prefix_words(length)
             return pts[rng.randrange(len(pts))]
         steps = length - self.m
-        layers = [{s: 1 for s in self.states}]
-        for _ in range(steps):
-            prev = layers[-1]
-            layers.append(
-                {
-                    s: sum(prev[t] for _, t in self.edges[s])
-                    for s in self.states
-                }
+        counts = self._counts
+        while len(counts) <= steps:
+            prev = counts[-1]
+            counts.append(
+                {s: sum(prev[t] for _, t in self.edges[s]) for s in self.states}
             )
-        weights = layers[-1]
-        total = sum(weights[s] for s in self.states)
-        pick = rng.randrange(total)
+        weights = counts[steps]
+        pick = rng.randrange(sum(weights.values()))
         for s in self.states:
             if pick < weights[s]:
                 break
@@ -677,9 +681,8 @@ class TransferGraph:
         word = list(s)
         cur = s
         for depth in range(steps - 1, -1, -1):
-            wvec = layers[depth]
-            total = sum(wvec[t] for _, t in self.edges[cur])
-            pick = rng.randrange(total)
+            wvec = counts[depth]
+            pick = rng.randrange(counts[depth + 1][cur])
             for a, t in self.edges[cur]:
                 if pick < wvec[t]:
                     word.append(a)

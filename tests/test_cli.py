@@ -373,8 +373,11 @@ def test_level_outside_the_stack_is_a_usage_error(argv, level, capsys):
         ["scp", "period2", "--d", "ball:1", "--u", "0=0", "--max-size", "-1"],
         ["maximal-separated", "Z", "--d", "ball:1", "--region=-3..3", "--syndetic-cap", "-1"],
         ["densify", "full_shift", "--window", "0,1", "--level", "1", "--scale", "1"],
+        ["densify", "full_shift", "--window", "0,1", "--level", "1", "--witness-scale", "-1"],
+        ["densify", "full_shift", "--window", "0,1", "--level", "1", "--witness-scale", "0"],
     ],
-    ids=["samples", "radius-cap", "max-size", "syndetic-cap", "densify-scale"],
+    ids=["samples", "radius-cap", "max-size", "syndetic-cap", "densify-scale",
+         "witness-scale", "witness-scale-0"],
 )
 def test_negative_count_is_a_usage_error(argv, capsys):
     # the library refuses it, so verify refuses an edited certificate too;
@@ -557,6 +560,24 @@ def test_verify_detects_tampered_certificate(tmp_path, capsys):
         fh.write(json.dumps(env))
     assert main(["verify", cert]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("witness_scale", 0, "witness scale must be >= 1, got 0"),
+     ("max_v_radius", -1, "max v radius must be >= 0, got -1")],
+)
+def test_verify_refuses_a_densification_rebuilt_from_a_bad_bound(tmp_path, capsys, key, value,
+                                                                  message):
+    cert = str(tmp_path / "phi.json")
+    assert main(["densify", "full_shift", "--window", "0,1", "--level", "1",
+                 "--samples", "1", "--emit", cert]) == 0
+    env = json.loads(Path(cert).read_text())
+    env["inputs"][key] = value
+    Path(cert).write_text(json.dumps(env))
+    capsys.readouterr()
+    assert main(["verify", cert]) == 1
+    assert f"FAILED - rebuild failed: {message}" in capsys.readouterr().out
 
 
 def test_verify_unreadable_file(tmp_path, capsys):

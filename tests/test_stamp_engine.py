@@ -3,7 +3,9 @@
 The oracles below are the original routines, kept here and nowhere else:
 ``oracle_elements_in_order`` chains the balls of ``test_groups.oracle_ball``
 and drops what it has seen, ``oracle_free_dense_point`` restarts its site
-search from the identity on every placement, ``oracle_is_small``
+search from the identity on every placement and
+``oracle_free_dense_point_by_stage`` on every stage, building each
+candidate's cells before testing any, ``oracle_is_small``
 recomputes ``oracle_interior(region, ball(rho))`` and the cover
 ``ball(rho)*avoid`` for every pair (r, rho),
 ``oracle_syndeticity_witness`` adds the translate of one word-length ring
@@ -33,9 +35,12 @@ singleton-apartness loop.  The densification re-check finds each
 cell's marker once, reads one collar per marker, and decides the marker
 window by a periodic scan; ``oracle_phi_letter`` scans V^3 and rebuilds
 the collar for every cell, ``oracle_marker_window_ok`` asks the marker
-system's transfer graph, and ``oracle_verify_phi`` is the re-check built
-on both.  ``oracle_stamp_core`` is the stamp search with the nested
-all/any/all test, and ``oracle_avoided`` finds shattering's avoided
+system's transfer graph, ``oracle_sample`` rebuilds the sampler's count
+table on every call, and ``oracle_verify_phi`` is the re-check built on
+them, comparing ``Pattern`` objects and testing every stretch for a subset.
+``oracle_stamp_core`` is the stamp search that scans the sorted list of
+every admissible V-pattern with the nested all/any/all test, on every
+radius that holds the window, and ``oracle_avoided`` finds shattering's avoided
 blocks by asking the member predicate for every cell of every block.
 ``oracle_conf_exact`` is the exact gluing loop ``conf`` ran before its
 outward walk: positions counted on the hull of the domain and one
@@ -98,7 +103,7 @@ from symdyn.groups import (
     set_pow,
     syndeticity_witness,
 )
-from symdyn import irreducibility
+from symdyn import constructions, irreducibility
 from symdyn.irreducibility import (
     GluingCounterexample,
     IrreducibilityReport,
@@ -119,6 +124,7 @@ from symdyn.subshifts import (
     GluingError,
     Pattern,
     SftSpec,
+    SubshiftError,
     TransferGraph,
     _bitrow_mul,
     _normalized_forbidden,
@@ -196,6 +202,53 @@ def oracle_free_dense_point(ctx, depth):
         assigned[ctx.mul(probe, gi)] = 1
         used.add(probe)
         used.add(ctx.mul(probe, gi))
+        stages.append(Stage(window, tuple(placements), probe, gi))
+    radius = max((ctx.word_length(c) for c in used), default=0)
+    return FreeDensePoint(mapping_configuration(ctx, assigned, 0), tuple(stages), radius), assigned
+
+
+def oracle_free_dense_point_by_stage(ctx, depth):
+    """The block search restarting at the identity on every stage, with every
+    candidate's cells built before any is tested; raises ``free_dense_point``'s
+    error when the group runs out of sites."""
+    assigned = {}
+    used = set()
+    targets = list(itertools.islice(oracle_elements_in_order(ctx), 1, depth + 1))
+    order = oracle_elements_in_order(ctx)
+    elems = []
+
+    def fresh_site(cells_of, k):
+        while True:
+            if k == len(elems):
+                g = next(order, None)
+                if g is None:
+                    raise ValueError(
+                        f"group {ctx.describe()} has no free site left for a "
+                        f"free dense point of depth {depth}"
+                    )
+                elems.append(g)
+            if all(c not in used for c in cells_of(elems[k])):
+                return k
+            k += 1
+
+    stages = []
+    for i in range(1, depth + 1):
+        window = ctx.ball(i - 1)
+        placements = []
+        cursor = 0
+        for values in itertools.product((0, 1), repeat=len(window)):
+            cursor = fresh_site(lambda g: [ctx.mul(x, g) for x in window], cursor)
+            site = elems[cursor]
+            for x, v in zip(window.elements, values):
+                cell = ctx.mul(x, site)
+                assigned[cell] = v
+                used.add(cell)
+            placements.append((values, site))
+        gi = targets[i - 1]
+        probe = elems[fresh_site(lambda h: [h, ctx.mul(h, gi)], 0)]
+        assigned[probe] = 0
+        assigned[ctx.mul(probe, gi)] = 1
+        used.update((probe, ctx.mul(probe, gi)))
         stages.append(Stage(window, tuple(placements), probe, gi))
     radius = max((ctx.word_length(c) for c in used), default=0)
     return FreeDensePoint(mapping_configuration(ctx, assigned, 0), tuple(stages), radius), assigned
@@ -580,6 +633,38 @@ def oracle_phi_letter(sys, zprime, y, g):
     return conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem).value_at(k)
 
 
+def oracle_sample(graph, length, rng):
+    """``TransferGraph.sample`` with its weighted DP table rebuilt on every call."""
+    if not graph.states:
+        raise SubshiftError("empty window language")
+    if length <= graph.m:
+        pts = sorted({s[:length] for s in graph.states})
+        return pts[rng.randrange(len(pts))]
+    steps = length - graph.m
+    layers = [{s: 1 for s in graph.states}]
+    for _ in range(steps):
+        prev = layers[-1]
+        layers.append({s: sum(prev[t] for _, t in graph.edges[s]) for s in graph.states})
+    weights = layers[-1]
+    pick = rng.randrange(sum(weights[s] for s in graph.states))
+    for s in graph.states:
+        if pick < weights[s]:
+            break
+        pick -= weights[s]
+    word = list(s)
+    cur = s
+    for depth in range(steps - 1, -1, -1):
+        wvec = layers[depth]
+        pick = rng.randrange(sum(wvec[t] for _, t in graph.edges[cur]))
+        for a, t in graph.edges[cur]:
+            if pick < wvec[t]:
+                word.append(a)
+                cur = t
+                break
+            pick -= wvec[t]
+    return tuple(word)
+
+
 def oracle_marker_window_ok(spec, word):
     """Language membership read off the marker system's transfer graph."""
     return transfer_graph(spec).contains(word)
@@ -605,7 +690,7 @@ def oracle_verify_phi(sys, scale, samples=12, seed=0):
     length = 2 * margin + 1
     rng = random.Random(seed)
     words = [next(iter(tg.language(length)))]
-    words += [tg.sample(length, rng) for _ in range(samples)]
+    words += [oracle_sample(tg, length, rng) for _ in range(samples)]
     violations = []
     placements = 0
     stretches = 0
@@ -727,6 +812,23 @@ def test_free_dense_point_on_finite_tables_matches_oracle(name, depth):
     except RuntimeError:
         # too few elements for disjoint stamps: both run out of sites
         with pytest.raises(ValueError, match=f"group finite:{name} .* depth {depth}"):
+            free_dense_point(ctx, depth)
+        return
+    _assert_same_point(ctx, free_dense_point(ctx, depth), want, assigned)
+
+
+@pytest.mark.parametrize(
+    "group,depth",
+    [*(("Z", d) for d in (1, 2, 3, 4)), ("Z^2", 1), ("Z^2", 2), ("F2", 1), ("F2", 2),
+     *((f"finite:{n}", d) for n in FINITE_TABLES for d in (1, 2))],
+)
+def test_free_dense_point_matches_the_stage_restarting_oracle(group, depth):
+    ctx = parse_group(group)
+    try:
+        want, assigned = oracle_free_dense_point_by_stage(ctx, depth)
+    except ValueError as exc:
+        assert "no free site left" in str(exc)
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
             free_dense_point(ctx, depth)
         return
     _assert_same_point(ctx, free_dense_point(ctx, depth), want, assigned)
@@ -877,6 +979,22 @@ def z_sft_specs(draw, sizes=SIZES, lo=-2, hi=3):
         offsets = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3, unique=True))
         forbidden.append(Pattern.of(Z, {(o,): draw(st.sampled_from(letters)) for o in offsets}))
     return SftSpec("Z", sizes, tuple(forbidden), "random")
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_sft_specs(), st.lists(st.integers(0, 9), min_size=1, max_size=6), st.integers(0, 2**16))
+def test_sample_draws_the_words_of_the_per_call_table(spec, lengths, seed):
+    # one graph answers every length in turn, shorter and longer ones
+    # interleaved and each asked again, as it does for successive verify_phi runs
+    graph = TransferGraph(spec)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for length in lengths + lengths[::-1]:
+        if not graph.states:
+            with pytest.raises(SubshiftError, match="empty window language"):
+                graph.sample(length, got_rng)
+            continue
+        assert graph.sample(length, got_rng) == oracle_sample(graph, length, want_rng)
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1403,18 +1521,99 @@ def phi_cases(draw):
     return spec, FiniteSubset.of(Z, [(c,) for c in cells]), level
 
 
-@settings(max_examples=60, deadline=None)
-@given(phi_cases())
-def test_stamp_core_matches_nested_search(case):
-    spec, f, level = case
+STAMP_CONTEXTS = {"Z^2": Z2, "F2": F2, "finite:s3": parse_group("finite:s3"),
+                  "finite:z4": parse_group("finite:z4")}
+
+
+@st.composite
+def local_phi_cases(draw):
+    """A random SFT on Z^2, F2 or a finite group under ``local(m)``, with
+    forbidden domains and a window in ``ball(1)``, searched up to radius 1
+    (all of a finite group); systems with one window pattern and windows
+    with fewer slots than patterns make failing draws."""
+    group = draw(st.sampled_from(sorted(STAMP_CONTEXTS)))
+    ctx = STAMP_CONTEXTS[group]
+    sizes = draw(st.sampled_from([(2,), (3,), (2, 1), (1, 2)]))
+    letters = SftSpec(group, sizes, ()).letters()
+    cells = ctx.ball(1).elements
+    domains = draw(st.lists(st.lists(st.sampled_from(cells), min_size=1, max_size=2, unique=True),
+                            max_size=3))
+    forbidden = tuple(
+        Pattern.of(ctx, {g: draw(st.sampled_from(letters)) for g in dom}) for dom in domains
+    )
+    spec = SftSpec(group, sizes, forbidden, "random")
+    f = FiniteSubset.of(ctx, draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2,
+                                           unique=True)))
+    level = draw(st.integers(1, spec.stack))
+    return ctx, spec, f, level, local(draw(st.integers(0, 1))), 1, 1
+
+
+def _stamp_core_agrees(ctx, spec, f, level, sem, witness_scale, max_v_radius):
+    args = (ctx, spec, level, f, witness_scale, sem, max_v_radius)
     try:
-        want = oracle_stamp_core(Z, spec, level, f, 6, EXACT, 5)
+        want = oracle_stamp_core(*args)
     except ConstructionError as exc:
         with pytest.raises(ConstructionError, match=re.escape(str(exc))):
-            _stamp_core(Z, spec, level, f, 6, EXACT, 5)
-        return
-    got = _stamp_core(Z, spec, level, f, 6, EXACT, 5)
+            _stamp_core(*args)
+        return None
+    got = _stamp_core(*args)
     assert (got["v_radius"], got["u"], got["witness_report"]) == want
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    phi_cases().map(lambda case: (Z, case[0], case[1], case[2], EXACT, 6, 5)),
+    local_phi_cases(),
+))
+def test_stamp_core_matches_nested_search(case):
+    _stamp_core_agrees(*case)
+
+
+def _hard_pairs(ctx, gens):
+    return SftSpec(ctx.describe(), (2,), tuple(Pattern.of(ctx, {ctx.identity: 1, g: 1})
+                                               for g in gens), "hard")
+
+
+@pytest.mark.parametrize(
+    "ctx,spec,cells,sem,witness_scale,searched",
+    [
+        # 8 patterns: radii 2, 3 and 4 have 3, 5 and 7 slots
+        (Z, builtin_spec("full_shift"), [(0,), (1,), (2,)], EXACT, 6, [5]),
+        # 3 patterns: radius 1 has 2 slots
+        (Z, builtin_spec("golden_mean"), [(0,), (1,)], EXACT, 6, [2]),
+        # 2 patterns: radius 0 has 1 slot
+        (Z2, _hard_pairs(Z2, [(1, 0), (0, 1)]), [(0, 0)], local(1), 2, [1]),
+        (F2, _hard_pairs(F2, ["a", "b"]), [F2.identity], local(1), 1, [1]),
+    ],
+)
+def test_stamp_core_searches_radii_with_enough_slots(monkeypatch, ctx, spec, cells, sem,
+                                                     witness_scale, searched):
+    radii = []
+    least_stamp = constructions._least_stamp
+
+    def record(ctx, spec, level, v, *rest):
+        radii.append(max(ctx.word_length(g) for g in v))
+        return least_stamp(ctx, spec, level, v, *rest)
+
+    monkeypatch.setattr(constructions, "_least_stamp", record)
+    f = FiniteSubset.of(ctx, cells)
+    got = _stamp_core_agrees(ctx, spec, f, 1, sem, witness_scale, 5 if ctx is Z else 1)
+    assert radii == searched
+    # the least admissible V-pattern shows too few window patterns
+    assert got["u"] != level_pattern_list(ctx, spec, got["v"], 1, sem)[0]
+
+
+def test_build_phi_refuses_bad_bounds_before_the_stamp_search(monkeypatch):
+    def never(*args):
+        raise AssertionError("the stamp search ran")
+
+    monkeypatch.setattr(constructions, "_stamp_core", never)
+    spec, f = _hard_pairs(Z2, [(1, 0), (0, 1)]), Z2.ball(0)
+    with pytest.raises(ValueError, match="witness scale must be >= 1, got 0"):
+        build_phi(Z2, spec, 1, f, 0, local(1))
+    with pytest.raises(ValueError, match="max v radius must be >= 0, got -1"):
+        build_phi(Z2, spec, 1, f, 2, local(1), -1)
 
 
 @settings(max_examples=40, deadline=None)
