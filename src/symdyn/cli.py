@@ -395,24 +395,18 @@ def _cmd_verify(args):
 
 
 def _cmd_replay(args):
+    """Re-run the recorded command with its certificate sent to a scratch
+    directory; a recorded run manifest is not rewritten."""
     manifest = load_manifest(args.manifest_path)
-    argv = list(manifest.argv)
+    recorded = build_parser().parse_args(manifest.argv)
+    if recorded.command == "replay":
+        raise CertificateError("a manifest cannot record a replay")
     with tempfile.TemporaryDirectory() as tmp:
         redirected: dict[str, str] = {}
-        i = 0
-        while i < len(argv):
-            tok = argv[i]
-            if tok == "--emit" and i + 1 < len(argv):
-                orig = argv[i + 1]
-                argv[i + 1] = os.path.join(tmp, os.path.basename(orig))
-                redirected[orig] = argv[i + 1]
-                i += 1
-            elif tok.startswith("--emit="):
-                orig = tok.split("=", 1)[1]
-                argv[i] = "--emit=" + os.path.join(tmp, os.path.basename(orig))
-                redirected[orig] = argv[i].split("=", 1)[1]
-            i += 1
-        code = main(argv)
+        if getattr(recorded, "emit", None):
+            orig = recorded.emit
+            recorded.emit = redirected[orig] = os.path.join(tmp, os.path.basename(orig))
+        code, _ = _run(recorded)
         if code not in (0, 1):
             print(f"replay: recorded command exited {code}")
             return 1, []
@@ -445,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``symdyn`` parser, built on the first call and shared after it.
 
     ``parse_args`` keeps no state between calls (each builds a fresh
-    namespace), so ``main`` and the ``main`` that ``replay`` runs parse
-    with this one object.
+    namespace), so ``main`` and ``replay`` parse with this one object.
     """
     parser = argparse.ArgumentParser(
         prog="symdyn",
@@ -644,22 +637,31 @@ def _argv_without_manifest(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args):
+    """Run the parsed command's handler, reporting its errors on stderr.
+
+    Returns the handler's ``(exit_code, outputs)``, or ``(1, None)`` for a
+    rejected construction or an invalid certificate or manifest and
+    ``(2, None)`` for unusable input.
+    """
     try:
-        code, outputs = args.handler(args)
+        return args.handler(args)
     except (ConstructionError, GluingError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     except CertificateError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     except (ValueError, OSError, BallCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "manifest", None):
+        return 2, None
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    code, outputs = _run(args)
+    if outputs is not None and getattr(args, "manifest", None):
         manifest = RunManifest(
             tuple(_argv_without_manifest(argv)), tuple(outputs)
         )

@@ -17,6 +17,7 @@ stored verdicts and evidence are never trusted.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 from collections import Counter
@@ -39,7 +40,6 @@ from .groups import (
     parse_group,
 )
 from .irreducibility import (
-    IrreducibilityReport,
     check_irreducible,
     conf,
     is_admissible,
@@ -188,7 +188,7 @@ def _stamp_core(
     witness_scale: int,
     sem: Semantics,
     max_v_radius: int,
-) -> dict:
+) -> tuple[int, Pattern]:
     """Least ball V with a stamp showing every window pattern in a slot.
 
     A slot is a position ``k`` with ``F k`` inside V; the stamp is the
@@ -199,7 +199,7 @@ def _stamp_core(
     runs at scale ``max(witness_scale, 5r)``, so its windows are as wide
     as the V^5 collar fills (``10r + 1`` cells) that :func:`verify_phi`
     re-glues around every stamp; local semantics checks at
-    ``witness_scale``.  Returns the stamp-core fields of :class:`PhiSystem`.
+    ``witness_scale``.  Returns ``(v_radius, stamp)``.
     """
     pats = level_pattern_list(ctx, spec, f, level, sem)
     if len(pats) < 2:
@@ -224,19 +224,8 @@ def _stamp_core(
         if stamp is None:
             continue
         scale = max(witness_scale, 5 * r) if sem.mode == "exact" else witness_scale
-        report = check_irreducible(ctx, spec, level, v, scale, sem)
-        if report.holds:
-            v3 = ctx.ball(3 * r)
-            v5 = ctx.ball(5 * r)
-            return {
-                "v_radius": r,
-                "v": v,
-                "v3": v3,
-                "v5": v5,
-                "ring": FiniteSubset.of(ctx, [g for g in v5 if g not in v3]),
-                "u": stamp,
-                "witness_report": report,
-            }
+        if check_irreducible(ctx, spec, level, v, scale, sem).holds:
+            return r, stamp
     raise ConstructionError(
         f"no displaying ball up to radius {max_v_radius} shows all "
         f"{len(pats)} window patterns and verifies gluing"
@@ -304,32 +293,50 @@ def _least_stamp(ctx: GroupContext, spec: SftSpec, level: int, v: FiniteSubset,
 class PhiSystem:
     """Marker-densification data: displaying ball, stamp, marker spacing.
 
-    Systems compare by identity, and each keeps its own memo of collar fills.
+    Holds the inputs of :func:`build_phi` and what its stamp search decided:
+    the radius of the displaying ball V and the stamp ``u`` on V.  The
+    marker spacing and syndetic bound follow from the radius on the rank-1
+    lattice (0 elsewhere).  V^3, V^5 and the collar ring between them are
+    built on first use, since only the rewrite reads them.  Systems compare
+    by identity, and each keeps its own memo of collar fills.
     """
 
     def __init__(self, ctx: GroupContext, base: SftSpec, level: int,
-                 window: FiniteSubset, sem: Semantics, v_radius: int,
-                 v: FiniteSubset, v3: FiniteSubset, v5: FiniteSubset,
-                 ring: FiniteSubset, u: Pattern, witness_report: IrreducibilityReport,
-                 marker_spacing: int, syndetic_bound: int, build_scale: int,
-                 max_v_radius: int):
+                 window: FiniteSubset, sem: Semantics, build_scale: int,
+                 max_v_radius: int, v_radius: int, u: Pattern):
         self.ctx = ctx
         self.base = base
         self.level = level
         self.window = window
         self.sem = sem
-        self.v_radius = v_radius
-        self.v = v
-        self.v3 = v3
-        self.v5 = v5
-        self.ring = ring  # V^5 minus V^3: the re-glued collar
-        self.u = u  # displaying stamp on V
-        self.witness_report = witness_report
-        self.marker_spacing = marker_spacing  # canonical period; 0 off rank 1
-        self.syndetic_bound = syndetic_bound  # a stretch must hold a full stamp
         self.build_scale = build_scale
         self.max_v_radius = max_v_radius
+        self.v_radius = v_radius
+        self.v = ctx.ball(v_radius)
+        self.u = u  # displaying stamp on V
+        if isinstance(ctx, LatticeContext) and ctx.rank == 1:
+            # Maximal separation forbids all-zero stretches on ball(10r), so
+            # markers are at most 20r+1 apart and every stretch of length
+            # 22r+1 contains a whole stamp.
+            self.marker_spacing = 10 * v_radius + 1  # canonical period
+            self.syndetic_bound = 22 * v_radius + 1  # a stretch must hold a full stamp
+        else:
+            self.marker_spacing = self.syndetic_bound = 0
         self._conf_memo: dict = {}
+
+    @functools.cached_property
+    def v3(self) -> FiniteSubset:
+        return self.ctx.ball(3 * self.v_radius)
+
+    @functools.cached_property
+    def v5(self) -> FiniteSubset:
+        return self.ctx.ball(5 * self.v_radius)
+
+    @functools.cached_property
+    def ring(self) -> FiniteSubset:
+        """V^5 minus V^3: the re-glued collar."""
+        v3 = self.v3
+        return FiniteSubset.of(self.ctx, [g for g in self.v5 if g not in v3])
 
 
 def build_phi(
@@ -357,29 +364,8 @@ def build_phi(
     if max_v_radius < 0:
         raise ValueError(f"max v radius must be >= 0, got {max_v_radius}")
     check_level(spec.stack, level)
-    core = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
-    r = core["v_radius"]
-    if isinstance(ctx, LatticeContext) and ctx.rank == 1:
-        # Maximal separation forbids all-zero stretches on ball(10r), so
-        # markers are at most 20r+1 apart and every stretch of length
-        # 22r+1 contains a whole stamp.
-        spacing = 10 * r + 1
-        bound = 22 * r + 1
-    else:
-        spacing = 0
-        bound = 0
-    return PhiSystem(
-        ctx=ctx,
-        base=spec,
-        level=level,
-        window=f,
-        sem=sem,
-        marker_spacing=spacing,
-        syndetic_bound=bound,
-        build_scale=witness_scale,
-        max_v_radius=max_v_radius,
-        **core,
-    )
+    v_radius, u = _stamp_core(ctx, spec, level, f, witness_scale, sem, max_v_radius)
+    return PhiSystem(ctx, spec, level, f, sem, witness_scale, max_v_radius, v_radius, u)
 
 
 def _marker_hit(sys: PhiSystem, y: Configuration, g):
@@ -665,19 +651,6 @@ MEMBER_PREDICATES: dict[str, Callable] = {
 }
 
 
-def _member_predicate(member) -> tuple[str, Callable]:
-    if isinstance(member, str):
-        fn = MEMBER_PREDICATES.get(member)
-        if fn is None:
-            raise ConstructionError(f"unknown member predicate {member!r}")
-        return member, fn
-    name = getattr(member, "__name__", "custom")
-    for key, fn in MEMBER_PREDICATES.items():
-        if fn is member:
-            name = key
-    return name, member
-
-
 def _signed_offsets(cap: int):
     yield 0
     for k in range(1, cap + 1):
@@ -708,12 +681,11 @@ class ShatterResult:
     """Outcome of shattering: the built point plus its certificate."""
 
     def __init__(self, sys: PhiSystem, point: Configuration, markers: Configuration,
-                 target: Configuration, d_radius: int, x_spacing: int,
-                 smallness: SmallnessReport, certificate: dict):
+                 d_radius: int, x_spacing: int, smallness: SmallnessReport,
+                 certificate: dict):
         self.sys = sys
         self.point = point  # rewritten point matching the choice on B
         self.markers = markers  # displaced marker indicator
-        self.target = target  # raw 0/1 choice the markers protect
         self.d_radius = d_radius  # displacement ball radius
         self.x_spacing = x_spacing  # period of the underlying marker grid
         self.smallness = smallness
@@ -722,7 +694,7 @@ class ShatterResult:
 
 def shatter_small(
     ctx: GroupContext,
-    member,
+    member: str,
     c_elems,
     region,
     spec: Optional[SftSpec] = None,
@@ -732,15 +704,18 @@ def shatter_small(
 ) -> ShatterResult:
     """Realize an arbitrary 0/1 choice on a small set by dodging markers.
 
-    ``member`` picks the small set B, ``c_elems`` lists the members of B
-    that must carry 1.  The smallness gate demands whole avoided blocks of
-    the radius the stamps need; the marker grid is then displaced into
-    avoided blocks so no stamp or collar ever touches B, leaving the raw
-    choice values on B untouched while the rest of the point carries the
-    usual stamps.
+    ``member`` names the small set B in :data:`MEMBER_PREDICATES` (the
+    certificate records the name, so ``verify`` can rebuild it), and
+    ``c_elems`` lists the members of B that must carry 1.  The smallness
+    gate demands whole avoided blocks of the radius the stamps need; the
+    marker grid is then displaced into avoided blocks so no stamp or collar
+    ever touches B, leaving the raw choice values on B untouched while the
+    rest of the point carries the usual stamps.
     """
     _require_exact_ctx(ctx)
-    member_name, member_fn = _member_predicate(member)
+    member_fn = MEMBER_PREDICATES.get(member)
+    if member_fn is None:
+        raise ConstructionError(f"unknown member predicate {member!r}")
     if spec is None:
         spec = SftSpec(ctx.describe(), (2,), (), "full_shift")
     if spec.forbidden or spec.stack != 1 or spec.alphabet_sizes != (2,):
@@ -872,22 +847,13 @@ def shatter_small(
         "stamps_in_place": stamps_ok,
     }
     certificate = _SHATTER_CLAIM.envelope(
-        (ctx, spec, member_name, c_sub, region, witness_scale, avoid_cap,
+        (ctx, spec, member, c_sub, region, witness_scale, avoid_cap,
          smallness_cap),
         max(abs(lo), abs(hi)),
         verdict,
         evidence,
     )
-    return ShatterResult(
-        sys=sys,
-        point=point,
-        markers=markers,
-        target=target,
-        d_radius=d_radius,
-        x_spacing=spacing,
-        smallness=smallness,
-        certificate=certificate,
-    )
+    return ShatterResult(sys, point, markers, d_radius, spacing, smallness, certificate)
 
 
 _SHATTER_CLAIM = register_claim(
@@ -913,18 +879,24 @@ class GammaSystem:
     point is the base stamp with every letter multiplied by the ``j``-th
     group element, cycling through the whole group.  Collars are re-glued
     against a least periodic background point through ``phi``'s memo.
+    The syndetic bound and the cycle of stamps are derived from ``phi`` and
+    the group; the density level is not kept, since the certificate reads
+    it from its inputs.
     """
 
-    def __init__(self, phi: PhiSystem, gamma: FiniteGroupContext, eps: float,
-                 syndetic_bound: int, base_point: Configuration, base_period: int,
-                 stamps: tuple):
+    def __init__(self, phi: PhiSystem, gamma: FiniteGroupContext,
+                 base_point: Configuration, base_period: int):
         self.phi = phi
         self.gamma = gamma
-        self.eps = eps
-        self.syndetic_bound = syndetic_bound  # |group| * spacing + 2 * v_radius
         self.base_point = base_point
         self.base_period = base_period
-        self.stamps = stamps  # stamps[j]: the base stamp times group element j
+        # a stretch this long holds a whole cycle of stamps
+        self.syndetic_bound = gamma.order * phi.marker_spacing + 2 * phi.v_radius
+        u = phi.u
+        self.stamps = tuple(  # stamps[j]: the base stamp times group element j
+            Pattern.on(u.domain, tuple(gamma.mul(j, a) for a in u.values))
+            for j in range(gamma.order)
+        )
 
     def stamp_at(self, h) -> Pattern:
         """The stamp carried by the marker at ``h``."""
@@ -998,7 +970,10 @@ def gamma_densify(
     if not 0 < eps <= 1:
         raise ValueError("the density level must lie in (0, 1]")
     tg = transfer_graph(spec_y)
-    for length in range(1, closure_len + 1):
+    # The (m + 1)-words are the graph's edges, so invariance there gives
+    # invariance at every length; shorter lengths come first, so the least
+    # offending word is reported.
+    for length in range(1, max(closure_len, tg.m + 1) + 1):
         for w in tg.language(length):
             for gelt in range(1, gamma.order):
                 mapped = tuple(gamma.mul(gelt, a) for a in w)
@@ -1008,20 +983,7 @@ def gamma_densify(
                         f"inadmissible {mapped!r}"
                     )
     phi = build_phi(ctx, spec_y, 1, f, witness_scale, EXACT, max_v_radius)
-    u = phi.u
-    base_point, base_period = least_periodic_point(ctx, spec_y)
-    gsys = GammaSystem(
-        phi=phi,
-        gamma=gamma,
-        eps=float(eps),
-        syndetic_bound=gamma.order * phi.marker_spacing + 2 * phi.v_radius,
-        base_point=base_point,
-        base_period=base_period,
-        stamps=tuple(
-            Pattern.on(u.domain, tuple(gamma.mul(j, a) for a in u.values))
-            for j in range(gamma.order)
-        ),
-    )
+    gsys = GammaSystem(phi, gamma, *least_periodic_point(ctx, spec_y))
     inputs = (ctx, gamma, spec_y, f, eps, scale, witness_scale, max_v_radius,
               closure_len)
     return gsys, _gamma_certificate(gsys, scale, inputs)

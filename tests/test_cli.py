@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symdyn
-from symdyn.certificates import Claim, load_certificate, load_manifest
+from symdyn.certificates import (
+    Claim,
+    RunManifest,
+    load_certificate,
+    load_manifest,
+    write_manifest,
+)
 from symdyn.cli import (
     format_pattern,
     main,
@@ -340,6 +346,30 @@ def test_densify_commands_refuse_an_empty_window(argv, capsys):
     assert capsys.readouterr().err == "error: the window must be non-empty\n"
 
 
+NO_SEVEN_ZEROS = (
+    '{"group":"Z","alphabet":2,"forbidden":'
+    '[{"domain":[0,1,2,3,4,5,6],"values":[0,0,0,0,0,0,0]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "spec,word,image",
+    [
+        ("golden_mean", "(0, 0)", "(1, 1)"),
+        # the offending words are longer than the default closure length 6
+        (NO_SEVEN_ZEROS, "(1, 1, 1, 1, 1, 1, 1)", "(0, 0, 0, 0, 0, 0, 0)"),
+    ],
+    ids=["golden_mean", "no-seven-zeros"],
+)
+def test_gamma_densify_refuses_a_language_the_group_moves(spec, word, image, capsys):
+    assert main(["gamma-densify", "finite:z2", spec, "--window", "0", "--eps", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"rejected: base language is not invariant: {word} maps to inadmissible {image}\n"
+    )
+
+
 HARD_SQUARE = (
     '{"group":"Z^2","alphabet":2,"name":"hard_square","forbidden":['
     '{"domain":[[0,0],[1,0]],"values":[1,1]},{"domain":[[0,0],[0,1]],"values":[1,1]}]}'
@@ -641,6 +671,44 @@ def test_replay_detects_drifted_artifacts(tmp_path, capsys):
         fh.write(json.dumps(m))
     assert main(["replay", mani]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def _file_state(paths):
+    return {p: (Path(p).read_bytes(), os.stat(p).st_mtime_ns) for p in paths}
+
+
+def _backdated(paths):
+    """:func:`_file_state` after moving each file's mtime to a past second,
+    so a rewrite shows even within the clock's resolution."""
+    for p in paths:
+        os.utime(p, (1_000_000_000, 1_000_000_000))
+    return _file_state(paths)
+
+
+def test_replay_redirects_an_abbreviated_emit_flag(tmp_path, monkeypatch, capsys):
+    # argparse takes any unambiguous prefix of a flag, so the manifest
+    # records --emi and --man as typed
+    monkeypatch.chdir(tmp_path)
+    assert main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "10",
+                 "--emi", "a.json", "--man", "m.json"]) == 0
+    assert "--emi" in load_manifest("m.json").argv
+    before = _backdated(["a.json", "m.json"])
+    capsys.readouterr()
+    assert main(["replay", "m.json"]) == 0
+    assert capsys.readouterr().out.endswith("replay a.json: byte-identical\n")
+    assert _file_state(before) == before
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "m.json"]
+
+
+def test_replay_refuses_a_manifest_that_records_a_replay(tmp_path, capsys):
+    mani = str(tmp_path / "m.json")
+    write_manifest(mani, RunManifest(("replay", mani), ()))
+    before = _backdated([mani])
+    assert main(["replay", mani]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: a manifest cannot record a replay\n"
+    assert _file_state(before) == before
 
 
 def test_replay_missing_manifest_is_usage_error(tmp_path, capsys):

@@ -360,6 +360,12 @@ def test_shatter_rejects_constrained_base():
         shatter_small(Z, "squares", [(0,)], region_0_400(), spec=GOLDEN)
 
 
+def test_shatter_takes_member_predicates_by_name_only():
+    # the certificate records the name, so verify can rebuild only a named set
+    with pytest.raises(ConstructionError, match="unknown member predicate"):
+        shatter_small(Z, squares_member, [(0,)], region_0_400())
+
+
 # --- periodic background points ---------------------------------------------
 
 

@@ -94,6 +94,7 @@ from symdyn.groups import (
     BallCapExceeded,
     FiniteGroupContext,
     FiniteSubset,
+    GroupContext,
     RadiusVerdict,
     SmallnessReport,
     SyndeticityResult,
@@ -1557,7 +1558,7 @@ def _stamp_core_agrees(ctx, spec, f, level, sem, witness_scale, max_v_radius):
             _stamp_core(*args)
         return None
     got = _stamp_core(*args)
-    assert (got["v_radius"], got["u"], got["witness_report"]) == want
+    assert got == want[:2]
     return got
 
 
@@ -1601,7 +1602,8 @@ def test_stamp_core_searches_radii_with_enough_slots(monkeypatch, ctx, spec, cel
     got = _stamp_core_agrees(ctx, spec, f, 1, sem, witness_scale, 5 if ctx is Z else 1)
     assert radii == searched
     # the least admissible V-pattern shows too few window patterns
-    assert got["u"] != level_pattern_list(ctx, spec, got["v"], 1, sem)[0]
+    v_radius, u = got
+    assert u != level_pattern_list(ctx, spec, ctx.ball(v_radius), 1, sem)[0]
 
 
 def test_build_phi_refuses_bad_bounds_before_the_stamp_search(monkeypatch):
@@ -1614,6 +1616,42 @@ def test_build_phi_refuses_bad_bounds_before_the_stamp_search(monkeypatch):
         build_phi(Z2, spec, 1, f, 0, local(1))
     with pytest.raises(ValueError, match="max v radius must be >= 0, got -1"):
         build_phi(Z2, spec, 1, f, 2, local(1), -1)
+
+
+@pytest.mark.parametrize(
+    "ctx,spec,sem,witness_scale",
+    [
+        (Z, builtin_spec("full_shift"), EXACT, 6),
+        (Z2, _hard_pairs(Z2, [(1, 0), (0, 1)]), local(1), 2),
+        (F2, _hard_pairs(F2, ["a", "b"]), local(1), 1),
+        (STAMP_CONTEXTS["finite:z4"], SftSpec("finite:z4", (2,), ()), local(1), 1),
+    ],
+    ids=["Z", "Z^2", "F2", "finite:z4"],
+)
+def test_marker_balls_are_built_on_first_use(ctx, spec, sem, witness_scale):
+    sys = build_phi(ctx, spec, 1, ctx.ball(0), witness_scale, sem, 2)
+    assert not {"v3", "v5", "ring"} & vars(sys).keys()
+    r = sys.v_radius
+    assert sys.v3 == ctx.ball(3 * r)
+    assert sys.v5 == ctx.ball(5 * r)
+    assert sys.ring == FiniteSubset.of(ctx, [g for g in ctx.ball(5 * r)
+                                             if g not in ctx.ball(3 * r)])
+
+
+def test_build_phi_off_z_builds_no_ball_only_the_rewrite_reads(monkeypatch):
+    # F2's ball(10) holds 88573 elements; only phi_point reads V^3 and V^5
+    radii = []
+    ball = GroupContext.ball
+
+    def record(self, r):
+        radii.append(r)
+        return ball(self, r)
+
+    monkeypatch.setattr(GroupContext, "ball", record)
+    f = FiniteSubset.of(F2, [F2.identity, "a"])
+    sys = build_phi(F2, _hard_pairs(F2, ["a", "b"]), 1, f, 1, local(1), 2)
+    assert sys.v_radius == 2
+    assert radii and max(radii) < 3 * sys.v_radius
 
 
 @settings(max_examples=40, deadline=None)
