@@ -11,7 +11,9 @@ invocation into a scratch directory and byte-compares the artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
 import tempfile
@@ -398,7 +400,13 @@ def _cmd_replay(args):
     """Re-run the recorded command with its certificate sent to a scratch
     directory; a recorded run manifest is not rewritten."""
     manifest = load_manifest(args.manifest_path)
-    recorded = build_parser().parse_args(manifest.argv)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            recorded = build_parser().parse_args(manifest.argv)
+    except SystemExit:
+        detail = err.getvalue().rpartition("error: ")[2].strip() or "no command to run"
+        raise CertificateError(f"recorded argv does not parse: {detail}") from None
     if recorded.command == "replay":
         raise CertificateError("a manifest cannot record a replay")
     with tempfile.TemporaryDirectory() as tmp:
@@ -622,18 +630,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_without_manifest(argv: list[str]) -> list[str]:
+    """``argv`` less ``--manifest`` or any abbreviation of it, and its value."""
     out = []
     skip = False
     for tok in argv:
+        flag, eq, _ = tok.partition("=")
         if skip:
             skip = False
-            continue
-        if tok == "--manifest":
-            skip = True
-            continue
-        if tok.startswith("--manifest="):
-            continue
-        out.append(tok)
+        elif len(flag) > 2 and "--manifest".startswith(flag):
+            skip = not eq
+        else:
+            out.append(tok)
     return out
 
 

@@ -14,10 +14,11 @@ verdict depends only on the reachability behavior sets of its two
 lengths and the gap.  Each direction's family of sets at one length
 determines the family at the next, so the scan reads lengths only up to
 the first repeated family; each gap decides every pair of sets that
-co-occurs there once and counts its classes by arithmetic, which keeps
-the scan linear in the scale.  A uniform
-reachability certificate (``unconditional``) extends the verdict beyond
-the scanned window.  Under local semantics the scan runs over ball
+co-occurs there once and counts its classes by arithmetic.  No class
+fails from the mixing gap on, so class work stops there and only the
+pair count stays linear in the scale.  A uniform reachability
+certificate (``unconditional``) extends the verdict beyond the scanned
+window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
 translation class is decided by membership tests, and only classes that
 one forbidden occurrence can join are searched, by per-side signatures on
@@ -303,15 +304,34 @@ def _check_irreducible_exact(
     width = 2 * scale + 1
     diffs = _positive_differences(d)
     min_gap = _min_apart_gap(diffs)
+    # Least n at which every state reaches every state in exactly n steps;
+    # None on an empty graph, where all() over no rows would read as full,
+    # or once a matrix repeats, as power(n + 1) is a function of power(n).
+    mixing, seen = None, set()
+    for n in range(1, max(width, min_gap + 1) + 1):
+        rows = tuple(tg.power(n))
+        if not rows or rows in seen:
+            break
+        if all(r == tg.full for r in rows):
+            mixing = n
+            break
+        seen.add(rows)
     pairs = 0
     found = None
     # The apart classes at a gap are those with l1 + l2 <= span.  A gap
     # decides only its distinct key pairs and counts its classes by
-    # arithmetic, so the scan is linear in the scale.
+    # arithmetic.  From the mixing gap on no class fails, so only the pair
+    # count goes on there.  The graph is trimmed (every state has an
+    # in-edge and an out-edge), so once power(n) is all ones, power(n + 1)
+    # = power(n) * A is too.  er_groups and en_groups keep only non-zero
+    # bit sets, so reach_row(er_bits, gap) & en_bits is then non-zero for
+    # every class and first_failure would return None.  The mixing search
+    # reaches past every gap below width - 1, so with mixing None no gap
+    # is skipped.
     for gap in range(width - 1):
         span = _apart_span(diffs, gap)
         span = width - gap if span is None else min(span, width - gap)
-        bad = engine.first_failure(gap, span)
+        bad = engine.first_failure(gap, span) if mixing is None or gap < mixing else None
         if bad is None:
             pairs += span * (span - 1) // 2
             continue
@@ -335,14 +355,6 @@ def _check_irreducible_exact(
         )
 
     holds = found is None
-    # Least n at which every state reaches every state in exactly n steps;
-    # None on an empty graph, where all() over no rows would read as full.
-    mixing = None
-    if tg.states:
-        for n in range(1, max(2 * scale + 1, min_gap + 1) + 1):
-            if all(r == tg.full for r in tg.power(n)):
-                mixing = n
-                break
     unconditional = holds and all(r == tg.full for r in tg.power(min_gap))
     return IrreducibilityReport(
         holds=holds,

@@ -1,4 +1,4 @@
-"""Acceptance sweep: the nine headline claims and two scale runs, one test
+"""Acceptance sweep: the nine headline claims and the scale runs, one test
 line each.
 
 Each criterion re-derives its data from scratch at the stated scale and
@@ -359,3 +359,21 @@ def test_criterion_11_exact_conf_on_4000_cells(capsys):
     )
     assert elapsed < 1.0, f"budget exceeded: {elapsed:.2f}s"
     print(f"criterion 11: PASS - least 4000-cell golden-mean gluing in {elapsed:.2f}s")
+
+
+def test_criterion_13_exact_gluing_stops_deciding_at_the_mixing_gap():
+    # the maximal 2-separation system glues at its witness ball(6) from the
+    # least apart gap 12; from its mixing gap 14 on no class can fail, so
+    # the scan decides gaps 12 and 13 and only counts the classes of the
+    # 3986 gaps after them
+    spec, witness = max_separated_subshift(Z, Z.ball(2))
+    start = time.monotonic()
+    rep = check_irreducible(Z, spec, 1, witness, 2000)
+    elapsed = time.monotonic() - start
+    assert rep.holds, rep.counterexample
+    assert (rep.pairs_checked, rep.min_gap, rep.mixing_gap) == (10578907780, 12, 14)
+    assert elapsed < 0.5, f"budget exceeded: {elapsed:.2f}s"
+    print(
+        f"criterion 13: PASS - the maximal 2-separation system glues over its "
+        f"witness on {rep.pairs_checked} interval classes at scale 2000 in {elapsed:.2f}s"
+    )

@@ -687,17 +687,47 @@ def _backdated(paths):
 
 def test_replay_redirects_an_abbreviated_emit_flag(tmp_path, monkeypatch, capsys):
     # argparse takes any unambiguous prefix of a flag, so the manifest
-    # records --emi and --man as typed
+    # records --emi as typed and drops --man with its value
     monkeypatch.chdir(tmp_path)
     assert main(["irreducible", "golden_mean", "--d", "ball:2", "--scale", "10",
                  "--emi", "a.json", "--man", "m.json"]) == 0
-    assert "--emi" in load_manifest("m.json").argv
+    assert load_manifest("m.json").argv == (
+        "irreducible", "golden_mean", "--d", "ball:2", "--scale", "10", "--emi", "a.json"
+    )
     before = _backdated(["a.json", "m.json"])
     capsys.readouterr()
     assert main(["replay", "m.json"]) == 0
     assert capsys.readouterr().out.endswith("replay a.json: byte-identical\n")
     assert _file_state(before) == before
     assert sorted(os.listdir(tmp_path)) == ["a.json", "m.json"]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--manifest=m.json"], ["--man", "m.json"], ["--man=m.json"], ["--m", "m.json"],
+     ["--manif=m.json"]],
+)
+def test_manifest_drops_every_accepted_form_of_its_own_flag(tmp_path, monkeypatch, flag):
+    # each form writes the bytes the full flag writes
+    monkeypatch.chdir(tmp_path)
+    argv = ["irreducible", "golden_mean", "--d", "ball:2", "--scale", "6", "--emit", "a.json"]
+    assert main([*argv, "--manifest", "full.json"]) == 0
+    assert load_manifest("full.json").argv == tuple(argv)
+    assert main([*argv[:6], *flag, *argv[6:]]) == 0
+    assert Path("m.json").read_bytes() == Path("full.json").read_bytes()
+
+
+def test_replay_of_an_unparsable_argv_is_an_invalid_manifest(tmp_path, capsys):
+    mani = tmp_path / "m.json"
+    mani.write_text('{"argv": ["bogus"], "outputs": [], "version": 1}')
+    assert main(["replay", str(mani)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "invalid: recorded argv does not parse: argument command: invalid choice: 'bogus'"
+    )
+    assert "usage" not in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_replay_refuses_a_manifest_that_records_a_replay(tmp_path, capsys):

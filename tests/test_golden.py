@@ -13,7 +13,9 @@ and ``f2_hard`` at scales 3 and 4, pin the local scan's order and pair count
 at scales where most translation classes are decided without a search.  Two
 more exact checks pin the interval scan's order and pair count: a holding
 one with an asymmetric D at scale 30, and a failing one on a gap shift
-whose first counterexample comes after 36 apart classes.
+whose first counterexample comes after 36 apart classes.  The maximal
+2-separation system at scale 40 pins the pair count of a scan that stops
+deciding classes at its mixing gap 14, two gaps past its least apart gap.
 Two stamp rows run at the benchmark's sizes: densification with a
 three-cell window at scale 60 (displaying radius 5, so the marker system
 has forbidden diameter 100), and shattering five squares over ``0..600``.
@@ -57,6 +59,7 @@ GOLDEN = {
     "golden-mean-asym": (["irreducible", "golden_mean", "--d=-1,0,3", "--scale", "30"], 0),
     "gap-shift-fails": (["irreducible", GAP_SHIFT, "--d=0,1,3", "--scale", "10"], 1),
     "max-sep-shift": (["max-sep-shift", "Z", "--d", "ball:1", "--check-scale", "12"], 0),
+    "max-sep-shift-d2": (["max-sep-shift", "Z", "--d", "ball:2", "--check-scale", "40"], 0),
     "densify": (["densify", "full_shift", "--window", "0,1", "--level", "1",
                  "--scale", "40"], 0),
     "scp": (["scp", "period2", "--d", "ball:1", "--u", "0=0"], 0),

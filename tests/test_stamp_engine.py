@@ -26,8 +26,8 @@ and back; ``oracle_reach`` gives the
 states reachable in exactly ``n`` steps as sets.  The exact gluing scan
 reads interval apartness off ``D - D`` and decides each gap's co-occurring
 pairs of behavior sets once, reading lengths only up to the first repeated
-family of behavior sets; ``oracle_first_lengths`` reads every length up to
-a limit instead;
+family of behavior sets and deciding no gap from the mixing gap on;
+``oracle_first_lengths`` reads every length up to a limit instead;
 ``oracle_check_irreducible_exact`` is the per-class scan, which builds
 both intervals and asks ``oracle_are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
@@ -1009,9 +1009,32 @@ def test_transfer_graph_matches_per_pattern_tail_check(spec, length):
 
 
 @settings(max_examples=100, deadline=None)
-@given(z_sft_specs(), st.integers(0, 2), st.integers(1, 3))
+@given(
+    st.one_of(z_sft_specs(), st.sampled_from(["period2", "golden_mean"]).map(builtin_spec)),
+    st.integers(0, 2),
+    st.integers(1, 40),
+)
 def test_exact_gluing_mixing_gap_matches_path_scan(spec, radius, scale):
+    # the search stops at the first repeated reach matrix, since power(n + 1)
+    # is a function of power(n): a repeat before any full matrix means none
+    # ever is, as on period2, whose matrices alternate
     _assert_mixing_gap_matches(spec, radius, scale)
+
+
+def test_mixing_search_on_period2_stops_at_the_first_repeated_matrix(monkeypatch):
+    # period2's reach matrices alternate from n = 1, so a scan at scale 2000
+    # asks for a handful of powers, not 4001
+    asked = []
+    original = TransferGraph.power
+
+    def power(self, n):
+        asked.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(TransferGraph, "power", power)
+    report = check_irreducible(Z, builtin_spec("period2"), 1, Z.ball(2), 2000)
+    assert (report.holds, report.mixing_gap) == (False, None)
+    assert max(asked) <= 4
 
 
 @pytest.mark.parametrize(
@@ -1291,9 +1314,22 @@ def test_exact_scan_decides_classes_lazily_in_scan_order(monkeypatch, spec, d, s
     assert max(n for n, in lengths) == max(max(l1, l2) for l1, _, l2 in decided)
 
 
-def test_exact_scan_reads_lengths_only_to_the_first_repeated_family(monkeypatch):
-    # golden mean's families first repeat at length 2, so a scan whose
-    # intervals reach length 400 reads lengths 1 and 2 and no others
+@pytest.mark.parametrize(
+    "spec,d,scale,read",
+    [
+        # golden mean over ball(2): no class is apart below the mixing gap 2
+        # (a gap of 0 or 1 leaves span 1), so no length is read at all
+        (builtin_spec("golden_mean"), Z.ball(2), 200, set()),
+        # the maximal 2-separation system mixes at 14, above its least apart
+        # gap 12; its families first repeat at length 9, so gaps 12 and 13
+        # read lengths 1..9 and no others
+        (*max_separated_subshift(Z, Z.ball(2)), 16, set(range(1, 10))),
+    ],
+    ids=["golden_mean", "msep2"],
+)
+def test_exact_scan_reads_lengths_only_to_the_first_repeated_family(
+    monkeypatch, spec, d, scale, read
+):
     lengths = set()
     for name in ("er_groups", "en_groups"):
         original = getattr(_IntervalGluer, name)
@@ -1303,9 +1339,47 @@ def test_exact_scan_reads_lengths_only_to_the_first_repeated_family(monkeypatch)
             return original(self, length)
 
         monkeypatch.setattr(_IntervalGluer, name, wrapped)
-    report = check_irreducible(Z, builtin_spec("golden_mean"), 1, Z.ball(2), 200)
+    report = check_irreducible(Z, spec, 1, d, scale)
     assert report.holds
-    assert lengths == {1, 2}
+    assert lengths == read
+
+
+@pytest.mark.parametrize(
+    "spec,d,scale",
+    [
+        (builtin_spec("golden_mean"), Z.ball(2), 200),
+        (*max_separated_subshift(Z, Z.ball(2)), 16),
+        (*max_separated_subshift(Z, Z.ball(1)), 16),
+        (builtin_spec("full_shift"), Z.ball(1), 10),
+    ],
+    ids=["golden_mean", "msep2", "msep1", "full_shift"],
+)
+def test_exact_scan_decides_no_gap_past_the_mixing_gap(monkeypatch, spec, d, scale):
+    # from the mixing gap on every reach row is full and every behavior set
+    # is non-zero, so no class can fail there and none is decided
+    gaps = []
+    original = _IntervalGluer.first_failure
+
+    def first_failure(self, gap, span):
+        gaps.append(gap)
+        return original(self, gap, span)
+
+    monkeypatch.setattr(_IntervalGluer, "first_failure", first_failure)
+    report = check_irreducible(Z, spec, 1, d, scale)
+    assert report.holds and report.mixing_gap is not None
+    assert gaps == list(range(min(report.mixing_gap, 2 * scale)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(z_sft_specs(sizes=st.one_of(SIZES, STACKED)), Z_DOMAINS, st.integers(6, 14), st.data())
+def test_exact_scan_cut_at_the_mixing_gap_matches_the_per_class_scan(spec, d, scale, data):
+    # at these scales the gap loop runs well past most specs' mixing gap,
+    # and failing draws must report the same first counterexample
+    level = data.draw(st.integers(1, spec.stack))
+    got = check_irreducible(Z, spec, level, d, scale)
+    want = oracle_check_irreducible_exact(Z, spec, level, d, scale)
+    assert got == want
+    assert got.to_json(Z) == want.to_json(Z)
 
 
 def test_exact_scan_builds_each_family_once(monkeypatch):
