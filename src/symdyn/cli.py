@@ -401,8 +401,8 @@ def _cmd_replay(args):
     directory; a recorded run manifest is not rewritten."""
     manifest = load_manifest(args.manifest_path)
     err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err):
+    try:  # argparse prints help (-h) on stdout and errors on stderr
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             recorded = build_parser().parse_args(manifest.argv)
     except SystemExit:
         detail = err.getvalue().rpartition("error: ")[2].strip() or "no command to run"

@@ -297,8 +297,10 @@ class PhiSystem:
     the radius of the displaying ball V and the stamp ``u`` on V.  The
     marker spacing and syndetic bound follow from the radius on the rank-1
     lattice (0 elsewhere).  V^3, V^5 and the collar ring between them are
-    built on first use, since only the rewrite reads them.  Systems compare
-    by identity, and each keeps its own memo of collar fills.
+    built on first use, since only the rewrite reads them, and so are the
+    level letters' preimages and the order :func:`_collar_fill` walks the
+    ring in.  Systems compare by identity, and each keeps its own memo of
+    collar fills.
     """
 
     def __init__(self, ctx: GroupContext, base: SftSpec, level: int,
@@ -325,6 +327,11 @@ class PhiSystem:
         self._conf_memo: dict = {}
 
     @functools.cached_property
+    def preimages(self) -> dict:
+        """Base letters grouped by their truncation to the system level."""
+        return level_preimages(self.base, self.level)
+
+    @functools.cached_property
     def v3(self) -> FiniteSubset:
         return self.ctx.ball(3 * self.v_radius)
 
@@ -337,6 +344,16 @@ class PhiSystem:
         """V^5 minus V^3: the re-glued collar."""
         v3 = self.v3
         return FiniteSubset.of(self.ctx, [g for g in self.v5 if g not in v3])
+
+    @functools.cached_property
+    def ring_walks(self) -> tuple[list, list]:
+        """Indices into ``ring`` of its cells left of V^3, leftmost first,
+        and of those right of V^3, rightmost first (rank-1 lattice only)."""
+        cells = self.ring.elements
+        order = sorted(range(len(cells)), key=cells.__getitem__)
+        left = [i for i in order if cells[i][0] < 0]
+        right = [i for i in reversed(order) if cells[i][0] > 0]
+        return left, right
 
 
 def build_phi(
@@ -390,11 +407,20 @@ def _marker_hit(sys: PhiSystem, y: Configuration, g):
 
 
 def _collar_fill(sys: PhiSystem, zprime: Configuration, h, u: Pattern) -> Pattern:
-    """The V^5 pattern around the marker at ``h``: stamp ``u`` glued to the collar.
+    """The V^3 pattern around the marker at ``h``: stamp ``u`` glued to the collar.
 
     The collar is ``zprime`` read (truncated) on the ring V^5 minus V^3
-    around ``h``; fills are memoised on the system by collar and stamp
-    values, so one memo serves every stamp a rewrite places.
+    around ``h``, and :func:`conf` glues it to ``u`` on V^5.  Only the V^3
+    part is kept, since no ring cell is read from it.  Fills are memoised
+    on the system, so one memo serves every stamp a rewrite places.  Under
+    ``local(m)`` the memo key is the collar and stamp values.  Under exact
+    semantics the collar enters the fill only through the transfer-graph
+    states its cells left of V^3 reach walking forward and those its cells
+    right of V^3 reach walking backward: every mask the outward fill reads
+    inside V^3, its feasibility and so its ``GluingError`` are functions of
+    those two masks and the stamp.  So the key is the two masks and the
+    stamp values, and ``conf`` runs once per boundary state pair rather
+    than once per collar.
     """
     ctx = sys.ctx
     collar_vals = tuple(
@@ -402,10 +428,22 @@ def _collar_fill(sys: PhiSystem, zprime: Configuration, h, u: Pattern) -> Patter
         for c in sys.ring
     )
     key = (collar_vals, u.values)
+    pre = sys.preimages
+    # a collar letter outside the level alphabet is left for conf to name
+    if sys.sem.mode == "exact" and all(v in pre for v in collar_vals):
+        tg = transfer_graph(sys.base)
+        left, right = sys.ring_walks
+        fwd = back = tg.full
+        for i in left:
+            fwd = tg.step(fwd, pre[collar_vals[i]])
+        for i in right:
+            back = tg.step(back, pre[collar_vals[i]], back=True)
+        key = (fwd, back, u.values)
     q = sys._conf_memo.get(key)
     if q is None:
         collar = Pattern.on(sys.ring, collar_vals)
-        q = conf(ctx, sys.base, sys.level, sys.v5, collar, u, sys.sem)
+        glued = conf(ctx, sys.base, sys.level, sys.v5, collar, u, sys.sem)
+        q = Pattern.on(sys.v3, tuple(glued.value_at(g) for g in sys.v3))
         sys._conf_memo[key] = q
     return q
 
@@ -491,11 +529,16 @@ def verify_phi(
     every admissible window pattern, and the scanned stretch as a whole
     shows exactly the expected pattern set.  The marker point is the same
     for every sample, so each cell's marker hit is found once; each
-    sample then reads one collar per marker.  Placements are read as value
-    tuples, and a ``Pattern`` is built only for a violation report.  The
-    stretches are one window slid across the scan, counting the expected
-    tuples placed in it, so a stretch shows every pattern exactly when it
-    holds as many distinct tuples as there are patterns.
+    sample then reads one collar per marker, and :func:`_collar_fill` runs
+    ``conf`` only for a pair of boundary states no earlier collar of the
+    system reached (once in all on the full shift, whose transfer graph has
+    one state).  The first sample is the least word of the window language,
+    read off an iterative walk, so no scale reaches the recursion limit.
+    Placements are read as value tuples, and a ``Pattern`` is built only
+    for a violation report.  The stretches are one window slid across the
+    scan, counting the expected tuples placed in it, so a stretch shows
+    every pattern exactly when it holds as many distinct tuples as there
+    are patterns.
 
     ``marker_window_ok``: the marker point's window on ``[-3s, 3s]`` is
     an admissible window of the marker system (the indicators of maximal
@@ -1017,8 +1060,10 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
                 violations.append(
                     {"kind": "orbit-escape", "window": list(w), "by": gelt}
                 )
-    expected = set(level_pattern_list(ctx, phi.base, phi.window, 1, EXACT))
+    pats = level_pattern_list(ctx, phi.base, phi.window, 1, EXACT)
+    expected = {p.values for p in pats}
     flo, fhi = hull_interval(phi.window)
+    reads = [x[0] for x in phi.window]  # placement t reads w[t + o] for each o
     stamp_by_pos = [phi.u.value_at((k,)) for k in range(-r, r + 1)]
     stamp_orbit = [
         [gamma.mul(gelt, x) for x in stamp_by_pos]
@@ -1047,11 +1092,9 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
                     {"kind": "collar-escape", "window": list(w), "at": a + b}
                 )
                 break
-        seen = set()
-        for t in range(a - flo, a + wlen - fhi):
-            seen.add(
-                Pattern.of(ctx, {x: w[x[0] + t - a] for x in phi.window})
-            )
+        seen = {
+            tuple(w[t + o] for o in reads) for t in range(-flo, wlen - fhi)
+        }
         if seen != expected:
             violations.append(
                 {"kind": "window-pattern-set", "window": list(w)}

@@ -14,8 +14,8 @@ on the canonical form.  All greedy searches, witness searches and
 serializations in this package iterate in that order, which is what
 makes re-runs byte-identical.
 
-One sphere walk builds every word-length ball, the element order and
-the smallness shells: sphere ``r`` grows from sphere ``r - 1`` by right
+One sphere walk builds every word-length ball and the element order,
+and caps the smallness radii: sphere ``r`` grows from sphere ``r - 1`` by right
 multiplication with the generators, so a context supplies only its group
 operations, generators, word length, order and codecs.  Balls are cached
 per context, and the walk is guarded by the ``SYMDYN_MAX_BALL``
@@ -675,44 +675,72 @@ def is_small(
     (avoidance fails syndeticity at the cap, witness element attached) or
     ``inconclusive`` (region too small to certify either way).
 
-    The cover ``ball(rho)*avoid`` grows by one layer of a walk per
-    ``rho``, and interiors come from one walk inward from the region's edge.
+    ``member`` is asked once per cell of ``ball(max_f_radius)*region``,
+    found by one walk outward from the region; one walk outward from the
+    members found gives each cell's distance to the set, and the avoidance
+    set at ``r`` is the cells farther than ``r``.  Interiors come from one
+    walk inward from the region's edge.  Per radius, the region cells
+    outside the avoidance set are pending; they leave when the cover
+    ``ball(rho)*avoid``, grown one layer per ``rho``, reaches them or when
+    the interior shrinks past them, and the witness is the first left at
+    the cap.
     """
-    if syndetic_cap < 0 and max_f_radius >= 0:
-        raise ValueError("ball radius must be >= 0")
+    if max_f_radius < 0:
+        raise ValueError(f"radius must be >= 0, got {max_f_radius}")
+    if syndetic_cap < 0:
+        raise ValueError(f"syndetic cap must be >= 0, got {syndetic_cap}")
+    for _ in itertools.islice(_spheres(ctx), max_f_radius + 1):
+        pass  # ball(max_f_radius) must stay under the ball cap, like every ball
+    # outward[k] is ball(k)*region minus ball(k-1)*region: outward[1] holds the
+    # cells just outside, and outward[:max_f_radius + 1] covers ball(R)*region.
+    rset = region.as_set()
+    outward = list(itertools.islice(_layers(ctx, rset), max(2, max_f_radius + 1)))
+    outside = outward[1] if len(outward) > 1 else ()
     # depth[g]: the largest rho <= cap with ball(rho)*g inside the region; a
     # cell at depth rho < cap is in layer rho + 1 of the walk inward from the
     # cells just outside (a whole finite group has none, so all stay at cap).
-    rset = region.as_set()
     depth = dict.fromkeys(region, syndetic_cap)
-    outside = next(itertools.islice(_layers(ctx, rset), 1, None), ())
     inward = itertools.islice(_layers(ctx, outside, rset), 1, syndetic_cap + 1)
     for rho, layer in enumerate(inward):
         depth.update(dict.fromkeys(layer, rho))
     deepest = max(depth.values(), default=-1)
-    shells = _spheres(ctx)
+    expiring: list = [[] for _ in range(deepest + 1)]  # the cells of each depth
+    for g, d in depth.items():
+        expiring[d].append(g)
+    # near[g]: the least r <= max_f_radius with a member in ball(r)*g, for the
+    # region cells that have one.  Those members lie in ball(R)*region, and
+    # so does a shortest walk from one of them to g.
+    reach = set().union(*outward[: max_f_radius + 1])
+    members = [g for g in reach if member(g)]
+    near: dict = {}
+    toward = _layers(ctx, members, reach)
+    for r, layer in enumerate(itertools.islice(toward, max_f_radius + 1)):
+        near.update(dict.fromkeys(layer & rset, r))
+    gens = ctx.generators()
     verdicts = []
-    avoid = list(region)
     for r in range(max_f_radius + 1):
-        shell = next(shells, ())  # ball(r) minus ball(r-1)
-        avoid = [
-            g for g in avoid if not any(member(ctx.mul(x, g)) for x in shell)
-        ]
-        # interiors shrink and covers grow, so the uncovered list only shrinks
+        # A cell still pending at rho has ball(rho)*g inside the region, so a
+        # shortest walk from the avoidance set to it runs, once it leaves the
+        # set, through cells pending at the start: the cover grows from the
+        # set's cells next to those, through those alone.
+        pending = {g for g, d in near.items() if d <= r}
+        avoided = len(region) - len(pending)
+        border = {ctx.mul(x, g) for g in pending for x in gens}
+        cover = _layers(ctx, (rset - pending) & border, set(pending))
         verdict: Optional[RadiusVerdict] = None
-        cover = _layers(ctx, avoid)
-        uncovered = list(region)
         for rho in range(syndetic_cap + 1):
             if rho > deepest:
-                verdict = RadiusVerdict(r, "inconclusive", None, None, len(avoid))
+                verdict = RadiusVerdict(r, "inconclusive", None, None, avoided)
                 break
-            layer = next(cover, ())
-            uncovered = [g for g in uncovered if depth[g] >= rho and g not in layer]
-            if not uncovered:
-                verdict = RadiusVerdict(r, "small", rho, None, len(avoid))
+            if rho:
+                pending.difference_update(expiring[rho - 1])
+            pending.difference_update(next(cover, ()))
+            if not pending:
+                verdict = RadiusVerdict(r, "small", rho, None, avoided)
                 break
         if verdict is None:
-            verdict = RadiusVerdict(r, "not-small", None, uncovered[0], len(avoid))
+            witness = next(g for g in region if g in pending)
+            verdict = RadiusVerdict(r, "not-small", None, witness, avoided)
         verdicts.append(verdict)
     if any(v.verdict == "not-small" for v in verdicts):
         overall = "not-small"

@@ -592,7 +592,12 @@ class TransferGraph:
         return self._prefixes[length]
 
     def language(self, length: int) -> Iterator[tuple]:
-        """All admissible windows of ``length``, lexicographically."""
+        """All admissible windows of ``length``, lexicographically.
+
+        A depth-first walk from each state in turn, following edges least
+        letter first, keeps a stack of edge iterators, one per letter added,
+        rather than recursing: a re-check may ask for thousands of letters.
+        """
         if length < 0:
             raise ValueError("window length must be >= 0")
         if not self.states:
@@ -600,14 +605,23 @@ class TransferGraph:
         if length <= self.m:
             yield from self._prefix_words(length)
             return
-        def rec(state: tuple, word: tuple, todo: int):
-            if todo == 0:
-                yield word
-                return
-            for a, t in self.edges[state]:
-                yield from rec(t, word + (a,), todo - 1)
+        steps = length - self.m
         for s in self.states:
-            yield from rec(s, s, length - self.m)
+            word = list(s)
+            pending = [iter(self.edges[s])]
+            while pending:
+                edge = next(pending[-1], None)
+                if edge is None:
+                    pending.pop()
+                    if pending:
+                        word.pop()
+                    continue
+                word.append(edge[0])
+                if len(pending) == steps:
+                    yield tuple(word)
+                    word.pop()
+                else:
+                    pending.append(iter(self.edges[edge[1]]))
 
     def power(self, n: int) -> list[int]:
         """Rows of the ``n``-step reachability matrix, cached as they grow."""

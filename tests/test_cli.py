@@ -120,6 +120,20 @@ def test_small_command_exit_codes(capsys):
     ]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--radius", "-1"], "radius must be >= 0, got -1"),
+        (["--syndetic-cap", "-1"], "syndetic cap must be >= 0, got -1"),
+    ],
+)
+def test_small_negative_radius_or_cap_is_usage_error(flags, message, capsys):
+    assert main(["small", "Z", "--member", "squares", "--region", "0..10", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_small_unknown_member_is_usage_error(capsys):
     assert main([
         "small", "Z", "--member", "primes", "--radius", "1", "--region", "0..10",
@@ -314,6 +328,21 @@ def test_densify_command(capsys):
     out = capsys.readouterr().out
     assert "displaying ball radius 1" in out
     assert "holds" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["densify", "full_shift", "--window", "0..2", "--level", "1", "--scale", "460"],
+        ["densify", "golden_mean", "--window", "0..2", "--scale", "480"],
+    ],
+)
+def test_densify_at_a_scale_past_the_recursion_limit(argv, capsys):
+    # the re-check's first sample is a word of more than 1000 letters
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(
+        f"densification: holds (claim phi-densification, scale {argv[-1]})\n"
+    )
 
 
 def test_densify_refuses_a_ball_whose_collars_cannot_be_reglued(capsys):
@@ -728,6 +757,16 @@ def test_replay_of_an_unparsable_argv_is_an_invalid_manifest(tmp_path, capsys):
     )
     assert "usage" not in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["conf", "-h"]])
+def test_replay_of_a_help_argv_prints_no_help(argv, tmp_path, capsys):
+    mani = str(tmp_path / "m.json")
+    write_manifest(mani, RunManifest(tuple(argv), ()))
+    assert main(["replay", mani]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid: recorded argv does not parse: no command to run\n"
 
 
 def test_replay_refuses_a_manifest_that_records_a_replay(tmp_path, capsys):

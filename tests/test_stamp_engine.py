@@ -23,7 +23,9 @@ follows the edge dicts, and ``oracle_gluer_rows`` is the interval gluer's
 old state index, adjacency and merged level rows, which
 ``TransferGraph.step`` over a level letter's preimages must match forward
 and back; ``oracle_reach`` gives the
-states reachable in exactly ``n`` steps as sets.  The exact gluing scan
+states reachable in exactly ``n`` steps as sets, and ``oracle_language``
+lists windows recursing once per letter, where ``TransferGraph.language``
+keeps a stack of edge iterators.  The exact gluing scan
 reads interval apartness off ``D - D`` and decides each gap's co-occurring
 pairs of behavior sets once, reading lengths only up to the first repeated
 family of behavior sets and deciding no gap from the mixing gap on;
@@ -34,7 +36,9 @@ of every apart class, and ``oracle_min_apart_gap`` is the old
 singleton-apartness loop.  The densification re-check finds each
 cell's marker once, reads one collar per marker, and decides the marker
 window by a periodic scan; ``oracle_phi_letter`` scans V^3 and rebuilds
-the collar for every cell, ``oracle_marker_window_ok`` asks the marker
+the collar for every cell, ``oracle_collar_fill`` runs ``conf`` on every
+collar it reads, where the library keys its fills by the transfer-graph
+states at the collar's two inner ends, ``oracle_marker_window_ok`` asks the marker
 system's transfer graph, ``oracle_sample`` rebuilds the sampler's count
 table on every call, and ``oracle_verify_phi`` is the re-check built on
 them, comparing ``Pattern`` objects and testing every stretch for a subset.
@@ -77,6 +81,7 @@ from symdyn.configurations import (
 from symdyn.constructions import (
     _PHI_CLAIM,
     ConstructionError,
+    PhiSystem,
     _block_clear_test,
     _periodic_window_admissible,
     _stamp_core,
@@ -101,6 +106,7 @@ from symdyn.groups import (
     ball_cap,
     is_small,
     parse_group,
+    set_mul,
     set_pow,
     syndeticity_witness,
 )
@@ -374,7 +380,8 @@ def _assert_mixing_gap_matches(spec, radius, scale):
 
 
 def oracle_language(states, edges, length):
-    """Every word read along a path through the trimmed graph, sorted."""
+    """Every word read along a path through the trimmed graph, sorted: the
+    recursion, one call per letter, that ``TransferGraph.language`` unrolled."""
     m = len(states[0]) if states else 0
     if length <= m:
         return sorted({s[:length] for s in states})
@@ -634,6 +641,17 @@ def oracle_phi_letter(sys, zprime, y, g):
     return conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem).value_at(k)
 
 
+def oracle_collar_fill(sys, zprime, h, u):
+    """The V^5 fill around the marker at ``h``: ``conf`` on the collar values read."""
+    ctx = sys.ctx
+    collar_vals = tuple(
+        project_letter(zprime.value(ctx.mul(c, h)), sys.level, sys.base.stack)
+        for c in sys.ring
+    )
+    collar = Pattern.on(sys.ring, collar_vals)
+    return conf(ctx, sys.base, sys.level, sys.v5, collar, u, sys.sem)
+
+
 def oracle_sample(graph, length, rng):
     """``TransferGraph.sample`` with its weighted DP table rebuilt on every call."""
     if not graph.states:
@@ -883,12 +901,13 @@ def smallness_cases(draw):
         def member(g):
             return key(g) % period in marks
     else:
-        hits = frozenset(draw(st.lists(st.sampled_from(ctx.ball(5 if ctx is Z else 3).elements),
+        # hits reach past every region drawn, so members outside it count too
+        hits = frozenset(draw(st.lists(st.sampled_from(ctx.ball(21 if ctx is Z else 4).elements),
                                        max_size=12)))
 
         def member(g):
             return g in hits
-    return ctx, member, draw(st.integers(0, 2)), region, draw(st.integers(0, 7))
+    return ctx, member, draw(st.integers(0, 3)), region, draw(st.integers(0, 7))
 
 
 @settings(max_examples=200, deadline=None)
@@ -898,6 +917,21 @@ def test_is_small_matches_per_pair_oracle(case):
     assert is_small(ctx, member, radius, region, cap) == oracle_is_small(
         ctx, member, radius, region, cap
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(smallness_cases())
+def test_is_small_asks_member_once_per_cell_it_can_reach(case):
+    ctx, member, radius, region, cap = case
+    asked = []
+
+    def spy(g):
+        asked.append(g)
+        return member(g)
+
+    is_small(ctx, spy, radius, region, cap)
+    assert len(asked) == len(set(asked))
+    assert set(asked) <= set_mul(ctx, ctx.ball(radius), region).as_set()
 
 
 def _squares(g):
@@ -958,11 +992,14 @@ def test_syndeticity_witness_matches_ring_oracle(case):
         assert syndeticity_witness(*case) == oracle_syndeticity_witness(*case)
 
 
-def test_is_small_rejects_a_negative_cap_like_the_ball():
+def test_is_small_rejects_a_negative_radius_or_cap_by_name():
+    # the radius is checked first, and the cap message is syndeticity_witness's
     region = FiniteSubset.of(Z, [(0,)])
-    with pytest.raises(ValueError, match="ball radius must be >= 0"):
+    with pytest.raises(ValueError, match=r"^syndetic cap must be >= 0, got -1$"):
         is_small(Z, _squares, 0, region, -1)
-    assert is_small(Z, _squares, -1, region, -1) == oracle_is_small(Z, _squares, -1, region, -1)
+    for cap in (-1, 0, 3):
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got -1$"):
+            is_small(Z, _squares, -1, region, cap)
 
 
 # --- transfer graph --------------------------------------------------------------
@@ -1775,6 +1812,57 @@ def test_verify_phi_matches_oracle_where_collar_fills_differ(spec, cells):
     want = oracle_verify_phi(sys, scale, 3, 1)
     assert want["verdict"]
     assert canonical_json(verify_phi(sys, scale, 3, 1)) == canonical_json(want)
+
+
+def _fill_outcome(fill, *args):
+    """The V^3 values of a collar fill, or the type and text of what it raises."""
+    try:
+        q = fill(*args)
+    except (GluingError, SubshiftError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(q.value_at(g) for g in args[0].v3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z_sft_specs(sizes=st.one_of(SIZES, STACKED)), st.data())
+def test_collar_fill_matches_per_collar_oracle(spec, data):
+    # one system glues many random collars in turn, so fills its memo shares
+    # between collars with the same boundary states are checked against conf
+    level = data.draw(st.integers(1, spec.stack))
+    r = data.draw(st.integers(1, 2))
+    sem = data.draw(st.sampled_from([EXACT, EXACT, local(1)]))
+    pre = level_preimages(spec, level)
+    v = Z.ball(r)
+    u = Pattern.on(v, tuple(data.draw(st.sampled_from(sorted(pre))) for _ in v))
+    sys = PhiSystem(Z, spec, level, v, sem, 6, r, r, u)
+    letters = st.sampled_from(sorted(spec.letters()))
+    spacing = 10 * r + 1
+    markers = range(data.draw(st.integers(1, 8)))
+    cells = {(h * spacing + c[0],): data.draw(letters) for h in markers for c in sys.ring}
+    if data.draw(st.integers(0, 5)) == 0:
+        # a letter outside the alphabet: conf names it on both sides
+        cells[data.draw(st.sampled_from(sorted(cells)))] = (9,) * spec.stack
+    zprime = mapping_configuration(Z, cells, None)
+    for h in markers:
+        at = (h * spacing,)
+        got = _fill_outcome(constructions._collar_fill, sys, zprime, at, u)
+        assert got == _fill_outcome(oracle_collar_fill, sys, zprime, at, u)
+
+
+def test_verify_phi_runs_conf_once_on_the_full_shift():
+    # densify full_shift --window 0..2 --level 1 --scale 60: the full shift
+    # has one transfer-graph state, so every collar has the same boundary
+    sys = build_phi(Z, builtin_spec("full_shift"), 1, FiniteSubset.of(Z, [(0,), (1,), (2,)]))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return conf(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "conf", spy)
+        assert verify_phi(sys, 60)["verdict"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
