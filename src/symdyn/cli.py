@@ -211,6 +211,9 @@ def _cmd_maximal_separated(args):
 
 def _cmd_small(args):
     ctx = parse_group(args.group)
+    if ctx.describe() != "Z":
+        raise SubshiftError("small reads its member sets on the integers: "
+                            f"the group must be Z, not {ctx.describe()}")
     member = MEMBER_PREDICATES.get(args.member)
     if member is None:
         raise SubshiftError(

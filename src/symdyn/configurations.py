@@ -174,8 +174,11 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     0, 1, so the ``g_i``-translate provably moves the point.  The block
     search never steps back: used cells only grow and the balls nest, so
     a site rejected for one block, or taken by one, stays rejected for
-    every later block, of this stage or the next.  A site's cells are
-    multiplied out only until the first used one.
+    every later block, of this stage or the next.  Every ball holds the
+    identity, so a used site is rejected before any product, and a free
+    site's cells are multiplied out only until the first used one.  The
+    probe ``h_i`` is the first walked element still unused whose
+    ``h_i g_i`` is unused too; only when none is left does the walk grow.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -186,10 +189,10 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     elems: list = []
 
     def fresh_site(cells_of: Callable, k: int) -> int:
-        """Index of the first element from the ``k``-th on whose cells are
-        all unused.  ``used`` only grows, so a caller may resume from the
-        last index returned for the same ``cells_of``, or for one whose
-        cells the new ``cells_of`` covers."""
+        """Index of the first element from the ``k``-th on that is unused,
+        as are its other cells ``cells_of``.  ``used`` only grows, so a
+        caller may resume from the last index returned for the same
+        ``cells_of``, or for one whose cells the new ``cells_of`` covers."""
         while True:
             if k == len(elems):
                 g = next(order, None)
@@ -199,7 +202,7 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
                         f"free dense point of depth {depth}"
                     )
                 elems.append(g)
-            if all(c not in used for c in cells_of(elems[k])):
+            if elems[k] not in used and all(c not in used for c in cells_of(elems[k])):
                 return k
             k += 1
 
@@ -207,9 +210,10 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     cursor = 0
     for i in range(1, depth + 1):
         window = ctx.ball(i - 1)
+        others = window.elements[1:]  # the identity comes first
         placements = []
         for values in itertools.product((0, 1), repeat=len(window)):
-            cursor = fresh_site(lambda g: (ctx.mul(x, g) for x in window), cursor)
+            cursor = fresh_site(lambda g: (ctx.mul(x, g) for x in others), cursor)
             site = elems[cursor]
             for x, v in zip(window.elements, values):
                 cell = ctx.mul(x, site)
@@ -217,11 +221,11 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
                 used.add(cell)
             placements.append((values, site))
         gi = targets[i - 1]
-        probe = elems[fresh_site(lambda h: [h, ctx.mul(h, gi)], 0)]
+        probe = elems[fresh_site(lambda h: (ctx.mul(h, gi),), 0)]
+        moved = ctx.mul(probe, gi)
         assigned[probe] = 0
-        assigned[ctx.mul(probe, gi)] = 1
-        used.add(probe)
-        used.add(ctx.mul(probe, gi))
+        assigned[moved] = 1
+        used.update((probe, moved))
         stages.append(Stage(window, tuple(placements), probe, gi))
 
     radius = max((ctx.word_length(c) for c in used), default=0)

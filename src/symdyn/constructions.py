@@ -406,6 +406,31 @@ def _marker_hit(sys: PhiSystem, y: Configuration, g):
     return hits[0] if hits else None
 
 
+def _marker_hits(sys: PhiSystem, y: Configuration, cells: range) -> list:
+    """:func:`_marker_hit` for each cell of ``cells`` on the rank-1 lattice.
+
+    One walk over the markers of ``y`` within V^3 of the range places each
+    marker's hits by integer offset, so no cell scans V^3.  A cell covered
+    twice raises the same error, at the same first cell, as the scan.
+    """
+    reach, lo = 3 * sys.v_radius, cells.start
+    hits: list = [None] * len(cells)
+    twice = []  # cells a second marker reaches
+    for h in range(lo - reach, cells.stop + reach):
+        if y.value((h,)) == 1:
+            for k in sys.v3:
+                if 0 <= (i := h + k[0] - lo) < len(hits):
+                    if hits[i] is not None:
+                        twice.append(i)
+                    hits[i] = (k, (h,))
+    if twice:
+        raise ConstructionError(
+            f"markers collide near {lo + min(twice)}: "
+            "the marker set is not V^5-separated"
+        )
+    return hits
+
+
 def _collar_fill(sys: PhiSystem, zprime: Configuration, h, u: Pattern) -> Pattern:
     """The V^3 pattern around the marker at ``h``: stamp ``u`` glued to the collar.
 
@@ -492,7 +517,8 @@ def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool
     then a scan of each distinct forbidden pattern over the word decides
     it, by the lemma in :func:`verify_phi`.  An occurrence at a start
     ``i >= period`` repeats at ``i - period``, so the starts in one period
-    decide it.
+    decide it.  They are indexed by letter, and each pattern is tried only
+    at the starts holding its first letter.
     """
     norm = dict.fromkeys(_normalized_forbidden(spec))
     m = max((offs[-1] for offs, _ in norm), default=0)
@@ -504,10 +530,13 @@ def _periodic_window_admissible(spec: SftSpec, word: tuple, period: int) -> bool
         raise ValueError(f"the word is not {period}-periodic")
     if not set(word) <= set(spec.letters()):
         return False
+    starts: dict = {}
+    for i in range(period):
+        starts.setdefault(word[i], []).append(i)
     return not any(
         all(word[i + o] == v for o, v in zip(offs, vals))
         for offs, vals in norm
-        for i in range(min(period, len(word) - offs[-1]))
+        for i in starts.get(vals[0], ())
     )
 
 
@@ -528,7 +557,8 @@ def verify_phi(
     translate stays admissible, every stretch of the syndetic bound shows
     every admissible window pattern, and the scanned stretch as a whole
     shows exactly the expected pattern set.  The marker point is the same
-    for every sample, so each cell's marker hit is found once; each
+    for every sample, so each cell's marker hit is found once, by one walk
+    over the markers near the scan (:func:`_marker_hits`); each
     sample then reads one collar per marker, and :func:`_collar_fill` runs
     ``conf`` only for a pair of boundary states no earlier collar of the
     system reached (once in all on the full shift, whose transfer graph has
@@ -580,7 +610,7 @@ def verify_phi(
     words = [next(iter(tg.language(length)))]
     words += [tg.sample(length, rng) for _ in range(samples)]
     cells = range(-scale + flo, scale + fhi + 1)
-    hits = [_marker_hit(sys, y, (t,)) for t in cells]
+    hits = _marker_hits(sys, y, cells)
     placed = range(-scale, scale + 1)
     # placement t reads img[t - placed.start + o] for each o in reads
     reads = [x[0] - flo for x in f]
@@ -1086,12 +1116,15 @@ def _gamma_certificate(gsys: GammaSystem, scale: int, inputs: tuple) -> dict:
                 off[(t,)] = w[t - a]
         if off and not is_admissible(ctx, phi.base, Pattern.of(ctx, off), EXACT):
             violations.append({"kind": "off-stamp-escape", "window": list(w)})
-        for b in range(wlen - span + 1):
-            if not tg.contains(w[b : b + span]):
-                violations.append(
-                    {"kind": "collar-escape", "window": list(w), "at": a + b}
-                )
-                break
+        # the window language is factor-closed: only a window outside it
+        # can hold a collar-length stretch outside it, so only it is scanned
+        if not tg.contains(w):
+            for b in range(wlen - span + 1):
+                if not tg.contains(w[b : b + span]):
+                    violations.append(
+                        {"kind": "collar-escape", "window": list(w), "at": a + b}
+                    )
+                    break
         seen = {
             tuple(w[t + o] for o in reads) for t in range(-flo, wlen - fhi)
         }

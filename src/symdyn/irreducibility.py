@@ -427,7 +427,9 @@ def _check_irreducible_local(
     # disjoint patterns glue; otherwise e lies in K, so outside touch the
     # two thickened domains are disjoint and no forbidden occurrence meets
     # both, and the two fills together fill the joint region.  A searched
-    # class met again has glued: the first failure ends the scan.
+    # class met again has glued: the first failure ends the scan.  So has
+    # (r, r, x^-1) once (r, r, x) glued: translating by x^-1 swaps the two
+    # domains, and both sides draw from base[r].
     sets: dict = {}
     searched: set = set()
     sides = _SideSignatures(ctx, spec, narrow, sem, base)
@@ -435,6 +437,7 @@ def _check_irreducible_local(
     for i, r1 in enumerate(radii):
         for j, c1 in enumerate(centers):
             c1_inv = ctx.inv(c1)
+            row = [ctx.mul(c2, c1_inv) for c2 in centers]  # x for each c2
             for r2 in radii[i:]:
                 if (r1, r2) not in sets:
                     sets[r1, r2] = tuple(
@@ -442,14 +445,15 @@ def _check_irreducible_local(
                         for core in cores
                     )
                 near, touch = sets[r1, r2]
-                for c2 in centers[j:] if r2 == r1 else centers:
-                    x = ctx.mul(c2, c1_inv)
+                for c2, x in zip(centers[j:], row[j:]) if r2 == r1 else zip(centers, row):
                     if x in near:
                         continue
                     pairs += 1
                     if x not in touch or (r1, r2, x) in searched:
                         continue
                     searched.add((r1, r2, x))
+                    if r1 == r2:
+                        searched.add((r1, r2, ctx.inv(x)))
                     bad = sides.first_unglued((r1, r2, x))
                     if bad is not None:
                         q1, q2 = bad

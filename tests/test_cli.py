@@ -141,6 +141,25 @@ def test_small_unknown_member_is_usage_error(capsys):
     assert "unknown member" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "group,member,region",
+    [("F2", "evens", "ball:2"), ("finite:z6", "squares", "ball:1"),
+     ("Z^2", "evens", "ball:2")],
+)
+def test_small_off_z_is_usage_error(group, member, region, capsys):
+    # the member predicates read integers: F2 and finite tables used to
+    # crash, and Z^2 read only the first coordinate
+    assert main([
+        "small", group, "--member", member, "--radius", "1", "--region", region,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: small reads its member sets on the integers: the group must be Z, "
+        f"not {group}\n"
+    )
+
+
 def test_patterns_command(capsys):
     assert main(["patterns", "golden_mean", "--window", "0,1", "--list"]) == 0
     out = capsys.readouterr().out

@@ -13,7 +13,9 @@ independence of each translation class by membership and decides the
 classes a forbidden occurrence can join by per-side signatures on the
 interface of the two thickened domains (one search per pattern pair where
 the interfaces are too wide), so its tests also count the regions it
-builds, time a scan with wide interfaces, compare each class's verdict with
+builds and the classes it searches (one of each inverse pair
+``(r, r, x)``, ``(r, r, x^-1)``), time a scan with wide interfaces, compare
+each class's verdict with
 ``oracle_first_unglued`` (one whole-region search per pattern pair, the
 per-class decision it replaced) and pin failing specs whose counterexample
 lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
@@ -469,6 +471,32 @@ def test_local_gluing_scan_compiles_as_many_regions_at_every_scale(monkeypatch, 
         assert check_irreducible(ctx, spec, 1, ctx.ball(1), scale, local(1)).holds
         counts.append(len(built))
     assert 0 < counts[0] <= 32 and counts == [counts[0]] * len(scales)
+
+
+@pytest.mark.parametrize(
+    "group,pairs,scale,searched",
+    [
+        ("F2", [("a", 1, 1), ("b", 1, 1)], 2, 126),  # f2_hard; 144 with both of a pair
+        ("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], 3, 32),  # hard square; 48
+    ],
+)
+def test_local_gluing_scan_searches_one_class_of_each_inverse_pair(monkeypatch, group, pairs,
+                                                                    scale, searched):
+    # translating (r, r, x) by x^-1 swaps its two domains, so (r, r, x^-1)
+    # glues exactly when (r, r, x) does and is never searched after it
+    seen = []
+    first_unglued = _SideSignatures.first_unglued
+
+    def spy(self, cls):
+        seen.append(cls)
+        return first_unglued(self, cls)
+
+    monkeypatch.setattr(_SideSignatures, "first_unglued", spy)
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    got = check_irreducible(ctx, spec, 1, ctx.ball(1), scale, local(1))
+    assert got.holds and len(seen) == len(set(seen)) == searched
+    # test_local_gluing_scan_holding_and_failing_specs pins the reports
+    assert not [(r1, x) for r1, r2, x in seen if r1 == r2 and (r1, r2, ctx.inv(x)) in seen]
 
 
 def test_local_gluing_scan_searches_pairs_where_interfaces_are_wide():

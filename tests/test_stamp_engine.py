@@ -34,8 +34,10 @@ family of behavior sets and deciding no gap from the mixing gap on;
 both intervals and asks ``oracle_are_apart`` for every class and scans the words
 of every apart class, and ``oracle_min_apart_gap`` is the old
 singleton-apartness loop.  The densification re-check finds each
-cell's marker once, reads one collar per marker, and decides the marker
-window by a periodic scan; ``oracle_phi_letter`` scans V^3 and rebuilds
+cell's marker once, by one walk over the markers near the scan, reads one
+collar per marker, and decides the marker window by a periodic scan of
+the starts holding each pattern's first letter; ``oracle_marker_hit`` is
+the per-cell V^3 scan, ``oracle_phi_letter`` scans V^3 and rebuilds
 the collar for every cell, ``oracle_collar_fill`` runs ``conf`` on every
 collar it reads, where the library keys its fills by the transfer-graph
 states at the collar's two inner ends, ``oracle_marker_window_ok`` asks the marker
@@ -52,6 +54,11 @@ transfer-graph walk of the whole hull per probed letter.  Equivariant
 densification now runs on the densification rewrite;
 ``oracle_gamma_letter`` is its own nearest-grid rewrite, which finds the
 marker by arithmetic and glues a group-translated stamp for every cell.
+Its certificate scans a window's collar-length stretches only when the
+whole window leaves the language; ``oracle_collar_escapes`` scans them in
+every window.  The free dense point's probe search, which the oracles run
+from the identity building each candidate's product, now skips used
+elements before any product.
 """
 
 import copy
@@ -615,8 +622,9 @@ def oracle_gamma_letter(gsys, g):
     return conf(Z, phi.base, 1, phi.v5, collar, stamped, EXACT).value_at((k,))
 
 
-def oracle_phi_letter(sys, zprime, y, g):
-    """One cell of the rewritten point: a V^3 scan and a collar rebuilt per cell."""
+def oracle_marker_hit(sys, y, g):
+    """The marker within V^3 of ``g``, ``(k, h)`` with ``g = k h``, by a scan
+    of V^3 for this one cell; two markers that close raise."""
     ctx = sys.ctx
     hits = []
     for k in sys.v3:
@@ -628,9 +636,16 @@ def oracle_phi_letter(sys, zprime, y, g):
             f"markers collide near {ctx.element_to_text(g)}: "
             "the marker set is not V^5-separated"
         )
-    if not hits:
+    return hits[0] if hits else None
+
+
+def oracle_phi_letter(sys, zprime, y, g):
+    """One cell of the rewritten point: a V^3 scan and a collar rebuilt per cell."""
+    ctx = sys.ctx
+    hit = oracle_marker_hit(sys, y, g)
+    if hit is None:
         return project_letter(zprime.value(g), sys.level, sys.base.stack)
-    k, h = hits[0]
+    k, h = hit
     if k in sys.v:
         return sys.u.value_at(k)
     collar_vals = tuple(
@@ -639,6 +654,27 @@ def oracle_phi_letter(sys, zprime, y, g):
     )
     collar = Pattern.of(ctx, dict(zip(sys.ring.elements, collar_vals)))
     return conf(ctx, sys.base, sys.level, sys.v5, collar, sys.u, sys.sem).value_at(k)
+
+
+def oracle_collar_escapes(gsys, scale, point):
+    """The collar-escape violations of the equivariant certificate built on
+    ``point``: every collar-length stretch of every corpus window asked of
+    the transfer graph until the first that fails."""
+    phi, gamma = gsys.phi, gsys.gamma
+    wlen, span = gsys.syndetic_bound, 10 * phi.v_radius + 1
+    tg = transfer_graph(phi.base)
+    corpus = {}
+    for gelt in range(gamma.order):
+        row = [gamma.mul(gelt, point.value((t,))) for t in range(-scale, scale + 1)]
+        for i in range(len(row) - wlen + 1):
+            corpus.setdefault(tuple(row[i : i + wlen]), i - scale)
+    escapes = []
+    for w, a in sorted(corpus.items()):
+        for b in range(wlen - span + 1):
+            if not tg.contains(w[b : b + span]):
+                escapes.append({"kind": "collar-escape", "window": list(w), "at": a + b})
+                break
+    return escapes
 
 
 def oracle_collar_fill(sys, zprime, h, u):
@@ -838,8 +874,8 @@ def test_free_dense_point_on_finite_tables_matches_oracle(name, depth):
 
 @pytest.mark.parametrize(
     "group,depth",
-    [*(("Z", d) for d in (1, 2, 3, 4)), ("Z^2", 1), ("Z^2", 2), ("F2", 1), ("F2", 2),
-     *((f"finite:{n}", d) for n in FINITE_TABLES for d in (1, 2))],
+    [*(("Z", d) for d in (1, 2, 3, 4, 5)), ("Z^2", 1), ("Z^2", 2), ("Z^3", 2), ("F2", 1),
+     ("F2", 2), *((f"finite:{n}", d) for n in FINITE_TABLES for d in (1, 2))],
 )
 def test_free_dense_point_matches_the_stage_restarting_oracle(group, depth):
     ctx = parse_group(group)
@@ -851,6 +887,23 @@ def test_free_dense_point_matches_the_stage_restarting_oracle(group, depth):
             free_dense_point(ctx, depth)
         return
     _assert_same_point(ctx, free_dense_point(ctx, depth), want, assigned)
+
+
+@pytest.mark.parametrize("group,depth", [("Z", 5), ("Z^3", 2)])
+def test_free_dense_point_probes_land_in_holes_of_the_block_search(group, depth):
+    # a probe taken from the walked elements still unused comes before the
+    # last block site of its stage: the fast search must find that same hole
+    ctx = parse_group(group)
+    stages = free_dense_point(ctx, depth).stages
+    wanted = {g for st_ in stages for g in (st_.probe_site, *(s for _, s in st_.placements))}
+    rank = {}
+    for i, g in enumerate(elements_in_order(ctx)):
+        if g in wanted:
+            rank[g] = i
+            if len(rank) == len(wanted):
+                break
+    assert any(rank[st_.probe_site] < max(rank[s] for _, s in st_.placements)
+               for st_ in stages)
 
 
 def test_free_dense_point_on_f2_stops_at_the_ball_cap(monkeypatch):
@@ -1881,6 +1934,52 @@ def test_verify_phi_short_bounds_miss_patterns_like_the_oracle(name, cells):
 
 
 @functools.lru_cache(maxsize=None)
+def _phi_system(name, cells):
+    return build_phi(Z, builtin_spec(name), 1, FiniteSubset.of(Z, [(c,) for c in cells]))
+
+
+def _hits_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ConstructionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("full_shift", (0, 1)), ("golden_mean", (0, 1, 2)), ("full_shift", (0,))]),
+    st.integers(-60, 60), st.integers(0, 50), st.data(),
+)
+def test_marker_hits_match_the_per_cell_scan(case, lo, size, data):
+    sys = _phi_system(*case)
+    cells = range(lo, lo + size)
+    if data.draw(st.booleans()):
+        y = canonical_marker_point(sys)
+    else:
+        # hand-built markers may lie closer than V^5: the collision is
+        # reported at the same first cell
+        reach = 3 * sys.v_radius + 2
+        ones = data.draw(st.lists(st.integers(lo - reach, lo + size + reach), max_size=5))
+        y = mapping_configuration(Z, {(h,): 1 for h in ones}, 0)
+    got = _hits_or_error(constructions._marker_hits, sys, y, cells)
+    want = _hits_or_error(lambda: [oracle_marker_hit(sys, y, (t,)) for t in cells])
+    assert got == want
+
+
+def test_marker_hits_raise_at_the_first_cell_two_markers_cover():
+    sys = _phi_system("golden_mean", (0, 1, 2))
+    r = sys.v_radius
+    assert r > 0
+    y = mapping_configuration(Z, {(0,): 1, (5 * r,): 1}, 0)
+    cells = range(-20 * r, 20 * r)
+    with pytest.raises(ConstructionError, match=re.escape(f"markers collide near {2 * r}:")):
+        constructions._marker_hits(sys, y, cells)
+    with pytest.raises(ConstructionError, match=re.escape(f"markers collide near {2 * r}:")):
+        for t in cells:
+            oracle_marker_hit(sys, y, (t,))
+
+
+@functools.lru_cache(maxsize=None)
 def _marker_system(r):
     spec, _ = max_separated_subshift(Z, Z.ball(5 * r))
     return spec, 10 * r + 1, transfer_graph(spec).m
@@ -1948,6 +2047,66 @@ def test_periodic_window_scan_of_one_period_matches_every_start(forbidden, perio
     length = period + m + data.draw(st.integers(0, 2 * period))
     word = tuple(base[i % period] for i in range(length))
     assert _periodic_window_admissible(spec, word, period) == oracle_periodic_scan(spec, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 8), st.data())
+def test_periodic_window_starts_by_letter_match_the_language(alphabet, period, data):
+    # patterns may start with any letter, the all-zero one included, and
+    # the word may hold a letter outside a two-letter alphabet
+    letters = st.integers(0, alphabet - 1)
+    forbidden = data.draw(st.lists(
+        st.dictionaries(st.integers(-2, 2), letters, min_size=1, max_size=3), max_size=4
+    ))
+    if data.draw(st.booleans()):
+        forbidden.append(dict.fromkeys(range(data.draw(st.integers(1, 3))), 0))
+    spec = _z_spec(forbidden, "random", alphabet)
+    m = max((max(p) - min(p) for p in forbidden), default=0)
+    base = data.draw(st.lists(st.integers(0, 2), min_size=period, max_size=period))
+    length = period + m + data.draw(st.integers(0, 2 * period))
+    word = tuple(base[i % period] for i in range(length))
+    assert _periodic_window_admissible(spec, word, period) == oracle_marker_window_ok(spec, word)
+
+
+NO_RUNS_OF_3 = _z_spec([{0: 0, 1: 0, 2: 0}, {0: 1, 1: 1, 2: 1}], "no_runs_of_3")
+
+
+@functools.lru_cache(maxsize=None)
+def _runs_gamma_system():
+    z2 = parse_group("finite:z2")
+    f = FiniteSubset.of(Z, [(0,), (1,)])
+    gsys, _ = gamma_densify(Z, z2, NO_RUNS_OF_3, f, 0.5, 40)
+    return gsys, (Z, z2, NO_RUNS_OF_3, f, 0.5, 40, 6, 6, 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=4))
+def test_gamma_collar_escapes_match_the_per_stretch_scan(flipped):
+    # flipped cells put runs of three into some corpus windows; the
+    # certificate must name the first failing stretch of each such window
+    gsys, inputs = _runs_gamma_system()
+    point = gamma_point(gsys)
+    bad = Configuration(
+        Z, lambda g: 1 - point.value(g) if g[0] in flipped else point.value(g), "flipped"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "gamma_point", lambda _: bad)
+        env = constructions._gamma_certificate(gsys, 40, inputs)
+    got = [v for v in env["evidence"]["violations"] if v["kind"] == "collar-escape"]
+    assert got == oracle_collar_escapes(gsys, 40, bad)
+
+
+def test_gamma_collar_escape_names_the_first_failing_stretch():
+    gsys, inputs = _runs_gamma_system()
+    point = gamma_point(gsys)
+    cells = {t: 0 for t in range(-1, 2)}  # a run of three zeros around 0
+    bad = Configuration(Z, lambda g: cells.get(g[0], point.value(g)), "run")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "gamma_point", lambda _: bad)
+        env = constructions._gamma_certificate(gsys, 40, inputs)
+    got = [v for v in env["evidence"]["violations"] if v["kind"] == "collar-escape"]
+    assert got and got == oracle_collar_escapes(gsys, 40, bad)
+    assert not env["verdict"]
 
 
 NO_EQUAL_PAIR = _z_spec([{0: a, 1: a} for a in range(3)], "no_equal_pair", 3)
