@@ -61,6 +61,34 @@ def oracle_ball(ctx, r):
     return sorted(elems, key=ctx.sort_key)
 
 
+def oracle_spheres(ctx):
+    """Word-length spheres ``0, 1, ...``, each enumerated on its own and
+    sorted: sphere ``r`` is ``oracle_ball(ctx, r)`` minus
+    ``oracle_ball(ctx, r - 1)``.  Ends after the last nonempty sphere of a
+    finite group."""
+    if isinstance(ctx, LatticeContext):
+        def vectors(rank, s):  # integer vectors of l1 norm s
+            if rank == 1:
+                return [(s,), (-s,)] if s else [(0,)]
+            return [(x, *v) for x in range(-s, s + 1) for v in vectors(rank - 1, s - abs(x))]
+
+        for r in itertools.count():
+            yield sorted(vectors(ctx.rank, r), key=ctx.sort_key)
+    elif isinstance(ctx, FreeGroupContext):
+        frontier = [""]
+        while True:
+            yield sorted(frontier, key=ctx.sort_key)
+            frontier = [
+                w + ch
+                for w in frontier
+                for ch in ctx._letters
+                if not (w and w[-1] != ch and w[-1].lower() == ch.lower())
+            ]
+    else:
+        yield [0]
+        yield sorted(range(1, ctx.order), key=ctx.sort_key)
+
+
 ORACLE_RADII = {"Z": 12, "Z^2": 7, "Z^3": 4, "F2": 5, "F3": 3}
 
 
@@ -73,6 +101,17 @@ def test_ball_matches_the_per_context_oracle(desc):
         want = oracle_ball(ctx, r)
         assert ctx.ball(r).elements == tuple(want)
         assert ctx.ball(r).as_set() == frozenset(want)
+
+
+@pytest.mark.parametrize(
+    "desc", [*ORACLE_RADII, *(f"finite:{name}" for name in sorted(FINITE_TABLES))]
+)
+def test_oracle_spheres_chain_into_the_oracle_balls(desc):
+    ctx = parse_group(desc)
+    radius = ORACLE_RADII.get(desc, 3)
+    spheres = list(itertools.islice(oracle_spheres(ctx), radius + 1))
+    for r in range(radius + 1):
+        assert [g for sphere in spheres[: r + 1] for g in sphere] == oracle_ball(ctx, r)
 
 
 def bfs_ball(ctx, r):

@@ -1,8 +1,9 @@
 """The stamp constructions' fast paths against the slow paths they replaced.
 
 The oracles below are the original routines, kept here and nowhere else:
-``oracle_elements_in_order`` chains the balls of ``test_groups.oracle_ball``
-and drops what it has seen, ``oracle_free_dense_point`` restarts its site
+``oracle_elements_in_order`` chains the spheres of
+``test_groups.oracle_spheres``, each ``test_groups.oracle_ball`` minus the
+one before, ``oracle_free_dense_point`` restarts its site
 search from the identity on every placement and
 ``oracle_free_dense_point_by_stage`` on every stage, building each
 candidate's cells before testing any, ``oracle_is_small``
@@ -104,7 +105,6 @@ from symdyn.corpus import builtin_spec
 from symdyn.groups import (
     FINITE_TABLES,
     BallCapExceeded,
-    FiniteGroupContext,
     FiniteSubset,
     GroupContext,
     RadiusVerdict,
@@ -149,7 +149,7 @@ from symdyn.subshifts import (
     sorted_patterns,
     transfer_graph,
 )
-from test_groups import oracle_ball
+from test_groups import oracle_spheres
 
 Z = parse_group("Z")
 Z2 = parse_group("Z^2")
@@ -159,28 +159,18 @@ F2 = parse_group("F2")
 # --- oracles ---------------------------------------------------------------------
 
 
-# oracle_free_dense_point restarts the element order at every placement
-_oracle_ball = functools.cache(oracle_ball)
-
-
 def oracle_elements_in_order(ctx):
-    """Every oracle ball minus the one before, raising where ``ctx.ball``
-    would pass the cap."""
+    """Every oracle ball minus the one before, that is the oracle spheres
+    in turn, raising where ``ctx.ball`` would pass the cap."""
     cap = ball_cap()
-    seen = set()
-    r = 0
-    while True:
-        ball = _oracle_ball(ctx, r)
-        if len(ball) > cap:
+    size = 0
+    for r, sphere in enumerate(oracle_spheres(ctx)):
+        size += len(sphere)
+        if size > cap:
             raise BallCapExceeded(
                 f"|ball({r})| exceeds SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
             )
-        fresh = [g for g in ball if g not in seen]
-        if r > 0 and not fresh and isinstance(ctx, FiniteGroupContext):
-            return
-        yield from fresh
-        seen.update(fresh)
-        r += 1
+        yield from sphere
 
 
 def oracle_free_dense_point(ctx, depth):
