@@ -385,33 +385,14 @@ def build_phi(
     return PhiSystem(ctx, spec, level, f, sem, witness_scale, max_v_radius, v_radius, u)
 
 
-def _marker_hit(sys: PhiSystem, y: Configuration, g):
-    """The marker whose V^3-neighbourhood covers ``g``, if any.
-
-    Scans V^3 for a ``k`` with a marker at ``h = k^-1 g``, and returns
-    ``(k, h)`` or None.  Two markers that close together mean the marker
-    set was not V^5-separated, which is a hard fault.
-    """
-    ctx = sys.ctx
-    hits = []
-    for k in sys.v3:
-        h = ctx.mul(ctx.inv(k), g)
-        if y.value(h) == 1:
-            hits.append((k, h))
-    if len(hits) > 1:
-        raise ConstructionError(
-            f"markers collide near {ctx.element_to_text(g)}: "
-            "the marker set is not V^5-separated"
-        )
-    return hits[0] if hits else None
-
-
 def _marker_hits(sys: PhiSystem, y: Configuration, cells: range) -> list:
-    """:func:`_marker_hit` for each cell of ``cells`` on the rank-1 lattice.
+    """The marker whose V^3-neighbourhood covers each cell of ``cells``.
 
-    One walk over the markers of ``y`` within V^3 of the range places each
-    marker's hits by integer offset, so no cell scans V^3.  A cell covered
-    twice raises the same error, at the same first cell, as the scan.
+    Each hit is ``(k, h)``, a marker at ``h`` with the cell at ``h k``,
+    or None.  One walk over the markers of ``y`` within V^3 of the range
+    places each marker's hits by integer offset on the rank-1 lattice.
+    A cell two markers reach means the marker set was not V^5-separated,
+    a hard fault raised at the first such cell.
     """
     reach, lo = 3 * sys.v_radius, cells.start
     hits: list = [None] * len(cells)
@@ -478,7 +459,7 @@ def _phi_letter(
 ):
     """Resolve one cell of the rewritten point from its marker hit.
 
-    No hit (see :func:`_marker_hit`) means the cell keeps the base point's
+    No hit (see :func:`_marker_hits`) means the cell keeps the base point's
     (truncated) value, a marker within V means a stamp cell, and a marker
     within V^3 only means a collar cell looked up from the glued V^5 fill
     around that marker.  ``stamp_at`` maps a marker to the stamp it
@@ -501,11 +482,17 @@ def _phi_letter(
 def phi_point(
     sys: PhiSystem, zprime: Configuration, y: Configuration
 ) -> Configuration:
-    """The rewritten configuration (letters truncated to the system level)."""
+    """The rewritten configuration (letters truncated to the system level).
+
+    Rank-1 lattice only, since each cell reads its marker hit by offset.
+    """
+    _require_exact_ctx(sys.ctx)
     fills: dict = {}
     return Configuration(
         sys.ctx,
-        lambda g: _phi_letter(sys, zprime, _marker_hit(sys, y, g), g, fills),
+        lambda g: _phi_letter(
+            sys, zprime, _marker_hits(sys, y, range(g[0], g[0] + 1))[0], g, fills
+        ),
         f"densified[{sys.base.name or 'base'}]",
     )
 
@@ -985,7 +972,7 @@ def gamma_point(gsys: GammaSystem, gelt: int = 0) -> Configuration:
     fills: dict = {}
 
     def letter(g):
-        hit = _marker_hit(phi, markers, g)
+        hit = _marker_hits(phi, markers, range(g[0], g[0] + 1))[0]
         star = _phi_letter(phi, gsys.base_point, hit, g, fills, gsys.stamp_at)
         return gsys.gamma.mul(gelt, star)
 

@@ -437,7 +437,10 @@ def _check_irreducible_local(
     for i, r1 in enumerate(radii):
         for j, c1 in enumerate(centers):
             c1_inv = ctx.inv(c1)
-            row = [ctx.mul(c2, c1_inv) for c2 in centers]  # x for each c2
+            # x = c2 * c1^-1 for each c2 the r2 loop meets: every c2 while
+            # a larger radius follows, only c2 from c1 on at the last one
+            lo = j if i + 1 == len(radii) else 0
+            row = [ctx.mul(c2, c1_inv) for c2 in centers[lo:]]
             for r2 in radii[i:]:
                 if (r1, r2) not in sets:
                     sets[r1, r2] = tuple(
@@ -445,7 +448,7 @@ def _check_irreducible_local(
                         for core in cores
                     )
                 near, touch = sets[r1, r2]
-                for c2, x in zip(centers[j:], row[j:]) if r2 == r1 else zip(centers, row):
+                for c2, x in zip(centers[j:], row[j - lo:]) if r2 == r1 else zip(centers, row):
                     if x in near:
                         continue
                     pairs += 1

@@ -24,6 +24,7 @@ lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 
 import gc
 import math
+import sys
 import time
 from unittest.mock import patch
 
@@ -497,6 +498,37 @@ def test_local_gluing_scan_searches_one_class_of_each_inverse_pair(monkeypatch, 
     assert got.holds and len(seen) == len(set(seen)) == searched
     # test_local_gluing_scan_holding_and_failing_specs pins the reports
     assert not [(r1, x) for r1, r2, x in seen if r1 == r2 and (r1, r2, ctx.inv(x)) in seen]
+
+
+@pytest.mark.parametrize(
+    "group,pairs,scale",
+    [
+        ("F2", [("a", 1, 1), ("b", 1, 1)], 4),  # f2_hard, 161 centres
+        ("Z^2", [((1, 0), 1, 1), ((0, 1), 1, 1)], 3),  # hard square, 25 centres
+    ],
+)
+def test_local_gluing_scan_multiplies_each_centre_pair_once_per_radius(monkeypatch, group,
+                                                                       pairs, scale):
+    # x = c2 * c1^-1 is multiplied for every (c1, c2) while a larger radius
+    # follows, for c2 from c1 on at the last radius: N^2 + N(N+1)/2 on
+    # radii (0, 1), where one product per (r1, r2) met took 2N^2 + N
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    scan = _check_irreducible_local.__code__
+    mul = type(ctx).mul
+    products = 0
+
+    def spy(self, a, b):
+        nonlocal products
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<listcomp>":
+            frame = frame.f_back
+        products += frame.f_code is scan
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(ctx), "mul", spy)
+    assert check_irreducible(ctx, spec, 1, ctx.ball(1), scale, local(1)).holds
+    n, radii = len(ctx.ball(scale)), len(irreducibility._DOMAIN_RADII)
+    assert products == (radii - 1) * n * n + n * (n + 1) // 2
 
 
 def test_local_gluing_scan_searches_pairs_where_interfaces_are_wide():

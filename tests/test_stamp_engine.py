@@ -37,7 +37,8 @@ of every apart class, and ``oracle_min_apart_gap`` is the old
 singleton-apartness loop.  The densification re-check finds each
 cell's marker once, by one walk over the markers near the scan, reads one
 collar per marker, and decides the marker window by a periodic scan of
-the starts holding each pattern's first letter; ``oracle_marker_hit`` is
+the starts holding each pattern's first letter (the lazy rewritten points
+read a one-cell range of the same walk); ``oracle_marker_hit`` is
 the per-cell V^3 scan, ``oracle_phi_letter`` scans V^3 and rebuilds
 the collar for every cell, ``oracle_collar_fill`` runs ``conf`` on every
 collar it reads, where the library keys its fills by the transfer-graph
@@ -98,6 +99,7 @@ from symdyn.constructions import (
     evens_member,
     gamma_densify,
     gamma_point,
+    phi_point,
     squares_member,
     verify_phi,
 )
@@ -1793,7 +1795,8 @@ def test_marker_balls_are_built_on_first_use(ctx, spec, sem, witness_scale):
 
 
 def test_build_phi_off_z_builds_no_ball_only_the_rewrite_reads(monkeypatch):
-    # F2's ball(10) holds 88573 elements; only phi_point reads V^3 and V^5
+    # F2's ball(10) holds 88573 elements; only the rewrite, on Z alone,
+    # reads V^3 and V^5
     radii = []
     ball = GroupContext.ball
 
@@ -1806,6 +1809,15 @@ def test_build_phi_off_z_builds_no_ball_only_the_rewrite_reads(monkeypatch):
     sys = build_phi(F2, _hard_pairs(F2, ["a", "b"]), 1, f, 1, local(1), 2)
     assert sys.v_radius == 2
     assert radii and max(radii) < 3 * sys.v_radius
+
+
+def test_phi_point_off_z_is_refused():
+    # marker hits are placed by integer offset, so the rewrite needs Z
+    f = FiniteSubset.of(F2, [F2.identity, "a"])
+    sys = build_phi(F2, _hard_pairs(F2, ["a", "b"]), 1, f, 1, local(1), 2)
+    point = mapping_configuration(F2, {}, 0)
+    with pytest.raises(SubshiftError, match="rank-1 lattice"):
+        phi_point(sys, point, point)
 
 
 @settings(max_examples=40, deadline=None)
