@@ -67,7 +67,8 @@ def make_envelope(
     return env
 
 
-def check_envelope_shape(env: dict) -> None:
+def check_envelope_shape(env: dict) -> str:
+    """The canonical text of a well-formed envelope; ``CertificateError`` otherwise."""
     if not isinstance(env, dict) or set(env) != set(ENVELOPE_KEYS):
         raise CertificateError(
             f"envelope must have exactly the keys {list(ENVELOPE_KEYS)}"
@@ -85,12 +86,11 @@ def check_envelope_shape(env: dict) -> None:
     if env["version"] != ENVELOPE_VERSION:
         raise CertificateError(f"unsupported envelope version {env['version']!r}")
     # Canonical form must exist (catches non-JSON values early).
-    canonical_json(env)
+    return canonical_json(env)
 
 
 def write_certificate(path: str, env: dict) -> str:
-    check_envelope_shape(env)
-    text = canonical_json(env) + "\n"
+    text = check_envelope_shape(env) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
@@ -226,7 +226,7 @@ def _first_difference(stored: dict, rebuilt: dict) -> str:
 def verify_envelope(env: dict) -> VerificationResult:
     """Rebuild the envelope from its raw inputs and byte-compare."""
     try:
-        check_envelope_shape(env)
+        stored = check_envelope_shape(env)
     except CertificateError as exc:
         return VerificationResult(False, f"malformed envelope: {exc}")
     claim = _CLAIMS.get(env["claim"])
@@ -236,7 +236,7 @@ def verify_envelope(env: dict) -> VerificationResult:
         rebuilt = claim.rebuild(env["inputs"])
     except Exception as exc:  # noqa: BLE001 - report, never crash the verifier
         return VerificationResult(False, f"rebuild failed: {exc}")
-    if canonical_json(rebuilt) == canonical_json(env):
+    if canonical_json(rebuilt) == stored:
         verdict = "holds" if env["verdict"] else "fails (as recorded)"
         return VerificationResult(True, f"reproduced byte-identically; claim {verdict}", rebuilt)
     return VerificationResult(False, _first_difference(env, rebuilt), rebuilt)

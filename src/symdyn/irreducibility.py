@@ -20,11 +20,11 @@ pair count stays linear in the scale.  A uniform reachability
 certificate (``unconditional``) extends the verdict beyond the scanned
 window.  Under local semantics the scan runs over ball
 domains in any context and inherits the local approximation; each
-translation class is decided by membership tests, and only classes that
-one forbidden occurrence can join are searched, by per-side signatures on
-the interface of the two thickened domains, built once per radius and
-interface (or, where interfaces are too wide, one fill of the joint region
-per pattern pair).
+translation class is decided by membership tests, and only classes in the
+contact table (one per radius pair) are searched, by per-side signatures on
+the interface of the two thickened domains, each built once per radius and
+interface over the cells the interface reaches (or, where interfaces are too
+wide, one fill of the joint region per pattern pair).
 
 ``conf`` returns the deterministic least joint extension of two
 compatible patterns — the densification pipeline depends on this being
@@ -46,7 +46,6 @@ from .certificates import register_claim
 from .groups import (
     FiniteSubset,
     GroupContext,
-    set_inv,
     set_mul,
     symmetric_closure,
 )
@@ -374,6 +373,14 @@ def _check_irreducible_exact(
 _DOMAIN_RADII = (0, 1)
 
 
+def _products(ctx: GroupContext, *factors) -> set:
+    """``{a * b * ... : a in factors[0], b in factors[1], ...}`` as a plain set."""
+    acc = set(factors[0])
+    for f in factors[1:]:
+        acc = {ctx.mul(a, b) for a in acc for b in f}
+    return acc
+
+
 def _check_irreducible_local(
     ctx: GroupContext,
     spec: SftSpec,
@@ -386,16 +393,8 @@ def _check_irreducible_local(
     radii = _DOMAIN_RADII
     base = {rho: level_pattern_list(ctx, spec, ctx.ball(rho), level, sem) for rho in radii}
     centers = ctx.ball(scale).elements
-    margin = ctx.ball(sem.margin)
     narrow = {v: tuple(sorted(s)) for v, s in pre.items()}
-    # relative positions b * a^-1 of two cells of one forbidden domain
-    joins = FiniteSubset.of(
-        ctx, (ctx.mul(b, ctx.inv(a)) for p in spec.forbidden for a in p.domain for b in p.domain)
-    )
-    cores = (
-        set_mul(ctx, set_inv(ctx, d), d),
-        set_mul(ctx, set_mul(ctx, margin, joins), margin),
-    )
+    apart_core = _products(ctx, [ctx.inv(a) for a in d], d)  # D^-1 * D
 
     def report(pairs: int, counterexample) -> IrreducibilityReport:
         return IrreducibilityReport(
@@ -414,23 +413,21 @@ def _check_irreducible_local(
     # The SFT and apartness are invariant under right translation, so a
     # pair's verdict depends only on its class (r1, r2, x), x = c2 * c1^-1,
     # decided with ball(r1) at the origin and ball(r2) at ball(r2) * x.
-    # Two sets per radius pair, ball(r2)^-1 * core * ball(r1) for the two
-    # cores above, built on first use, decide most classes:
-    #   near: the x whose domains are not D-apart, ball(r2)^-1 D^-1 D ball(r1);
-    #   touch: the x at which one forbidden occurrence can meet both
-    #     margin-thickened domains, ball(r2)^-1 M^-1 K M ball(r1), with
-    #     M = ball(margin) and K = joins.  Balls are symmetric, so
-    #     ball(r2)^-1 = ball(r2) and M^-1 = M.
-    # An apart class outside touch holds with no search.  Under local(m)
+    # Two sets per radius pair, built on first use, decide most classes:
+    #   near: the x whose domains are not D-apart, ball(r2) D^-1 D ball(r1)
+    #     (balls are symmetric, so ball(r2)^-1 = ball(r2));
+    #   the contact table of _SideSignatures: the x at which the second
+    #     thickened domain holds a cell of the first or of a forbidden
+    #     occurrence that meets the first.
+    # An apart class outside the table holds with no search.  Under local(m)
     # each listed pattern extends on M * its domain by itself, since
-    # level_pattern_list keeps only those.  With nothing forbidden any two
-    # disjoint patterns glue; otherwise e lies in K, so outside touch the
-    # two thickened domains are disjoint and no forbidden occurrence meets
-    # both, and the two fills together fill the joint region.  A searched
-    # class met again has glued: the first failure ends the scan.  So has
+    # level_pattern_list keeps only those; outside the table the two
+    # thickened domains are disjoint and no forbidden occurrence meets both,
+    # so the two fills together fill the joint region.  A searched class
+    # met again has glued: the first failure ends the scan.  So has
     # (r, r, x^-1) once (r, r, x) glued: translating by x^-1 swaps the two
     # domains, and both sides draw from base[r].
-    sets: dict = {}
+    near: dict = {}
     searched: set = set()
     sides = _SideSignatures(ctx, spec, narrow, sem, base)
     pairs = 0
@@ -442,17 +439,14 @@ def _check_irreducible_local(
             lo = j if i + 1 == len(radii) else 0
             row = [ctx.mul(c2, c1_inv) for c2 in centers[lo:]]
             for r2 in radii[i:]:
-                if (r1, r2) not in sets:
-                    sets[r1, r2] = tuple(
-                        set_mul(ctx, set_mul(ctx, ctx.ball(r2), core), ctx.ball(r1))
-                        for core in cores
-                    )
-                near, touch = sets[r1, r2]
+                if (r1, r2) not in near:
+                    near[r1, r2] = _products(ctx, ctx.ball(r2), apart_core, ctx.ball(r1))
+                close, contacts = near[r1, r2], sides.contacts(r1, r2)
                 for c2, x in zip(centers[j:], row[j - lo:]) if r2 == r1 else zip(centers, row):
-                    if x in near:
+                    if x in close:
                         continue
                     pairs += 1
-                    if x not in touch or (r1, r2, x) in searched:
+                    if x not in contacts or (r1, r2, x) in searched:
                         continue
                     searched.add((r1, r2, x))
                     if r1 == r2:
@@ -478,10 +472,16 @@ class _SideSignatures:
     Class ``(r1, r2, x)`` has sides ``T_r1`` and ``B = T_r2 * x``, with
     ``T_r = M * ball(r)``.  An occurrence inside ``T_r1 | B`` lies in
     ``T_r1``, in ``B``, or crosses; the interface holds the crossing cells
-    and ``T_r1 & B``.  A pattern's signature is the set of fills of its
-    side's interface cells (origin coordinates) that extend to an
-    admissible fill of ``T_r``.  Two patterns glue iff some fills of their
-    signatures agree on ``T_r1 & B`` and complete no crossing occurrence.
+    and ``T_r1 & B``, read off the contact table of ``(r1, r2)``.  A
+    pattern's signature is the set of fills of its side's interface cells
+    (origin coordinates) that extend to an admissible fill of ``T_r``.  Two
+    patterns glue iff some fills of their signatures agree on ``T_r1 & B``
+    and complete no crossing occurrence, which is monotone in each
+    signature.  A core cell is *pinned* when every ``base[r]`` pattern gives
+    it one full letter.  Each pattern extends on ``T_r`` by itself, so a
+    signature searches only the interface, the unpinned cells that the
+    occurrences inside ``T_r`` link to it and the pinned cells those
+    occurrences touch: every other part extends whatever the interface holds.
     A class whose interfaces have too many fills (wide overlaps, large
     alphabets) is decided by one search of its joint region per pair.
     ``narrow`` maps level letters to full letters; ``base[r]`` lists the
@@ -492,43 +492,71 @@ class _SideSignatures:
         self.ctx, self.spec, self.narrow, self.sem, self.base = ctx, spec, narrow, sem, base
         self._sides: dict = {}
         self._sigs: dict = {}
+        self._contacts: dict = {}
 
     def side(self, r: int) -> tuple:
-        """``T_r`` in ball order, as a set, and the (cell, letter) tuples of
-        the occurrences that meet it without lying inside it."""
+        """``T_r`` in ball order, each cell's place in it, the occurrences
+        ((cell, letter) tuples) inside ``T_r`` by cell, those meeting it from
+        outside by outside cell, and the pinned cells."""
         if r not in self._sides:
             ctx = self.ctx
             cells = ctx.ball(self.sem.margin + r).elements
-            inside = set(cells)
-            bound = []
+            place = {g: k for k, g in enumerate(cells)}
+            inner, outer = {}, {}
             for p in self.spec.forbidden:
                 items = tuple(p.items())
                 for t in dict.fromkeys(ctx.mul(ctx.inv(h), c) for h, _ in items for c in cells):
                     occ = tuple((ctx.mul(h, t), v) for h, v in items)
-                    if any(g not in inside for g, _ in occ):
-                        bound.append(occ)
-            self._sides[r] = (cells, inside, bound)
+                    out = [g for g, _ in occ if g not in place]
+                    for g in out or [g for g, _ in occ]:
+                        (outer if out else inner).setdefault(g, []).append(occ)
+            pinned = {g for k, g in enumerate(ctx.ball(r))
+                      if all(len(self.narrow[q.values[k]]) == 1 for q in self.base[r])}
+            self._sides[r] = (cells, place, inner, outer, pinned)
         return self._sides[r]
+
+    def contacts(self, r1: int, r2: int) -> dict:
+        """The contact table: ``x`` to ``{h: g}`` for the cells ``h = g * x``, ``g`` in
+        ``T_r2``, of ``T_r1`` and of its boundary occurrences (none if nothing is forbidden)."""
+        if (r1, r2) not in self._contacts:
+            ctx, table = self.ctx, {}
+            cells1, _, _, outer1, _ = self.side(r1)
+            inv2 = [(g, ctx.inv(g)) for g in self.side(r2)[0]] if self.spec.forbidden else ()
+            for h in (*cells1, *outer1):
+                for g, g_inv in inv2:
+                    table.setdefault(ctx.mul(g_inv, h), {})[h] = g
+            self._contacts[r1, r2] = table
+        return self._contacts[r1, r2]
 
     def signatures(self, r: int, interface: tuple) -> tuple:
         """Each ``base[r]`` pattern's fills of ``interface`` (cells of ``T_r``)."""
         key = (r, interface)
         if key not in self._sigs:
-            first = set(interface)
-            rest = (g for g in self.side(r)[0] if g not in first)
-            region = _LocalRegion(self.ctx, self.spec, (*interface, *rest))
-            at = [region.index[g] for g in self.ctx.ball(r)]
-            n = len(interface)
-            sigs = []
+            cells, _, inner, _, pinned = self.side(r)
+            todo, occs = [g for g in interface if g not in pinned], {}
+            while todo:
+                for occ in inner.get(todo.pop(), ()):
+                    if occ not in occs:
+                        occs[occ] = None
+                        todo += [g for g, _ in occ if g not in pinned]
+            part = {g for occ in occs for g, _ in occ}.difference(interface)
+            rest = (g for g in cells if g in part)
+            region = _LocalRegion(self.ctx, self.spec, (*interface, *rest), occs)
+            core = [(k, region.index[g]) for k, g in enumerate(self.ctx.ball(r))
+                    if g in region.index]
+            n, memo, sigs = len(interface), {}, []
             for q in self.base[r]:
-                choices = region.choices()
-                for k, v in zip(at, q.values):
-                    choices[k] = self.narrow[v]
-                sigs.append(frozenset(
-                    tuple(vals[:n])
-                    for vals in region.search([None] * len(region.cells), choices, 0, n)
-                    if region.extends(vals, choices, n)
-                ))
+                at = tuple(q.values[k] for k, _ in core)
+                if at not in memo:
+                    choices = region.choices()
+                    for (_, i), v in zip(core, at):
+                        choices[i] = self.narrow[v]
+                    memo[at] = frozenset(
+                        tuple(vals[:n])
+                        for vals in region.search([None] * len(region.cells), choices, 0, n)
+                        if region.extends(vals, choices, n)
+                    )
+                sigs.append(memo[at])
             self._sigs[key] = tuple(sigs)
         return self._sigs[key]
 
@@ -540,25 +568,24 @@ class _SideSignatures:
         follow its ball's element order).
         """
         r1, r2, x = cls
-        cells1, in1, bound1 = self.side(r1)
-        home = {self.ctx.mul(g, x): g for g in self.side(r2)[0]}  # B -> T_r2
+        _, in1, _, outer1, _ = self.side(r1)
+        in2 = self.side(r2)[1]
+        home = self.contacts(r1, r2).get(x, {})  # contact cells of B -> T_r2
         crossing = [
-            occ for occ in bound1
+            occ for occ in dict.fromkeys(o for h in home if h in outer1 for o in outer1[h])
             if all(g in in1 or g in home for g, _ in occ)
             and not all(g in home for g, _ in occ)
         ]
-        cut = {g for occ in crossing for g, _ in occ} | in1.intersection(home)
-        j1 = tuple(g for g in cells1 if g in cut)
-        cut2 = {home[h] for h in cut if h in home}
-        j2 = tuple(g for g in self.side(r2)[0] if g in cut2)
+        cut = {g for occ in crossing for g, _ in occ}.union(h for h in home if h in in1)
+        j1 = tuple(sorted((g for g in cut if g in in1), key=in1.__getitem__))
+        j2 = tuple(sorted({home[h] for h in cut if h in home}, key=in2.__getitem__))
         # A side's signatures cost up to one fill of T_r per pattern and
         # interface fill, the pair search one fill of the joint region per
         # pair; take the signatures unless the unbuilt ones cost more than
         # both the pairs and _FEW_FILLS.
-        letters = len(self.spec.letters())
         b1, b2 = self.base[r1], self.base[r2]
         fills = sum(
-            len(self.base[r]) * letters ** len(j)
+            len(self.base[r]) * len(self.spec.letters()) ** len(j)
             for r, j in {(r1, j1), (r2, j2)} if (r, j) not in self._sigs
         )
         if fills > max(_FEW_FILLS, len(b1) * len(b2)):
@@ -569,19 +596,15 @@ class _SideSignatures:
         # a crossing cell outside T_r1 reads the second side's fill
         pos.update((h, len(j1) + pos2[home[h]]) for h in cut if h not in in1)
         checks = [tuple((pos[g], v) for g, v in occ) for occ in crossing]
-        sigs1 = self.signatures(r1, j1)
-        sigs2 = self.signatures(r2, j2)
-        fails = {
-            (s1, s2) for s1 in set(sigs1) for s2 in set(sigs2)
-            if not _glues(s1, s2, same, checks)
-        }
-        if not fails:
+        sigs1, sigs2 = self.signatures(r1, j1), self.signatures(r2, j2)
+        # the inclusion-minimal signatures decide whether any pair fails
+        least = [[s for s in d if not any(t < s for t in d)] for d in (set(sigs1), set(sigs2))]
+        if all(_glues(s1, s2, same, checks) for s1 in least[0] for s2 in least[1]):
             return None
-        for q1, s1 in zip(b1, sigs1):
-            for q2, s2 in zip(b2, sigs2):
-                if (s1, s2) in fails:
-                    return q1, q2
-        return None
+        return next(
+            (q1, q2) for q1, s1 in zip(b1, sigs1) for q2, s2 in zip(b2, sigs2)
+            if not _glues(s1, s2, same, checks)
+        )
 
     def _search_pairs(self, cls: tuple) -> Optional[tuple[Pattern, Pattern]]:
         """``first_unglued`` by one search of the joint region per pair."""

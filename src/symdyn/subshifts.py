@@ -770,29 +770,34 @@ class _LocalRegion:
     values by index instead of multiplying group elements at every node.
     """
 
-    def __init__(self, ctx: GroupContext, spec: SftSpec, cells: Iterable):
+    def __init__(self, ctx: GroupContext, spec: SftSpec, cells: Iterable,
+                 occurrences: Optional[Iterable] = None):
+        # occurrences: (cell, letter) sequences inside the region; None finds them by products
         self.cells = tuple(cells)
-        self.index = {g: i for i, g in enumerate(self.cells)}
+        self.index = index = {g: i for i, g in enumerate(self.cells)}
         self.letters = tuple(sorted(spec.letters()))
-        watch: list[dict] = [{} for _ in self.cells]
-        for p in spec.forbidden:
-            # the occurrence anchored at c puts item h at h * anchor * c
-            (h0, v0), *items = p.items()
-            anchor = ctx.inv(h0)
-            items = [(ctx.mul(h, anchor), v) for h, v in items]
-            for c in self.cells:
-                occ = [(self.index[c], v0)]
-                for k, v in items:
-                    j = self.index.get(ctx.mul(k, c))
-                    if j is None:
-                        break
-                    occ.append((j, v))
-                else:
-                    occ.sort()  # cells are distinct: sorts by index
-                    last, a = occ.pop()
-                    check = _matcher([j for j, _ in occ], [v for _, v in occ])
-                    watch[last].setdefault(a, []).append(check)
-        self.watch = watch
+        if occurrences is None:
+            occurrences = []
+            for p in spec.forbidden:
+                # the occurrence anchored at c puts item h at h * anchor * c
+                (h0, v0), *items = p.items()
+                anchor = ctx.inv(h0)
+                items = [(ctx.mul(h, anchor), v) for h, v in items]
+                for c in self.cells:
+                    occ = [(c, v0)]
+                    for k, v in items:
+                        g = ctx.mul(k, c)
+                        if g not in index:
+                            break
+                        occ.append((g, v))
+                    else:
+                        occurrences.append(occ)
+        self.watch: list[dict] = [{} for _ in self.cells]
+        for occ in occurrences:
+            # cells are distinct: sorts by index
+            *rest, (last, a) = sorted((index[g], v) for g, v in occ)
+            check = _matcher([j for j, _ in rest], [v for _, v in rest])
+            self.watch[last].setdefault(a, []).append(check)
 
     def among(self, lset) -> tuple:
         """The letters that lie in ``lset``, ascending."""

@@ -11,6 +11,10 @@ the README's failing exact check, and two local-semantics gluing checks (F2
 and Z^2).  Four larger local checks, hard square on Z^2 at scales 5 and 7
 and ``f2_hard`` at scales 3 and 4, pin the local scan's order and pair count
 at scales where most translation classes are decided without a search.  Two
+more local checks pin the signature search where it reaches furthest: a
+stacked Z^2 system checked at level 1, whose second level leaves every core
+cell of a domain open, and hard square under ``local:2``, whose thickened
+domains have a two-layer collar.  Two
 more exact checks pin the interval scan's order and pair count: a holding
 one with an asymmetric D at scale 30, and a failing one on a gap shift
 whose first counterexample comes after 36 apart classes.  The maximal
@@ -46,6 +50,14 @@ GAP_SHIFT = (
 HARD_SQUARE = (
     '{"group":"Z^2","alphabet":2,"name":"hard_square","forbidden":['
     '{"domain":[[0,0],[1,0]],"values":[1,1]},{"domain":[[0,0],[0,1]],"values":[1,1]}]}'
+)
+# two stacked levels: level-1 gluing reads fills of the second level too
+STACKED_DOMINO = (
+    '{"group":"Z^2","alphabet":[2,2],"name":"stacked_domino","forbidden":['
+    '{"domain":[[0,0],[1,0]],"values":[[0,0],[0,0]]},'
+    '{"domain":[[0,0],[1,0]],"values":[[0,1],[0,1]]},'
+    '{"domain":[[0,0],[0,1]],"values":[[1,0],[1,1]]},'
+    '{"domain":[[0,0],[0,1]],"values":[[0,1],[1,1]]}]}'
 )
 F2_HARD = (
     '{"group":"F2","alphabet":2,"name":"f2_hard","forbidden":['
@@ -89,6 +101,10 @@ GOLDEN = {
                           "--sem", "local:1"], 0),
     "hard-square-local-s7": (["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "7",
                               "--sem", "local:1"], 0),
+    "stacked-local-level1": (["irreducible", STACKED_DOMINO, "--d", "ball:1", "--scale", "3",
+                              "--sem", "local:1", "--level", "1"], 0),
+    "hard-square-local-m2": (["irreducible", HARD_SQUARE, "--d", "ball:1", "--scale", "3",
+                              "--sem", "local:2"], 0),
 }
 
 

@@ -17,8 +17,11 @@ builds and the classes it searches (one of each inverse pair
 ``(r, r, x)``, ``(r, r, x^-1)``), time a scan with wide interfaces, compare
 each class's verdict with
 ``oracle_first_unglued`` (one whole-region search per pattern pair, the
-per-class decision it replaced) and pin failing specs whose counterexample
-lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
+per-class decision it replaced), compare each side signature, searched only
+over the cells its interface reaches, with ``oracle_side_signatures`` (one
+search of the whole thickened side per pattern), check the contact table
+against every translate of the second side, and pin failing specs whose
+counterexample lies off the identity.  The per-pair scan asks ``oracle_are_apart`` from
 ``test_stamp_engine`` whether two domains are apart.
 """
 
@@ -186,6 +189,28 @@ def oracle_first_unglued(ctx, spec, narrow, margin, base, cls):
     return None
 
 
+def oracle_side_signatures(ctx, spec, narrow, margin, base, r, interface):
+    """Each ``base[r]`` pattern's fills of ``interface`` that extend to an
+    admissible fill of ``T_r = ball(margin + r)``: one region of the
+    interface and the rest of ``T_r``, searched whole for each pattern."""
+    first = set(interface)
+    cells = ctx.ball(margin + r).elements
+    region = _LocalRegion(ctx, spec, (*interface, *(g for g in cells if g not in first)))
+    at = [region.index[g] for g in ctx.ball(r)]
+    n = len(interface)
+    sigs = []
+    for q in base[r]:
+        choices = region.choices()
+        for k, v in zip(at, q.values):
+            choices[k] = narrow[v]
+        sigs.append(frozenset(
+            tuple(vals[:n])
+            for vals in region.search([None] * len(region.cells), choices, 0, n)
+            if region.extends(vals, choices, n)
+        ))
+    return tuple(sigs)
+
+
 def oracle_conf_local(ctx, spec, level, f, alpha1, alpha2, sem):
     """Least joint extension, one fresh fill search per probe; None if none."""
     pre = level_preimages(spec, level)
@@ -228,17 +253,17 @@ SIZES = st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (1, 3), (3, 1), (2, 1),
 
 
 @st.composite
-def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False):
-    """Random SFTs with forbidden domains in ``ball(1)``, or, with
-    ``offset``, in ``ball(1) * t`` for a drawn ``t`` in ``ball(1)``, so
-    that a domain need not contain the identity."""
+def sft_specs(draw, max_letters=4, groups=GROUPS, offset=False, max_forbidden=3):
+    """Random SFTs with up to ``max_forbidden`` forbidden domains in
+    ``ball(1)``, or, with ``offset``, in ``ball(1) * t`` for a drawn ``t``
+    in ``ball(1)``, so that a domain need not contain the identity."""
     group = draw(st.sampled_from(sorted(groups)))
     ctx = groups[group]
     sizes = draw(SIZES.filter(lambda s: _count(s) <= max_letters))
     letters = SftSpec(group, sizes, ()).letters()
     cells = ctx.ball(1).elements
     forbidden = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_forbidden))):
         dom = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
         if offset:
             t = draw(st.sampled_from(cells))
@@ -340,15 +365,85 @@ def test_side_signatures_decide_each_class_like_a_whole_region_search(data):
     assert _SideSignatures(ctx, spec, narrow, m, base)._search_pairs((r1, r2, x)) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_side_signatures_match_a_search_of_the_whole_side(data):
+    # a stacked alphabet checked below its top level leaves core cells
+    # open to several full letters, so an interface's reach may cross the
+    # core; interfaces may hold core cells too.  Chains of forbidden
+    # occurrences through the collar need several forbidden patterns.
+    margin = data.draw(st.integers(0, 2))
+    r = data.draw(st.integers(0, 0 if margin == 2 else 1))
+    ctx, spec = data.draw(sft_specs(
+        max_letters=2 if margin == 2 else 4 if r == 0 else 3, groups=GLUING_GROUPS, offset=True,
+        max_forbidden=6,
+    ))
+    level = data.draw(st.integers(1, spec.stack))
+    m = local(margin)
+    narrow = {v: tuple(sorted(s)) for v, s in level_preimages(spec, level).items()}
+    base = {r: level_pattern_list(ctx, spec, ctx.ball(r), level, m)}
+    cells = ctx.ball(margin + r).elements
+    interface = tuple(data.draw(st.lists(st.sampled_from(cells), max_size=3, unique=True)))
+    got = _SideSignatures(ctx, spec, narrow, m, base).signatures(r, interface)
+    assert got == oracle_side_signatures(ctx, spec, narrow, margin, base, r, interface)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contact_table_holds_the_cells_each_class_reaches(data):
+    # x maps to the cells h = g * x, g in T_r2, among the cells of T_r1 and
+    # of the forbidden occurrences that meet it; a class outside the table
+    # glues with no search
+    margin = data.draw(st.integers(0, 2))
+    ctx, spec = data.draw(sft_specs(max_letters=2, groups=GLUING_GROUPS, offset=True))
+    level = data.draw(st.integers(1, spec.stack))
+    r1, r2 = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    m = local(margin)
+    narrow = {v: tuple(sorted(s)) for v, s in level_preimages(spec, level).items()}
+    base = {r: level_pattern_list(ctx, spec, ctx.ball(r), level, m) for r in {r1, r2}}
+    table = _SideSignatures(ctx, spec, narrow, m, base).contacts(r1, r2)
+    side1 = ctx.ball(margin + r1).elements
+    reach = set(side1)
+    for p in spec.forbidden:
+        for t in {ctx.mul(ctx.inv(h), c) for h in p.domain for c in side1}:
+            reach.update(ctx.mul(h, t) for h in p.domain)
+    at1 = ctx.ball(r1).as_set()
+    for x in data.draw(st.lists(
+        st.sampled_from(ctx.ball(r1 + r2 + 2 * margin + 1).elements), min_size=1, max_size=4
+    )):
+        home = {ctx.mul(g, x): g for g in ctx.ball(margin + r2)}
+        want = {h: g for h, g in home.items() if h in reach} if spec.forbidden else {}
+        assert table.get(x, {}) == want
+        if x not in table and at1.isdisjoint(ctx.mul(g, x) for g in ctx.ball(r2)):
+            cls = (r1, r2, x)
+            assert oracle_first_unglued(ctx, spec, narrow, ctx.ball(margin), base, cls) is None
+
+
+# two-colourings: each cell's letter fixes its neighbours'
+TWO_COLOURINGS = [
+    ("Z^2", [(s, v, v) for s in ((1, 0), (0, 1)) for v in (0, 1)]),  # checkerboard
+    ("F2", [("a", 0, 0), ("a", 1, 1)]),
+    ("finite:s3", [(1, 0, 0), (1, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("margin", [1, 2])
+@pytest.mark.parametrize("group,pairs", TWO_COLOURINGS)
+def test_side_signatures_follow_chains_of_occurrences_through_the_collar(group, pairs, margin):
+    # the core letter fixes every collar cell through a chain of
+    # occurrences, so a search stopping at the interface's own occurrences
+    # would admit both letters on a cell two steps out
+    ctx, spec = _domino_spec(group, pairs, "domino")
+    narrow = {v: (v,) for v in (0, 1)}
+    base = {0: level_pattern_list(ctx, spec, ctx.ball(0), 1, local(margin))}
+    sides = _SideSignatures(ctx, spec, narrow, local(margin), base)
+    for g in ctx.ball(margin):
+        want = oracle_side_signatures(ctx, spec, narrow, margin, base, 0, (g,))
+        assert sides.signatures(0, (g,)) == want
+
+
 @pytest.mark.parametrize("margin", [0, 1, 2])
-@pytest.mark.parametrize(
-    "group,pairs",
-    [
-        ("Z^2", [(s, v, v) for s in ((1, 0), (0, 1)) for v in (0, 1)]),  # checkerboard
-        ("F2", [("a", 0, 0), ("a", 1, 1)]),
-        ("finite:s3", [(1, 0, 0), (1, 1, 1)]),
-    ],
-)
+@pytest.mark.parametrize("group,pairs", TWO_COLOURINGS)
 def test_side_signatures_decide_every_nearby_class_of_a_failing_spec(
     monkeypatch, group, pairs, margin
 ):
