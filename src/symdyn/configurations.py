@@ -179,6 +179,7 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
     site's cells are multiplied out only until the first used one.  The
     probe ``h_i`` is the first walked element still unused whose
     ``h_i g_i`` is unused too; only when none is left does the walk grow.
+    Its search starts at the first unused element, which only moves on.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -207,7 +208,7 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
             k += 1
 
     stages = []
-    cursor = 0
+    cursor = unused = 0
     for i in range(1, depth + 1):
         window = ctx.ball(i - 1)
         others = window.elements[1:]  # the identity comes first
@@ -221,7 +222,8 @@ def free_dense_point(ctx: GroupContext, depth: int) -> FreeDensePoint:
                 used.add(cell)
             placements.append((values, site))
         gi = targets[i - 1]
-        probe = elems[fresh_site(lambda h: (ctx.mul(h, gi),), 0)]
+        unused = fresh_site(lambda h: (), unused)
+        probe = elems[fresh_site(lambda h: (ctx.mul(h, gi),), unused)]
         moved = ctx.mul(probe, gi)
         assigned[probe] = 0
         assigned[moved] = 1

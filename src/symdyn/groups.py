@@ -2,7 +2,9 @@
 
 Three kinds of finitely generated groups are supported at desk scale:
 
-* integer lattices ``Z^d`` — elements are length-``d`` int tuples;
+* integer lattices ``Z^d`` — elements are length-``d`` int tuples; ``Z``
+  has its own arithmetic class on the one coordinate, and rank >= 2 uses
+  the generic lattice;
 * free groups ``Fk`` — elements are freely reduced words over
   ``a, b, c, ...`` with capital letters denoting inverses;
 * finite groups given by a multiplication table — elements are row
@@ -104,7 +106,7 @@ def _spheres(ctx: GroupContext, radius: Optional[int] = None) -> Iterator[list]:
                         )
         room -= len(grown)
         last, older = grown, last
-        sphere = sorted(grown, key=ctx.sort_key)
+        sphere = sorted(grown)  # one word length: the order is the element's
 
 
 class GroupContext:
@@ -228,6 +230,28 @@ class LatticeContext(GroupContext):
             return tuple(parse_int(p) for p in parts)
         except ValueError as exc:
             raise GroupParseError(f"bad coordinate in {text!r}") from exc
+
+
+class LineContext(LatticeContext):
+    """``Z``: the rank-1 lattice, with its arithmetic on the one coordinate.
+
+    Elements stay 1-tuples, so codecs and certificates are the lattice's.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+    def mul(self, a, b):
+        return (a[0] + b[0],)
+
+    def inv(self, a):
+        return (-a[0],)
+
+    def word_length(self, g) -> int:
+        return abs(g[0])
+
+    def sort_key(self, g):
+        return (abs(g[0]), g)
 
 
 def _reduce_word(word: str) -> str:
@@ -403,14 +427,12 @@ def parse_group(text: str) -> GroupContext:
     if key in _CONTEXT_CACHE:
         return _CONTEXT_CACHE[key]
     ctx: GroupContext
-    if key == "Z":
-        ctx = LatticeContext(1)
-    elif key.startswith("Z^"):
+    if key == "Z" or key.startswith("Z^"):
         # ASCII digits only: int() also reads "٣", "+3" and " 3"
-        rank = key[2:]
+        rank = key[2:] if key != "Z" else "1"
         if not (rank.isascii() and rank.isdigit() and int(rank) >= 1):
             raise GroupParseError(f"bad lattice rank in {key!r}")
-        ctx = LatticeContext(int(rank))
+        ctx = LineContext() if int(rank) == 1 else LatticeContext(int(rank))
     elif key.startswith("F") and key[1:].isascii() and key[1:].isdigit():
         ctx = FreeGroupContext(int(key[1:]))
     elif key.startswith("finite:"):
@@ -510,8 +532,19 @@ def parse_subset(ctx: GroupContext, text: str) -> FiniteSubset:
 # ---------------------------------------------------------------------------
 
 def set_mul(ctx: GroupContext, a: FiniteSubset, b: FiniteSubset) -> FiniteSubset:
-    """Pointwise product ``{x*y : x in a, y in b}``."""
-    return FiniteSubset.of(ctx, (ctx.mul(x, y) for x in a for y in b))
+    """Pointwise product ``{x*y : x in a, y in b}``, grown one row ``x * b``
+    at a time.  Raises ``BallCapExceeded`` at the first row that takes it
+    past ``ball_cap()`` elements."""
+    cap, mul = ball_cap(), ctx.mul
+    out: set = set()
+    for x in a:
+        out.update(mul(x, y) for y in b)
+        if len(out) > cap:
+            raise BallCapExceeded(
+                f"|{len(a)} * {len(b)} set product| exceeds "
+                f"SYMDYN_MAX_BALL={cap} on {ctx.describe()}"
+            )
+    return FiniteSubset.of(ctx, out)
 
 
 def set_inv(ctx: GroupContext, a: FiniteSubset) -> FiniteSubset:

@@ -602,6 +602,16 @@ def test_small_over_the_cap_is_usage_error(monkeypatch, capsys):
     assert captured.err == "error: |ball(3)| exceeds SYMDYN_MAX_BALL=5 on Z\n"
 
 
+def test_set_product_over_the_cap_is_usage_error(monkeypatch, capsys):
+    # D * D for D = ball(2) on F2 is ball(4), 161 elements; the witness
+    # D^3 would hold 1,457
+    monkeypatch.setenv("SYMDYN_MAX_BALL", "100")
+    assert main(["max-sep-shift", "F2", "--d", "ball:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: |17 * 17 set product| exceeds SYMDYN_MAX_BALL=100 on F2\n"
+
+
 CHAIN10 = json.dumps({
     "group": "Z", "alphabet": 10, "stack": 1, "name": "chain10",
     "substitution": {str(i): [i, i + 1] if i < 9 else [9] for i in range(10)},

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symdyn import groups
 from symdyn.groups import (
     DEFAULT_BALL_CAP,
     FINITE_TABLES,
@@ -21,7 +22,9 @@ from symdyn.groups import (
     FreeGroupContext,
     GroupParseError,
     LatticeContext,
+    LineContext,
     _reduce_word,
+    _spheres,
     ball_cap,
     is_separated,
     is_small,
@@ -101,6 +104,9 @@ def test_ball_matches_the_per_context_oracle(desc):
         want = oracle_ball(ctx, r)
         assert ctx.ball(r).elements == tuple(want)
         assert ctx.ball(r).as_set() == frozenset(want)
+    # one word length per sphere, so sorting a sphere needs no sort_key
+    for r, sphere in enumerate(_spheres(ctx, ORACLE_RADII.get(desc, 3))):
+        assert {ctx.word_length(g) for g in sphere} == {r}
 
 
 @pytest.mark.parametrize(
@@ -177,6 +183,33 @@ def test_lattice_product_and_inverse_match_generator_form(rank, data):
     assert type(ctx.mul(a, b)) is tuple and type(ctx.inv(a)) is tuple
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(-10**6, 10**6)), st.tuples(st.integers(-10**6, 10**6)))
+def test_line_kernel_matches_the_rank_one_lattice(a, b):
+    # the generic lattice on 1-tuples is the oracle for Z's own arithmetic
+    z, oracle = parse_group("Z"), LatticeContext(1)
+    assert type(z) is LineContext
+    assert z.mul(a, b) == oracle.mul(a, b) and type(z.mul(a, b)) is tuple
+    assert z.inv(a) == oracle.inv(a) and type(z.inv(a)) is tuple
+    assert z.word_length(a) == oracle.word_length(a)
+    assert z.sort_key(a) == oracle.sort_key(a)
+
+
+def test_line_generators_and_balls_match_the_rank_one_lattice():
+    z, oracle = parse_group("Z"), LatticeContext(1)
+    assert z.generators() == oracle.generators()
+    for r in range(ORACLE_RADII["Z"] + 1):
+        assert z.ball(r) == oracle.ball(r)
+
+
+@pytest.mark.parametrize("first, second", [("Z", "Z^1"), ("Z^1", "Z")])
+def test_z_and_z1_share_one_line_context_parsed_in_either_order(first, second, monkeypatch):
+    monkeypatch.setattr(groups, "_CONTEXT_CACHE", {})
+    ctx = parse_group(first)
+    assert type(ctx) is LineContext
+    assert parse_group(second) is ctx
+
+
 def test_element_text_and_json_round_trip():
     for desc in ("Z", "Z^2", "F2", "finite:s3"):
         ctx = parse_group(desc)
@@ -245,6 +278,23 @@ def test_set_algebra():
     assert set_pow(ctx, a, 0).elements == ((0,),)
     assert len(set_pow(ctx, a, 3)) == 4
     assert symmetric_closure(ctx, parse_subset(ctx, "2")).elements == ((-2,), (2,))
+
+
+@pytest.mark.parametrize("desc", ["Z", "Z^2", "F2", "finite:s3"])
+def test_capped_set_product_is_the_plain_product(desc, monkeypatch):
+    ctx = parse_group(desc)
+    rng = random.Random(desc)
+    elems = list(ctx.ball(2))
+    for _ in range(10):
+        a = FiniteSubset.of(ctx, rng.sample(elems, rng.randint(1, len(elems))))
+        b = FiniteSubset.of(ctx, rng.sample(elems, rng.randint(1, len(elems))))
+        plain = FiniteSubset.of(ctx, (ctx.mul(x, y) for x in a for y in b))
+        monkeypatch.setenv("SYMDYN_MAX_BALL", str(len(plain)))
+        assert set_mul(ctx, a, b) == plain
+        if len(plain) > 1:
+            monkeypatch.setenv("SYMDYN_MAX_BALL", str(len(plain) - 1))
+            with pytest.raises(BallCapExceeded):
+                set_mul(ctx, a, b)
 
 
 def test_separation_brute_force_oracle():
